@@ -2,13 +2,20 @@
 
 A Runge-Kutta scheme applied to the scalar test problem u' = -xi*u with step
 dt advances the solution by the factor lam(w) = 1 - w*b^T (I + w*A)^{-1} 1,
-where w = dt*xi.  Everything downstream (convergence bounds, time-grid solves
-on diagonalizable operators) is built on evaluating this rational function in
-complex arithmetic.
+where w = dt*xi.  Equivalently lam = P/Q with P(w) = det(I + w(A - 1 b^T))
+and Q(w) = det(I + w*A) (Hairer-Wanner, Solving ODEs II, IV.3).  Every
+tableau computes the coefficients of P and Q once, at construction, as
+principal-minor sums in extended precision; evaluation is then a Horner pass
+in the caller's dtype.  Stiffly accurate tableaux build P with b := A[-1],
+so that P's w^s coefficient is exactly 0 and no rounding residue of b - A[-1]
+grows into a spurious w^s term at large |w|.  Everything downstream
+(convergence bounds, time-grid solves on diagonalizable operators) is built
+on this rational function.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +31,6 @@ __all__ = [
     "scheme_names",
     "stability_eval",
     "stability_eval_batch",
-    "stability_eval_det",
     "verify_order",
     "classify_stability",
     "tableau_to_text",
@@ -35,9 +41,12 @@ A_STABLE = "A_stable"
 L_STABLE = "L_stable"
 CONDITIONALLY_STABLE = "conditionally_stable"
 
-# Pivot magnitudes below this are treated as a pole of the rational stability
-# function rather than propagated as inf/nan.
-_POLE_PIVOT = 1e-300
+# |Q(w)| at or below this many units of roundoff of sum_l |q_l| |w|^l is
+# treated as a pole of the rational stability function rather than
+# propagated as a noise-dominated quotient.
+_POLE_ULPS = 16
+
+_EVAL_DTYPES = (np.complex128, np.longdouble, np.clongdouble)
 
 
 class PoleError(ArithmeticError):
@@ -54,13 +63,45 @@ def _as_readonly(a, dtype=float):
     return arr
 
 
+def _exact_det(M):
+    """Cofactor-expansion determinant for the tiny (<=4x4) blocks used here.
+
+    Keeps M's dtype, and a block with an all-zero row gives exactly 0.
+    """
+    n = M.shape[0]
+    if n == 1:
+        return M[0, 0]
+    if n == 2:
+        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    det = M.dtype.type(0)
+    for j in range(n):
+        if M[0, j] == 0:
+            continue
+        minor = np.delete(M[1:], j, axis=1)
+        det += (-1) ** j * M[0, j] * _exact_det(minor)
+    return det
+
+
+def _principal_minor_sums(B):
+    """e_l(B) = sum of l x l principal minors, so det(I + wB) = sum_l e_l w^l."""
+    s = B.shape[0]
+    sums = [B.dtype.type(1)]
+    for l in range(1, s + 1):
+        total = B.dtype.type(0)
+        for idx in itertools.combinations(range(s), l):
+            total += _exact_det(B[np.ix_(idx, idx)])
+        sums.append(total)
+    return np.array(sums, dtype=B.dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class ButcherTableau:
     """An s-stage Runge-Kutta scheme (A, b, c) with declared order and class.
 
     ``stiffly_accurate`` and ``explicit_flag`` are derived from the
     coefficients; row-sum consistency c_i = sum_j A_ij is enforced at
-    construction.
+    construction.  ``P`` and ``Q`` hold the longdouble coefficients, in
+    powers of w, of the numerator and denominator of lam(w).
     """
 
     name: str
@@ -69,6 +110,9 @@ class ButcherTableau:
     c: np.ndarray
     order: int
     stability_class: str
+    P: np.ndarray = field(init=False, repr=False)
+    Q: np.ndarray = field(init=False, repr=False)
+    _horner: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _as_readonly(np.atleast_2d(self.A)))
@@ -84,6 +128,21 @@ class ButcherTableau:
         rowsum = self.A.sum(axis=1)
         if not np.allclose(rowsum, self.c, rtol=0, atol=1e-12):
             raise ValueError(f"{self.name}: c_i != sum_j A_ij")
+        A = self.A.astype(np.longdouble)
+        b = A[-1] if self.stiffly_accurate else self.b.astype(np.longdouble)
+        object.__setattr__(self, "P", _as_readonly(
+            _principal_minor_sums(A - b[None, :]), np.longdouble))
+        object.__setattr__(self, "Q", _as_readonly(
+            _principal_minor_sums(A), np.longdouble))
+        # per evaluation dtype: Horner rows (p_l, q_l, |q_l|) from l = s
+        # down to 0 in that dtype's real type, and its pole tolerance
+        rows = np.stack((self.P, self.Q, np.abs(self.Q)), axis=1)[::-1]
+        horner = {}
+        for dtype in _EVAL_DTYPES:
+            finfo = np.finfo(dtype)
+            horner[np.dtype(dtype)] = (_as_readonly(rows, finfo.dtype),
+                                       _POLE_ULPS * finfo.eps)
+        object.__setattr__(self, "_horner", horner)
 
     @property
     def s(self) -> int:
@@ -102,97 +161,32 @@ class ButcherTableau:
                 f" {self.stability_class})")
 
 
-def _gauss_solve(M, rhs):
-    """Batched dense Gaussian elimination with partial pivoting.
-
-    M has shape (..., s, s), rhs shape (s,).  Works for any inexact dtype
-    (complex128 for plane evaluation, longdouble for order measurement).
-    Raises PoleError when a pivot falls below the pole threshold.
-    """
-    M = np.asarray(M)
-    s = M.shape[-1]
-    aug = np.concatenate(
-        [M, np.broadcast_to(rhs.astype(M.dtype), M.shape[:-1]).copy()[..., None]],
-        axis=-1,
-    )
-    flat = aug.reshape(-1, s, s + 1)
-    for col in range(s):
-        piv = col + np.argmax(np.abs(flat[:, col:, col]), axis=1)
-        rows = np.arange(flat.shape[0])
-        tmp = flat[rows, piv].copy()
-        flat[rows, piv] = flat[:, col]
-        flat[:, col] = tmp
-        pivots = flat[:, col, col]
-        if np.min(np.abs(pivots)) < _POLE_PIVOT:
-            raise PoleError("singular stage system: w is at a pole")
-        for r in range(col + 1, s):
-            factor = flat[:, r, col] / pivots
-            flat[:, r, col:] -= factor[:, None] * flat[:, col, col:]
-    x = np.empty(flat.shape[:1] + (s,), dtype=flat.dtype)
-    for r in range(s - 1, -1, -1):
-        acc = flat[:, r, s]
-        if r + 1 < s:
-            acc = acc - np.einsum("ij,ij->i", flat[:, r, r + 1:s], x[:, r + 1:])
-        x[:, r] = acc / flat[:, r, r]
-    return x.reshape(M.shape[:-2] + (s,))
-
-
 def stability_eval_batch(tab: ButcherTableau, w, dtype=complex):
-    """Vectorized lam(w) = 1 - w*b^T (I + w*A)^{-1} 1 over an array of w.
+    """Vectorized lam(w) = P(w)/Q(w) over an array of w, by Horner in `dtype`.
 
-    For stiffly accurate tableaux the weight row equals the last row of A,
-    so lam is exactly the last stage value; using it avoids the catastrophic
-    1 - w*b^T x cancellation for schemes with an explicit first stage at
-    large |w|.
+    `dtype` is complex128, longdouble or clongdouble.  P, Q and the
+    size sum_l |q_l| |w|^l of Q's Horner sum run through one stacked Horner
+    pass; PoleError is raised where |Q(w)| is within _POLE_ULPS units of
+    roundoff of that size, i.e. where Q vanishes to working precision.
     """
     w = np.asarray(w, dtype=dtype)
-    A = tab.A.astype(dtype)
-    s = tab.s
-    M = np.eye(s, dtype=dtype) + w[..., None, None] * A
-    x = _gauss_solve(M, np.ones(s))
-    if tab.stiffly_accurate:
-        return x[..., -1]
-    return 1.0 - w * (x @ tab.b.astype(dtype))
+    coef, pole_tol = tab._horner[np.dtype(dtype)]
+    coef = coef.reshape(coef.shape + (1,) * w.ndim)
+    x = np.stack((w, w, np.abs(w).astype(dtype)))
+    acc = coef[0] * x
+    for c in coef[1:-1]:
+        acc += c
+        acc *= x
+    acc += coef[-1]
+    num, den, size = acc
+    if (np.abs(den) <= pole_tol * size.real).any():
+        raise PoleError("Q(w) = det(I + w*A) vanished: w is at a pole")
+    return num / den
 
 
 def stability_eval(tab: ButcherTableau, w: complex) -> complex:
     """Stability function factor lam(w) for a single complex w."""
     return complex(stability_eval_batch(tab, np.asarray([w], dtype=complex))[0])
-
-
-def _det(M):
-    """Determinant via the same pivoted elimination (product of pivots)."""
-    M = np.array(M, dtype=complex)
-    s = M.shape[0]
-    sign = 1.0
-    det = 1.0 + 0.0j
-    for col in range(s):
-        piv = col + int(np.argmax(np.abs(M[col:, col])))
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-            sign = -sign
-        p = M[col, col]
-        if abs(p) < _POLE_PIVOT:
-            return 0.0 + 0.0j
-        det *= p
-        for r in range(col + 1, s):
-            M[r, col:] -= (M[r, col] / p) * M[col, col:]
-    return sign * det
-
-
-def stability_eval_det(tab: ButcherTableau, w: complex) -> complex:
-    """Determinant form det(I + wA - w 1 b^T) / det(I + wA).
-
-    Independent route used to cross-check the stage-solve form.
-    """
-    s = tab.s
-    A = tab.A.astype(complex)
-    bT = np.outer(np.ones(s), tab.b).astype(complex)
-    num = _det(np.eye(s) + w * (A - bT))
-    den = _det(np.eye(s) + w * A)
-    if abs(den) < _POLE_PIVOT:
-        raise PoleError("denominator determinant vanished: w is at a pole")
-    return complex(num / den)
 
 
 def verify_order(tab: ButcherTableau) -> int:

@@ -89,6 +89,11 @@ def _provenance(args, keys):
     return [f"config: {resolved}", f"version: pintlab {__version__}"]
 
 
+def _file_tag(scheme: str) -> str:
+    """Scheme name as used in output file names (no ':' from trbdf2:<gamma>)."""
+    return scheme.replace(":", "-")
+
+
 def _outpath(args, name):
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -124,7 +129,8 @@ def cmd_bounds(args) -> int:
                            theta=args.theta, omega=args.omega, axis=axis)
             curve = sweep(q, args.wmin, args.wmax, args.n, args.workers)
             nc_tag = "inf" if nc == INFINITY else f"{nc:g}"
-            name = (f"bounds_{args.fine}_{args.coarse}_"
+            name = (f"bounds_{_file_tag(args.fine)}_"
+                    f"{_file_tag(args.coarse)}_"
                     f"{args.relax.lower()}_k{k}_nc{nc_tag}.csv")
             path = _outpath(args, name)
             with open(path, "w") as fh:
@@ -303,6 +309,9 @@ def _gauss4_capped_max(kset) -> float:
 def cmd_simulate(args) -> int:
     ks = _parse_int_list(args.k)
     hts = _parse_float_list(args.ht)
+    bad = [ht for ht in hts if not ht > 0.0]
+    if bad:
+        raise ConfigError(f"--ht must be positive, got {bad[0]!r}")
     levels_list = _parse_int_list(args.levels)
     fine = get_scheme(args.fine)
     coarse = (EXACT_COARSE if args.coarse == "exact"
@@ -367,12 +376,11 @@ def cmd_singularity(args) -> int:
                           "fine-power analysis applies to explicit schemes")
     ks = _parse_int_list(args.k)
     header = _provenance(args, ("scheme", "k", "wmax"))
-    status = 0
     for k in ks:
         records = singularity_roots(tab, k, args.wmax)
         stable = [r for r in records if r.in_stable_region]
         imag_stable = [r for r in records if r.imag_axis_stable]
-        path = _outpath(args, f"roots_{args.scheme}_k{k}.csv")
+        path = _outpath(args, f"roots_{_file_tag(args.scheme)}_k{k}.csv")
         with open(path, "w") as fh:
             roots_to_csv(records, fh, header)
         verdict = ("SINGULAR on stable region" if stable
@@ -381,7 +389,7 @@ def cmd_singularity(args) -> int:
                  if imag_stable else "")
         print(f"scheme={args.scheme} k={k}: {len(records)} root group(s), "
               f"{verdict}{extra}")
-    return status
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,12 @@ approximation of lam(w)^k.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .butcher import ButcherTableau, get_scheme, stability_eval_batch
+from .butcher import ButcherTableau, stability_eval_batch
 
 __all__ = [
     "NotTruncatedExponential",
@@ -60,46 +59,15 @@ class StabilityPolynomial:
         return acc
 
 
-def _principal_minor_sums(B):
-    """e_l(B) = sum of l x l principal minors, so det(I + wB) = sum_l e_l w^l."""
-    s = B.shape[0]
-    sums = [1.0]
-    for l in range(1, s + 1):
-        total = 0.0
-        for idx in itertools.combinations(range(s), l):
-            sub = B[np.ix_(idx, idx)]
-            total += _exact_det(sub)
-        sums.append(total)
-    return sums
-
-
-def _exact_det(M):
-    """Cofactor-expansion determinant for the tiny (<=4x4) blocks used here."""
-    n = M.shape[0]
-    if n == 1:
-        return float(M[0, 0])
-    if n == 2:
-        return float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    det = 0.0
-    for j in range(n):
-        if M[0, j] == 0.0:
-            continue
-        minor = np.delete(np.delete(M, 0, axis=0), j, axis=1)
-        det += ((-1.0) ** j) * float(M[0, j]) * _exact_det(minor)
-    return det
-
-
 def stability_polynomial(tab: ButcherTableau) -> StabilityPolynomial:
     """Exact polynomial coefficients of lam(w) for an explicit tableau.
 
-    lam(w) = det(I + w(A - 1 b^T)); the coefficient of w^l is the sum of the
-    l x l principal minors of A - 1 b^T.
+    lam = P/Q with Q = det(I + wA) == 1 for strictly lower-triangular A, so
+    lam is the tableau's numerator P(w) = det(I + w(A - 1 b^T)).
     """
     if not tab.explicit_flag:
         raise ValueError(f"{tab.name} is not explicit")
-    B = tab.A - np.outer(np.ones(tab.s), tab.b)
-    e = _principal_minor_sums(B)
-    coeffs = [((-1.0) ** l) * e[l] for l in range(len(e))]
+    coeffs = [((-1.0) ** l) * float(p) for l, p in enumerate(tab.P)]
     return StabilityPolynomial(tuple(coeffs))
 
 
@@ -222,9 +190,3 @@ def roots_to_csv(records, fileobj, header_lines=()) -> None:
         fileobj.write(f"{float(w.real)!r},{float(w.imag)!r},"
                       f"{int(rec.in_stable_region)}\n")
 
-
-def doubly_stable_root_free(name: str, k: int, w_max: float = 100.0) -> bool:
-    """True when no root lies in the real doubly-stable region."""
-    tab = get_scheme(name) if isinstance(name, str) else name
-    return not any(rec.in_stable_region
-                   for rec in singularity_roots(tab, k, w_max))

@@ -58,10 +58,6 @@ class ModelProblem:
     def n_modes(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def is_spd(self) -> bool:
-        return self.kind in (DIAGONAL_SPD, FD_DIFFUSION_1D)
-
 
 def make_spd_interval(xi_max: float, n: int, include=()) -> ModelProblem:
     """Log-spaced SPD spectrum filling (0, xi_max], two decades deep.

@@ -1,14 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from pintlab import butcher
+from pintlab.bounds import BoundQuery, PropagatorSpec, bound_values
 from pintlab.butcher import (REGISTRY, ButcherTableau, OrderMismatch,
                              PoleError, classify_stability, get_scheme,
                              make_trbdf2, stability_eval,
-                             stability_eval_batch, stability_eval_det,
-                             tableau_from_text, tableau_to_text, verify_order)
+                             stability_eval_batch, tableau_from_text,
+                             tableau_to_text, verify_order)
 
 ALL_NAMES = ["bwe", "fwe", "midpoint", "trapezoid", "sdirk22", "sdirk23",
              "sdirk33", "sdirk34", "esdirk32", "esdirk33", "gauss4",
@@ -77,20 +79,51 @@ def test_explicit_schemes_are_truncated_exponentials():
         assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
 
 
-def test_determinant_form_cross_check():
-    rng = np.random.default_rng(7)
+def _mp_stage_form(tab, w):
+    """lam(w) = 1 - w b^T (I + wA)^{-1} 1 in 50 digits for the float tableau.
+
+    Stiffly accurate tableaux use b := A[-1], the weights the scheme is
+    evaluated with.
+    """
+    with mpmath.workdps(50):
+        s = tab.s
+        A = mpmath.matrix([[mpmath.mpf(float(v)) for v in row]
+                           for row in tab.A])
+        b = (A[s - 1, :] if tab.stiffly_accurate
+             else mpmath.matrix([[mpmath.mpf(float(v)) for v in tab.b]]))
+        wm = mpmath.mpc(w.real, w.imag)
+        x = mpmath.lu_solve(mpmath.eye(s) + wm * A, mpmath.ones(s, 1))
+        return complex(1 - wm * sum(b[j] * x[j] for j in range(s)))
+
+
+def test_mpmath_reference_cross_check():
+    mags = np.geomspace(1e-3, 1e8, 56)
     for tab in REGISTRY:
-        count = 0
-        while count < 100:
-            w = complex(*rng.uniform(-10, 10, 2))
-            try:
-                direct = stability_eval(tab, w)
-                det_form = stability_eval_det(tab, w)
-            except PoleError:
-                continue
-            scale = max(1.0, abs(direct))
-            assert abs(direct - det_form) <= 1e-12 * scale, (tab.name, w)
-            count += 1
+        for axis in (1.0, 1j):
+            ws = mags * axis
+            got = stability_eval_batch(tab, ws)
+            for w, lam in zip(ws, got):
+                ref = _mp_stage_form(tab, complex(w))
+                assert abs(lam - ref) <= 1e-14 * max(1.0, abs(ref)), \
+                    (tab.name, w, lam, ref)
+
+
+def test_stiffly_accurate_numerator_degree():
+    # b := A[-1] zeroes the last row of A - 1 b^T, so det vanishes exactly
+    stiff = [tab for tab in REGISTRY if tab.stiffly_accurate]
+    assert len(stiff) == 7
+    for tab in stiff:
+        assert tab.P[tab.s] == 0, tab.name
+
+
+@pytest.mark.parametrize("k", [2, 64])
+@pytest.mark.parametrize("relax", ["F", "FCF"])
+def test_esdirk33_bound_nondecreasing_at_large_w(k, relax):
+    # the golden Table 2 argmax = inf for esdirk33 rests on this
+    tab = get_scheme("esdirk33")
+    q = BoundQuery(PropagatorSpec.uniform(tab, k), tab, k, relax)
+    phi = bound_values(q, np.geomspace(1e6, 1e9, 200))
+    assert np.all(np.diff(phi) >= 0.0)
 
 
 def test_pole_error():

@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from pintlab.cli import main
 
 
@@ -124,6 +126,26 @@ def test_simulate_bad_divisibility_exits_2(capsys):
                "--nt", "64", "--ximax", "1.0"])
     assert rc == 2
     assert "divisible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ht", ["0", "-1"])
+def test_simulate_nonpositive_ht_exits_2(ht, capsys):
+    rc = main(["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2",
+               "--nt", "64", "--nmodes", "4", "--seeds", "1", "--ht", ht,
+               "--inject-w", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--ht must be positive" in err
+
+
+def test_bounds_file_name_has_no_colon(tmp_path):
+    rc = main(["bounds", "--fine", "trbdf2:0.5", "--coarse", "bwe",
+               "--k", "2", "--n", "64", "--out", str(tmp_path)])
+    assert rc == 0
+    assert os.listdir(tmp_path) == ["bounds_trbdf2-0.5_bwe_f_k2_ncinf.csv"]
+    text = read(tmp_path / "bounds_trbdf2-0.5_bwe_f_k2_ncinf.csv")
+    assert "fine=trbdf2:0.5" in text
 
 
 def test_table2_single_row_passes(capsys):
