@@ -15,15 +15,14 @@ scalar weight omega blends the correction with the identity.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .butcher import ButcherTableau, get_scheme, stability_eval_batch
 
 __all__ = [
-    "UNBOUNDED",
     "INFINITY",
     "StabilityError",
     "PropagatorSpec",
@@ -40,7 +39,6 @@ __all__ = [
     "spectrum_max",
 ]
 
-UNBOUNDED = math.inf
 INFINITY = math.inf
 
 RELAX_F = "F"
@@ -253,7 +251,7 @@ def pointwise_bound(q: BoundQuery, w: float) -> float:
 class BoundCurve:
     """Sampled bound curve with max / argmax / convergence-threshold summary.
 
-    max_phi == UNBOUNDED (inf) marks a genuinely unbounded curve; a finite
+    max_phi == INFINITY marks a genuinely unbounded curve; a finite
     max with argmax_w == INFINITY marks a supremum approached only as
     w -> infinity.  threshold is the largest w-hat with phi < 1 for all
     w < w-hat (INFINITY when the curve stays below 1, 0.0 when it starts
@@ -276,18 +274,11 @@ class BoundCurve:
         return math.isinf(self.max_phi)
 
     def to_csv(self, fileobj, header_lines=()) -> None:
-        for line in header_lines:
-            fileobj.write(f"# {line}\n")
-        fileobj.write("w,phi\n")
-        for w, phi in self.samples:
-            fileobj.write(f"{float(w)!r},"
-                          f"{'unbounded' if math.isinf(phi) else repr(float(phi))}\n")
-        max_str = "unbounded" if math.isinf(self.max_phi) else repr(self.max_phi)
-        arg_str = "inf" if math.isinf(self.argmax_w) else repr(self.argmax_w)
-        thr_str = "inf" if math.isinf(self.threshold) else repr(self.threshold)
-        fileobj.write(f"# max_phi = {max_str}\n")
-        fileobj.write(f"# argmax_w = {arg_str}\n")
-        fileobj.write(f"# threshold = {thr_str}\n")
+        rows = [(w, "unbounded" if math.isinf(phi) else phi)
+                for w, phi in self.samples]
+        footer = [("max_phi", "unbounded" if self.unbounded else self.max_phi),
+                  ("argmax_w", self.argmax_w), ("threshold", self.threshold)]
+        write_csv(fileobj, header_lines, ("w", "phi"), rows, footer)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -335,8 +326,7 @@ def _bisect_crossing(fun, w_lo, w_hi, level=1.0, iters=60):
     return math.exp(0.5 * (lo + hi))
 
 
-def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512,
-                   workers: int = 1):
+def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
     """Shared sweep engine: sample fun on a log grid, refine maxima, summarize.
 
     `fun` maps an array of w magnitudes to bound values (inf allowed).
@@ -347,13 +337,7 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512,
     if n_base < 64:
         raise ValueError("n_base must be >= 64")
     grid = np.geomspace(w_min, w_max, n_base)
-    if workers > 1:
-        chunks = np.array_split(grid, workers * 4)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fun, chunks))
-        phi = np.concatenate(parts)
-    else:
-        phi = np.asarray(fun(grid), dtype=float)
+    phi = np.asarray(fun(grid), dtype=float)
     samples = [(w, v) for w, v in zip(grid, phi)]
 
     finite = np.where(np.isfinite(phi), phi, -np.inf)
@@ -395,12 +379,12 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512,
     max_phi = float(np.max(np.where(np.isfinite(phi_all), phi_all, np.inf)))
     argmax_at_inf = False
     if unbounded or not math.isfinite(tail) or tail > 1e6:
-        max_phi = UNBOUNDED
+        max_phi = INFINITY
         argmax_at_inf = not unbounded
     elif (end_increasing and tail > 1.01 * phi[-1]
           and phi[-1] >= 0.5 * max_phi):
         # still climbing hard at the window edge with the global max there
-        max_phi = UNBOUNDED
+        max_phi = INFINITY
         argmax_at_inf = True
     elif max_phi > 0 and tail >= max_phi * (1.0 - 1e-6):
         # supremum approached asymptotically: report the far-tail estimate
@@ -434,11 +418,11 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512,
 
 
 def sweep(q: BoundQuery, w_min: float = 1e-8, w_max: float = 1e8,
-          n_base: int = 512, workers: int = 1) -> BoundCurve:
+          n_base: int = 512) -> BoundCurve:
     """Sample the bound on [w_min, w_max] and summarize max/argmax/threshold."""
     fun = lambda w: bound_values(q, w)
     samples, max_phi, argmax_w, threshold = sweep_function(
-        fun, w_min, w_max, n_base, workers)
+        fun, w_min, w_max, n_base)
     return BoundCurve(q, samples, max_phi, argmax_w, threshold)
 
 
@@ -446,7 +430,7 @@ def max_over_k(fine: str, coarse: str, relaxation: str, k_set,
                bound_kind: str = SIMPLE, Nc: float = INFINITY,
                axis: str = REAL_AXIS, w_min: float = 1e-8,
                w_max: float = 1e8, n_base: int = 512) -> float:
-    """Max over coarsening factors of the sweep maximum; UNBOUNDED dominates."""
+    """Max over coarsening factors of the sweep maximum; INFINITY dominates."""
     k_list = list(k_set)
     if not k_list:
         raise ValueError("k_set must be nonempty")

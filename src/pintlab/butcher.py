@@ -15,6 +15,7 @@ on this rational function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -307,17 +308,20 @@ def _make_registry_entries():
          [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
         [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
         [0.0, 0.5, 0.5, 1.0], 4, CONDITIONALLY_STABLE)
+    entries["trbdf2"] = make_trbdf2(TRBDF2_DEFAULT_GAMMA)
     return entries
 
 
 TRBDF2_DEFAULT_GAMMA = 2.0 - _SQRT2
 
 
+@functools.lru_cache(maxsize=None)
 def make_trbdf2(gamma: float = TRBDF2_DEFAULT_GAMMA) -> ButcherTableau:
     """One-parameter blend of trapezoid and two-step BDF as a 3-stage ESDIRK.
 
     L-stable exactly at the default parameter, A-stable elsewhere in the
-    usable range.
+    usable range.  Built once per parameter value, so every lookup of the
+    same scheme returns the same tableau.
     """
     g = float(gamma)
     if not 0.0 < g < 2.0:
@@ -339,14 +343,12 @@ class SchemeRegistry:
     entries: dict = field(default_factory=dict)
 
     def names(self):
-        return sorted(self.entries) + ["trbdf2"]
+        return sorted(self.entries)
 
     def get(self, name: str) -> ButcherTableau:
         key = name.strip().lower()
         if key in self.entries:
             return self.entries[key]
-        if key == "trbdf2":
-            return make_trbdf2()
         if key.startswith("trbdf2:"):
             try:
                 gamma = float(key.split(":", 1)[1])
@@ -356,8 +358,7 @@ class SchemeRegistry:
         raise KeyError(f"unknown scheme {name!r}")
 
     def __iter__(self):
-        yield from self.entries.values()
-        yield make_trbdf2()
+        return iter(self.entries.values())
 
 
 REGISTRY = SchemeRegistry(_make_registry_entries())

@@ -14,9 +14,9 @@ import sys
 import numpy as np
 
 from . import __version__, golden
+from ._csv import write_csv
 from .bounds import (INFINITY, SIMPLE, LOWER_TIGHT, UPPER_TIGHT, REAL_AXIS,
-                     IMAG_AXIS, BoundQuery, PropagatorSpec, bound_values,
-                     max_over_k, sweep)
+                     IMAG_AXIS, BoundQuery, PropagatorSpec, max_over_k, sweep)
 from .butcher import get_scheme, scheme_names
 from .explicit_analysis import roots_to_csv, singularity_roots
 from .mgrit_sim import (EXACT_COARSE, MgritRun, TimeHierarchy, measure_rho,
@@ -62,10 +62,14 @@ def _parse_nc_list(text: str):
     return out or [INFINITY]
 
 
-def _apply_config_file(args: argparse.Namespace, parser_keys) -> None:
-    """key = value lines override flags; unknown keys are rejected."""
+def _apply_config_file(args: argparse.Namespace,
+                       parser: argparse.ArgumentParser) -> None:
+    """key = value lines override flags; each value is parsed and checked
+    like the flag it overrides, and unknown keys are rejected."""
     if not getattr(args, "config", None):
         return
+    actions = {a.dest: a for a in parser._actions
+               if a.dest not in ("help", "config")}
     with open(args.config) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -76,10 +80,24 @@ def _apply_config_file(args: argparse.Namespace, parser_keys) -> None:
                     f"{args.config}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
             key = key.strip().lower().replace("-", "_")
-            if key not in parser_keys:
+            if key not in actions:
                 raise ConfigError(
                     f"{args.config}:{lineno}: unknown key {key!r}")
-            setattr(args, key, val.strip())
+            setattr(args, key, _config_value(
+                actions[key], val.strip(), f"{args.config}:{lineno}: {key}"))
+
+
+def _config_value(action: argparse.Action, text: str, where: str):
+    """Convert and check `text` with the flag's type and choices."""
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError:
+        raise ConfigError(f"{where}: invalid {action.type.__name__} value "
+                          f"{text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"{where}: invalid choice {value!r} (choose from "
+                          f"{', '.join(map(repr, action.choices))})")
+    return value
 
 
 def _provenance(args, keys):
@@ -120,14 +138,14 @@ def cmd_bounds(args) -> int:
     else:
         kind = _BOUND_KINDS[args.kind]
     keys = ("fine", "coarse", "k", "relax", "kind", "nc", "axis", "theta",
-            "omega", "wmin", "wmax", "n", "workers")
+            "omega", "wmin", "wmax", "n")
     header = _provenance(args, keys)
     for k in ks:
         for nc in ncs:
             q = BoundQuery(PropagatorSpec.uniform(fine, k), coarse, k,
                            args.relax.upper(), nc, kind,
                            theta=args.theta, omega=args.omega, axis=axis)
-            curve = sweep(q, args.wmin, args.wmax, args.n, args.workers)
+            curve = sweep(q, args.wmin, args.wmax, args.n)
             nc_tag = "inf" if nc == INFINITY else f"{nc:g}"
             name = (f"bounds_{_file_tag(args.fine)}_"
                     f"{_file_tag(args.coarse)}_"
@@ -237,13 +255,9 @@ def _run_table2(args, rows):
     if args.out:
         path = _outpath(args, "table2.csv")
         with open(path, "w") as fh:
-            for line in _provenance(args, ("which", "rows")):
-                fh.write(f"# {line}\n")
-            fh.write("scheme,k,max_F,argmax_F,threshold_F,"
-                     "max_FCF,argmax_FCF,threshold_FCF\n")
-            for row in csv_rows:
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
+            write_csv(fh, _provenance(args, ("which", "rows")),
+                      ("scheme", "k", "max_F", "argmax_F", "threshold_F",
+                       "max_FCF", "argmax_FCF", "threshold_FCF"), csv_rows)
     return failures
 
 
@@ -269,33 +283,35 @@ def _run_table1(args):
     if args.out:
         path = _outpath(args, "table1.csv")
         with open(path, "w") as fh:
-            for line in _provenance(args, ("which",)):
-                fh.write(f"# {line}\n")
-            fh.write("column,computed,reference\n")
-            for row in csv_rows:
-                fh.write(f"{row[0]},{row[1]!r},{row[2]!r}\n")
+            write_csv(fh, _provenance(args, ("which",)),
+                      ("column", "computed", "reference"), csv_rows)
     return failures
 
 
 def _gauss4_capped_max(kset) -> float:
-    """Max of the bound below the first crossing of the reference level.
+    """Max of the bound below z_max, where the climb to 1 begins.
 
     The uncapped supremum climbs to 1 as w grows; the usable regime is the
-    k-dependent window below z_max where the bound stays at the backward
-    Euler level.  z_max per k is printed for reference.
+    k-dependent window below z_max, the positive zero of mu - lam^k that
+    separates the backward-Euler-level hump from that climb.  On the sweep's
+    samples z_max is the dip reached by walking back from the first sample
+    above 1/2 while the samples keep decreasing; a curve that never exceeds
+    1/2 is capped at its max.  z_max per k is printed for reference.
     """
     tab = get_scheme("gauss4")
     bwe = get_scheme("bwe")
     worst = 0.0
     for k in kset:
         q = BoundQuery(PropagatorSpec.uniform(tab, k), bwe, k, "F")
-        fun = lambda w: bound_values(q, w)
-        grid = np.geomspace(1e-8, 1e8, 1024)
-        phi = fun(grid)
-        over = np.nonzero(phi > 0.305)[0]
-        z_max = grid[over[0]] if len(over) else math.inf
-        below = phi[grid < z_max]
-        cap = float(np.max(below)) if below.size else 0.0
+        w, phi = sweep(q).samples.T
+        over = np.nonzero(phi > 0.5)[0]
+        if len(over):
+            j = over[0]
+            while j > 0 and phi[j - 1] < phi[j]:
+                j -= 1
+            z_max, cap = w[j], float(np.max(phi[:j + 1]))
+        else:
+            z_max, cap = math.inf, float(np.max(phi))
         print(f"  gauss4 k={k}: z_max ~ {z_max:.4g}, "
               f"max bound below z_max = {cap:.4f}")
         worst = max(worst, cap)
@@ -354,13 +370,10 @@ def cmd_simulate(args) -> int:
     else:
         path = _outpath(args, "run_sweep.csv")
         with open(path, "w") as fh:
-            for line in header:
-                fh.write(f"# {line}\n")
-            fh.write("k,ht,levels,rho,converged,iters\n")
-            for k, ht, lv, res in results:
-                fh.write(f"{k},{ht!r},{lv},{res.rho!r},"
-                         f"{'true' if res.converged else 'false'},"
-                         f"{len(res.history) - 1}\n")
+            write_csv(fh, header, ("k", "ht", "levels", "rho", "converged",
+                                   "iters"),
+                      ((k, ht, lv, res.rho, res.converged,
+                        len(res.history) - 1) for k, ht, lv, res in results))
     print(f"wrote {path}")
     return 0
 
@@ -418,7 +431,6 @@ def _build_parser():
     b.add_argument("--wmin", type=float, default=1e-8)
     b.add_argument("--wmax", type=float, default=1e8)
     b.add_argument("--n", type=int, default=512)
-    b.add_argument("--workers", type=int, default=1)
     b.add_argument("--out", default=None)
     b.add_argument("--config", default=None)
     b.set_defaults(func=cmd_bounds)
@@ -462,35 +474,18 @@ def _build_parser():
     g.add_argument("--out", default=None)
     g.add_argument("--config", default=None)
     g.set_defaults(func=cmd_singularity)
-    return p
+    return p, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        option_keys = {k for k in vars(args)
-                       if k not in ("func", "command", "config")}
-        _apply_config_file(args, option_keys)
-        _coerce_types(args)
+        _apply_config_file(args, commands[args.command])
         return args.func(args)
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-_TYPED = {"theta": float, "omega": float, "wmin": float, "wmax": float,
-          "n": int, "workers": int, "nt": int, "ximax": float, "nmodes": int,
-          "seed": int, "seeds": int, "tol": float, "max_iters": int}
-
-
-def _coerce_types(args) -> None:
-    """Config-file values arrive as strings; re-coerce typed options."""
-    for key, typ in _TYPED.items():
-        if hasattr(args, key):
-            val = getattr(args, key)
-            if isinstance(val, str):
-                setattr(args, key, typ(val))
 
 
 if __name__ == "__main__":

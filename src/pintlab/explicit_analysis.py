@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .butcher import ButcherTableau, stability_eval_batch
 
 __all__ = [
@@ -182,11 +183,6 @@ def _classify_root(tab: ButcherTableau, k: int, r: complex) -> RootRecord:
 
 
 def roots_to_csv(records, fileobj, header_lines=()) -> None:
-    for line in header_lines:
-        fileobj.write(f"# {line}\n")
-    fileobj.write("re,im,in_stable_region\n")
-    for rec in records:
-        w = complex(rec.w)
-        fileobj.write(f"{float(w.real)!r},{float(w.imag)!r},"
-                      f"{int(rec.in_stable_region)}\n")
-
+    write_csv(fileobj, header_lines, ("re", "im", "in_stable_region"),
+              ((rec.w.real, rec.w.imag, int(rec.in_stable_region))
+               for rec in records))

@@ -162,8 +162,9 @@ TABLE1 = {
     "sdirk23-odd": {"scheme": "sdirk23", "kset": tuple(range(3, 65, 2)),
                     "value": 0.392},
     "gauss4": {"kset": (2, 4, 8, 16), "value": 0.298,
-               "note": "bounded by 0.298 below a k-dependent cutoff z_max, "
-                       "then asymptotes to 1; z_max is reported per k"},
+               "note": "bounded by 0.298 below z_max, the k-dependent "
+                       "positive zero of mu - lam^k where the climb to 1 "
+                       "begins; z_max is reported per k"},
 }
 
 

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import PropagatorSpec
+from ._csv import write_csv
+from .bounds import RELAX_F, RELAX_FCF, PropagatorSpec
 from .butcher import ButcherTableau, stability_eval_batch
 from .model_problems import ModelProblem
 
@@ -28,8 +29,6 @@ __all__ = [
     "RhoResult",
     "step",
     "relax",
-    "vcycle",
-    "residual_norm",
     "iterate",
     "measure_rho",
     "error_propagation_matrices",
@@ -39,9 +38,7 @@ __all__ = [
 
 EXACT_COARSE = "exact"
 
-RELAX_F = "F"
 RELAX_FC = "FC"
-RELAX_FCF = "FCF"
 
 
 class SolveError(RuntimeError):
@@ -372,18 +369,6 @@ def relax(run: MgritRun, level: int, u, rhs):
                      run.relaxation)
 
 
-def vcycle(run: MgritRun, level: int, u, rhs):
-    """Apply one V-cycle rooted at `level`; returns the updated state."""
-    eng = _Engine(run)
-    return eng.vcycle(np.array(u, dtype=eng.dtype), np.asarray(rhs), level)
-
-
-def residual_norm(run: MgritRun, u, rhs=None, level: int = 0) -> float:
-    eng = _Engine(run)
-    g = eng.zeros(level) if rhs is None else np.asarray(rhs)
-    return float(np.linalg.norm(eng.residual(np.asarray(u), g, level)))
-
-
 class RhoResult(NamedTuple):
     rho: float
     history: tuple
@@ -491,11 +476,8 @@ def error_propagation_norm(run: MgritRun) -> float:
 
 
 def run_to_csv(result: RhoResult, fileobj, header_lines=()) -> None:
-    for line in header_lines:
-        fileobj.write(f"# {line}\n")
-    fileobj.write("iter,residual_norm\n")
-    for i, r in enumerate(result.history):
-        fileobj.write(f"{i},{float(r)!r}\n")
-    fileobj.write(f"# rho = {float(result.rho)!r}\n")
-    fileobj.write(f"# converged = {'true' if result.converged else 'false'}\n")
-    fileobj.write(f"# iters = {len(result.history) - 1}\n")
+    write_csv(fileobj, header_lines, ("iter", "residual_norm"),
+              ((i, float(r)) for i, r in enumerate(result.history)),
+              [("rho", float(result.rho)),
+               ("converged", bool(result.converged)),
+               ("iters", len(result.history) - 1)])

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
+
 __all__ = [
     "ModelProblem",
     "make_spd_interval",
@@ -112,11 +114,8 @@ def make_skew_advection(M: int, h_x: float) -> ModelProblem:
 
 
 def eigenvalues_to_csv(problem: ModelProblem, fileobj, header_lines=()) -> None:
-    for line in header_lines:
-        fileobj.write(f"# {line}\n")
-    fileobj.write("re,im\n")
-    for xi in problem.eigenvalues:
-        fileobj.write(f"{float(xi.real)!r},{float(xi.imag)!r}\n")
+    write_csv(fileobj, header_lines, ("re", "im"),
+              ((xi.real, xi.imag) for xi in problem.eigenvalues))
 
 
 def eigenvalues_from_csv(fileobj) -> ModelProblem:

@@ -8,7 +8,7 @@ from pintlab import butcher
 from pintlab.bounds import BoundQuery, PropagatorSpec, bound_values
 from pintlab.butcher import (REGISTRY, ButcherTableau, OrderMismatch,
                              PoleError, classify_stability, get_scheme,
-                             make_trbdf2, stability_eval,
+                             make_trbdf2, scheme_names, stability_eval,
                              stability_eval_batch, tableau_from_text,
                              tableau_to_text, verify_order)
 
@@ -164,6 +164,15 @@ def test_trbdf2_name_lookup():
         get_scheme("trbdf2:abc")
     with pytest.raises(KeyError):
         get_scheme("nope")
+
+
+def test_trbdf2_lookups_share_one_tableau():
+    assert get_scheme("trbdf2") is get_scheme("trbdf2")
+    assert get_scheme("trbdf2:0.5") is get_scheme("TRBDF2:0.50")
+    assert get_scheme(f"trbdf2:{2.0 - math.sqrt(2.0)!r}") \
+        is get_scheme("trbdf2")
+    assert scheme_names().count("trbdf2") == 1
+    assert [t.name for t in REGISTRY].count("trbdf2") == 1
 
 
 def test_midpoint_equals_trapezoid_pointwise():

@@ -1,7 +1,13 @@
+import glob
 import os
+import re
 
+import numpy as np
 import pytest
 
+from pintlab import cli
+from pintlab.bounds import BoundQuery, PropagatorSpec, bound_values, sweep
+from pintlab.butcher import get_scheme, stability_eval_batch
 from pintlab.cli import main
 
 
@@ -66,6 +72,109 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
                "--config", str(cfg)])
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("axis = bogus", "axis: invalid choice 'bogus'"),
+    ("kind = foo", "kind: invalid choice 'foo'"),
+    ("n = many", "n: invalid int value 'many'"),
+], ids=["bad_axis", "bad_kind", "bad_int"])
+def test_config_file_value_checked_like_flag(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# comment\n{line}\n")
+    rc = main(["bounds", "--fine", "bwe", "--coarse", "bwe",
+               "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{cfg}:2: {message}" in err
+    assert not glob.glob(str(tmp_path / "*.csv"))
+
+
+def _check_layout(path):
+    """`# ` header lines, a column row, uniform data rows, `# k = v` footers"""
+    lines = read(path).splitlines()
+    n_head = next(i for i, line in enumerate(lines)
+                  if not line.startswith("#"))
+    assert n_head >= 2, path
+    assert lines[0].startswith("# config: ")
+    assert lines[1].startswith("# version: pintlab ")
+    columns = lines[n_head].split(",")
+    body = lines[n_head + 1:]
+    n_rows = next((i for i, line in enumerate(body) if line.startswith("#")),
+                  len(body))
+    assert n_rows > 0, path
+    for row in body[:n_rows]:
+        cells = row.split(",")
+        assert len(cells) == len(columns), (path, row)
+        for cell in cells:
+            assert cell and " " not in cell and cell not in ("True", "False")
+    for footer in body[n_rows:]:
+        assert re.fullmatch(r"# \w+ = \S+", footer), (path, footer)
+    return columns, body[:n_rows], body[n_rows:]
+
+
+def test_every_csv_kind_shares_one_layout(tmp_path):
+    out = str(tmp_path)
+    commands = [
+        ["bounds", "--fine", "midpoint", "--coarse", "midpoint", "--k", "2",
+         "--n", "64", "--axis", "imag", "--kind", "simple"],
+        ["table", "table1"],
+        ["table", "table2", "--rows", "bwe"],
+        ["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2",
+         "--nt", "16", "--nmodes", "4"],
+        ["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2,4",
+         "--nt", "16", "--nmodes", "4"],
+        ["singularity", "--scheme", "erk2", "--k", "2"],
+    ]
+    for argv in commands:
+        assert main(argv + ["--out", out]) == 0
+    expected = {
+        "bounds_midpoint_midpoint_f_k2_ncinf.csv":
+            ("w,phi", ["max_phi", "argmax_w", "threshold"]),
+        "table1.csv": ("column,computed,reference", []),
+        "table2.csv": ("scheme,k,max_F,argmax_F,threshold_F,"
+                       "max_FCF,argmax_FCF,threshold_FCF", []),
+        "run_history.csv": ("iter,residual_norm",
+                            ["rho", "converged", "iters"]),
+        "run_sweep.csv": ("k,ht,levels,rho,converged,iters", []),
+        "roots_erk2_k2.csv": ("re,im,in_stable_region", []),
+    }
+    assert sorted(os.listdir(tmp_path)) == sorted(expected)
+    for name, (columns, footer_keys) in expected.items():
+        cols, _, footer = _check_layout(tmp_path / name)
+        assert ",".join(cols) == columns
+        assert [f.split()[1] for f in footer] == footer_keys
+    _, rows, footer = _check_layout(
+        tmp_path / "bounds_midpoint_midpoint_f_k2_ncinf.csv")
+    assert footer[0] == "# max_phi = unbounded"
+    assert any(row.endswith(",unbounded") for row in rows)
+    _, rows, _ = _check_layout(tmp_path / "run_sweep.csv")
+    assert [row.split(",")[4] for row in rows] == ["true", "true"]
+    _, rows, _ = _check_layout(tmp_path / "roots_erk2_k2.csv")
+    assert {row.split(",")[2] for row in rows} <= {"0", "1"}
+
+
+def _gauss4_dense_cap(k):
+    """Max of the bound below the first positive zero of mu - lam^k, found
+    by sign changes on a dense 2^16-point grid over [1e-3, 1e3]."""
+    tab, bwe = get_scheme("gauss4"), get_scheme("bwe")
+    w = np.geomspace(1e-3, 1e3, 2 ** 16)
+    gap = (stability_eval_batch(bwe, k * w)
+           - stability_eval_batch(tab, w) ** k).real
+    z = np.nonzero(np.sign(gap[1:]) != np.sign(gap[:-1]))[0][0] + 1
+    q = BoundQuery(PropagatorSpec.uniform(tab, k), bwe, k, "F")
+    return float(np.max(bound_values(q, w[:z])))
+
+
+def test_gauss4_cap_matches_dense_reference(monkeypatch, capsys):
+    kset = (2, 4, 8, 16)
+    cap = cli._gauss4_capped_max(kset)
+    assert abs(cap - 0.2984) <= 1e-3
+    assert abs(cap - max(_gauss4_dense_cap(k) for k in kset)) <= 1e-3
+    # the cutoff rule does not depend on where the sweep's samples land
+    monkeypatch.setattr(cli, "sweep", lambda q: sweep(q, n_base=2048))
+    assert abs(cli._gauss4_capped_max(kset) - cap) <= 1e-3
 
 
 def test_singularity_fwe(tmp_path, capsys):

@@ -9,7 +9,7 @@ from pintlab.butcher import get_scheme
 from pintlab.mgrit_sim import (EXACT_COARSE, MgritRun, RhoResult, SolveError,
                                TimeHierarchy, error_propagation_matrices,
                                error_propagation_norm, iterate, measure_rho,
-                               relax, residual_norm, run_to_csv, step, vcycle)
+                               relax, run_to_csv, step)
 from pintlab.model_problems import (ModelProblem, make_fd_diffusion,
                                     make_spd_interval)
 
