@@ -15,6 +15,7 @@ scalar weight omega blends the correction with the identity.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,10 +168,12 @@ def fine_interval_eigenvalue(fine: PropagatorSpec, w: complex) -> complex:
 
 
 def _fine_interval_batch(fine: PropagatorSpec, w, dtype=complex):
-    out = np.ones_like(np.asarray(w, dtype))
-    for tab, frac in fine.steps:
-        out = out * stability_eval_batch(tab, frac * np.asarray(w, dtype),
-                                         dtype=dtype)
+    # each distinct (tableau, fraction) step is evaluated once and raised to
+    # its multiplicity, so a uniform k-step factor costs one evaluation
+    w = np.asarray(w, dtype)
+    out = np.ones_like(w)
+    for (tab, frac), n in Counter(fine.steps).items():
+        out = out * stability_eval_batch(tab, frac * w, dtype=dtype) ** n
     return out
 
 
@@ -185,40 +188,38 @@ def _eigen_parts(q: BoundQuery, pts, dtype=complex):
     return lamk.astype(complex), num, amu, one_minus
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def bound_values(q: BoundQuery, w):
     """Vectorized bound over magnitudes w on the query's axis.
 
     Unstable and unbounded samples come back as inf (never raises
-    StabilityError); PoleError still propagates since registry poles cannot
-    lie on either sweep axis.  On the imaginary axis 1 - |mu| shrinks like
-    w^2, so samples with w < 1e-4 are evaluated in extended precision to
-    keep the cancellation noise below the signal.
+    StabilityError), also where an explicit scheme overflows far outside its
+    stability region; PoleError still propagates since registry poles cannot
+    lie on either sweep axis.  Samples with w < 1e-4 are evaluated in
+    extended precision on both axes: there |mu - lam^k| and, on the
+    imaginary axis, 1 - |mu| are small differences of numbers near 1, and
+    double-precision cancellation noise would swamp the signal.
     """
     pts = _axis_points(w, q.axis)
     lamk, num, amu, one_minus = _eigen_parts(q, pts)
-    if q.axis == IMAG_AXIS:
-        small = np.abs(pts) < 1e-4
-        if np.any(small):
-            parts = _eigen_parts(q, pts[small], np.clongdouble)
-            lamk = lamk.copy(); num = num.copy()
-            amu = amu.copy(); one_minus = one_minus.copy()
-            lamk[small], num[small], amu[small], one_minus[small] = parts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if q.bound_kind == SIMPLE:
-            phi = num / one_minus
-            tiny = one_minus < _DEN_EPS
-            if q.axis == REAL_AXIS:
-                phi = np.where(tiny, np.where(num < _DEN_EPS, 0.0, np.inf),
-                               phi)
-            else:
-                phi = np.where(tiny, np.inf, phi)
+    small = np.abs(pts) < 1e-4
+    if np.any(small):
+        lamk[small], num[small], amu[small], one_minus[small] = _eigen_parts(
+            q, pts[small], np.clongdouble)
+    if q.bound_kind == SIMPLE:
+        phi = num / one_minus
+        tiny = one_minus < _DEN_EPS
+        if q.axis == REAL_AXIS:
+            phi = np.where(tiny, np.where(num < _DEN_EPS, 0.0, np.inf), phi)
         else:
-            C = 1.0 if q.bound_kind == LOWER_TIGHT else 6.0
-            extra = (0.0 if q.Nc == INFINITY
-                     else (np.pi ** 2) * amu / (C * q.Nc ** 2))
-            phi = num / np.sqrt(one_minus ** 2 + extra)
-            phi = np.where(amu > 1.0 + _TIGHT_SLACK, np.inf, phi)
-            phi = np.where(np.isnan(phi), np.inf, phi)
+            phi = np.where(tiny, np.inf, phi)
+    else:
+        C = 1.0 if q.bound_kind == LOWER_TIGHT else 6.0
+        extra = (0.0 if q.Nc == INFINITY
+                 else (np.pi ** 2) * amu / (C * q.Nc ** 2))
+        phi = num / np.sqrt(one_minus ** 2 + extra)
+        phi = np.where(amu > 1.0 + _TIGHT_SLACK, np.inf, phi)
+        phi = np.where(np.isnan(phi), np.inf, phi)
     if q.relaxation == RELAX_FCF:
         phi = np.abs(lamk) * phi
     if q.omega != 1.0:
@@ -282,55 +283,64 @@ class BoundCurve:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# threshold multisection: interior points per round, and the log-w width
+# (relative width in w) at which the bracket counts as found
+_SECTIONS = 64
+_CROSSING_TOL = 1e-13
 
 
 def _golden_refine(fun, w_lo, w_hi, rel_tol=1e-4):
-    """Golden-section maximization on a log-w interval.
+    """Golden-section maximization on log-w brackets, all run in lockstep.
 
-    Returns (w_star, phi_star) plus every probed sample for the record.
+    Every bracket takes as many steps as the widest one needs, so each step
+    is one call of `fun`.  Returns every probed (w, phi) sample as two arrays.
     """
-    lo, hi = math.log(w_lo), math.log(w_hi)
-    probes = []
+    lo, hi = np.log(w_lo), np.log(w_hi)
+    probes_w, probes_v = [], []
 
-    def f(x):
-        w = math.exp(x)
-        v = float(fun(np.asarray([w]))[0])
-        probes.append((w, v))
-        return v
+    def probe(x):
+        probes_w.append(np.exp(x))
+        probes_v.append(np.asarray(fun(probes_w[-1]), dtype=float))
+        return probes_v[-1]
 
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > rel_tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    xm = 0.5 * (lo + hi)
-    return math.exp(xm), f(xm), probes
+    f1, f2 = np.split(probe(np.concatenate((x1, x2))), 2)
+    while np.max(hi - lo) > rel_tol:
+        up = f1 < f2
+        lo = np.where(up, x1, lo)
+        hi = np.where(up, hi, x2)
+        x = np.where(up, lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
+        v = probe(x)
+        x1, f1, x2, f2 = (np.where(up, x2, x), np.where(up, f2, v),
+                          np.where(up, x, x1), np.where(up, v, f1))
+    probe(0.5 * (lo + hi))
+    return np.concatenate(probes_w), np.concatenate(probes_v)
 
 
-def _bisect_crossing(fun, w_lo, w_hi, level=1.0, iters=60):
-    """Locate the first up-crossing of `level` between bracketed samples."""
-    lo, hi = math.log(w_lo), math.log(w_hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if float(fun(np.asarray([math.exp(mid)]))[0]) < level:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
+def _first_crossing(fun, w_lo, w_hi):
+    """First sampled up-crossing of 1 in a bracket, by multisection.
+
+    Needs fun(w_lo) < 1 <= fun(w_hi).  Each round samples _SECTIONS
+    log-spaced interior points in one call of `fun` and keeps the interval
+    around the first sample that is not below 1.
+    """
+    x = np.array([math.log(w_lo), math.log(w_hi)])
+    frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+    while x[-1] - x[0] > _CROSSING_TOL:
+        x = np.concatenate(([x[0]], x[0] + (x[-1] - x[0]) * frac, [x[-1]]))
+        below = np.asarray(fun(np.exp(x[1:-1])), dtype=float) < 1.0
+        j = np.argmin(np.concatenate(([True], below, [False])))
+        x = x[j - 1:j + 1]
+    return math.exp(0.5 * (x[0] + x[1]))
 
 
 def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
     """Shared sweep engine: sample fun on a log grid, refine maxima, summarize.
 
-    `fun` maps an array of w magnitudes to bound values (inf allowed).
-    Returns (samples, max_phi, argmax_w, threshold).
+    `fun` maps an array of w magnitudes to bound values (inf allowed); every
+    probe is one call on an array.  Refinement starts after the full base
+    pass.  Returns (samples, max_phi, argmax_w, threshold).
     """
     if not (0.0 < w_min < w_max):
         raise ValueError("need 0 < w_min < w_max")
@@ -338,40 +348,26 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
         raise ValueError("n_base must be >= 64")
     grid = np.geomspace(w_min, w_max, n_base)
     phi = np.asarray(fun(grid), dtype=float)
-    samples = [(w, v) for w, v in zip(grid, phi)]
 
     finite = np.where(np.isfinite(phi), phi, -np.inf)
+    pad = np.concatenate(([-np.inf], finite, [-np.inf]))
+    is_max = np.isfinite(finite) & (finite >= pad[:-2]) & (finite >= pad[2:])
+    # refine each plateau once, from its first sample, and skip humps far
+    # below the global peak: neither can move the max/argmax summary
+    keep = is_max & ~np.concatenate(([False], is_max[:-1]))
     peak = np.max(finite)
-    candidates = []
-    prev = -10
-    for i in range(n_base):
-        left = finite[i - 1] if i > 0 else -np.inf
-        right = finite[i + 1] if i < n_base - 1 else -np.inf
-        if not (np.isfinite(finite[i]) and finite[i] >= left
-                and finite[i] >= right):
-            continue
-        # skip plateau continuations and humps far below the global peak:
-        # neither can move the max/argmax summary
-        if i == prev + 1 and candidates and \
-                abs(finite[i] - candidates[-1][0]) <= 1e-9 * abs(finite[i]):
-            prev = i
-            continue
-        if peak > 0 and finite[i] < 0.3 * peak:
-            continue
-        candidates.append((finite[i], i))
-        prev = i
-    candidates.sort(reverse=True)
-    refined = []
-    for _, i in candidates[:64]:
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, n_base - 1)]
-        if lo < hi:
-            _, _, probes = _golden_refine(fun, lo, hi)
-            refined.extend(probes)
-    samples.extend(refined)
-    samples.sort(key=lambda p: p[0])
-    arr = np.asarray(samples, dtype=float)
-    w_all, phi_all = arr[:, 0], arr[:, 1]
+    if peak > 0:
+        keep &= finite >= 0.3 * peak
+    idx = np.flatnonzero(keep)
+    idx = idx[np.lexsort((-idx, -finite[idx]))][:64]
+    w_all, phi_all = grid, phi
+    if idx.size:
+        probes = _golden_refine(fun, grid[np.maximum(idx - 1, 0)],
+                                grid[np.minimum(idx + 1, n_base - 1)])
+        w_all = np.concatenate((grid, probes[0]))
+        order = np.argsort(w_all, kind="stable")
+        w_all, phi_all = w_all[order], np.concatenate((phi, probes[1]))[order]
+    arr = np.column_stack((w_all, phi_all))
 
     unbounded = bool(np.any(~np.isfinite(phi_all)) or np.any(phi_all > 1e6))
     end_increasing = phi[-1] >= phi[-2] and np.isfinite(phi[-1])
@@ -408,12 +404,12 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
     over = np.where(~(phi_all < 1.0))[0]  # inf counts as over
     if len(over) == 0:
         threshold = INFINITY if not tail >= 1.0 else \
-            _bisect_crossing(fun, w_max, 10.0 * w_max)
+            _first_crossing(fun, w_max, 10.0 * w_max)
     elif over[0] == 0:
         threshold = 0.0
     else:
         i = over[0]
-        threshold = _bisect_crossing(fun, w_all[i - 1], w_all[i])
+        threshold = _first_crossing(fun, w_all[i - 1], w_all[i])
     return arr, max_phi, argmax_w, threshold
 
 

@@ -1,5 +1,6 @@
 import io
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,8 +8,11 @@ from pintlab.bounds import (INFINITY, BoundQuery, PropagatorSpec,
                             StabilityError, bound_values, coarse_eigenvalue,
                             fine_interval_eigenvalue, max_over_k,
                             pointwise_bound, spectrum_max, sweep,
-                            two_iteration_product)
-from pintlab.butcher import get_scheme
+                            sweep_function, two_iteration_product)
+from pintlab.butcher import REGISTRY, get_scheme
+from pintlab.golden import K_VALUES
+
+from mp_reference import mp_stage_form
 
 BWE = get_scheme("bwe")
 TRAP = get_scheme("trapezoid")
@@ -51,6 +55,22 @@ def test_fine_interval_eigenvalue_mixed_limit():
     got = fine_interval_eigenvalue(spec, w)
     assert got == pytest.approx(product)
     assert abs(got) < 1e-6
+
+
+@pytest.mark.parametrize("name",
+                         ["bwe", "sdirk33", "gauss4", "trapezoid", "erk4"])
+def test_fine_interval_eigenvalue_kth_power(name):
+    # a uniform spec raises one evaluation to the k-th power; compare with
+    # the 50-digit lam(w)^k of the same float tableau
+    tab = get_scheme(name)
+    for k in (2, 64, 512):
+        spec = PropagatorSpec.uniform(tab, k)
+        for w in (1e-3, 0.1, 1.0, 1e-3j, 0.1j, 1j):
+            got = fine_interval_eigenvalue(spec, w)
+            with mpmath.workdps(50):
+                ref = mp_stage_form(tab, w) ** k
+                err = float(abs(got - ref) / abs(ref))
+            assert err <= 1e-15 * k, (k, w, err)
 
 
 def test_propagator_spec_validation():
@@ -206,6 +226,22 @@ def test_parity_of_k_matters():
     assert v3 < 1.0
 
 
+def test_real_axis_small_w_matches_mpmath():
+    # |mu - lam^k| is a tiny difference of numbers near 1 at small w, so
+    # double precision would leave only rounding noise here
+    fine, coarse = get_scheme("trbdf2:0.5"), BWE
+    q = query(fine, coarse, 2)
+    w = np.geomspace(1e-8, 1e-3, 12)
+    got = bound_values(q, w)
+    for wi, phi in zip(w, got):
+        with mpmath.workdps(50):
+            mu = mp_stage_form(coarse, complex(2 * wi))
+            num = abs(mu - mp_stage_form(fine, complex(wi)) ** 2)
+            ref = num / (1 - abs(mu))
+            err = float(abs(phi - ref) / ref)
+        assert err <= 1e-3, (wi, phi, float(ref))
+
+
 # --- sweep -----------------------------------------------------------------
 
 def test_sweep_sdirk22_k8():
@@ -243,6 +279,100 @@ def test_sweep_samples_sorted_and_nonnegative():
     phi = curve.samples[:, 1]
     assert np.all(np.diff(w) >= 0)
     assert np.all(phi >= 0)
+
+
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_sweep_matches_dense_reference(name):
+    # the sweep's 512 samples plus refinement must agree with a 2^16-point
+    # grid on the same window: max, unbounded flag and threshold
+    tab = get_scheme(name)
+    w = np.geomspace(1e-8, 1e8, 2 ** 16)
+    for k in K_VALUES:
+        for relax in ("F", "FCF"):
+            q = query(tab, tab, k, relax)
+            curve = sweep(q)
+            dense = bound_values(q, w)
+            case = (name, k, relax)
+            dense_unbounded = bool(np.any(~(dense <= 1e6)))
+            if curve.unbounded:
+                assert dense_unbounded or curve.argmax_w == INFINITY, case
+            else:
+                assert not dense_unbounded, case
+                top = float(np.max(dense))
+                assert top - 1e-9 <= curve.max_phi, (case, curve.max_phi, top)
+                assert curve.max_phi <= top + max(0.005, 1e-4 * top), \
+                    (case, curve.max_phi, top)
+            over = np.flatnonzero(~(dense < 1.0))
+            if over.size == 0:
+                assert curve.threshold > w[-1], case
+            elif over[0] == 0:
+                assert curve.threshold == 0.0, case
+            else:
+                first = w[over[0]]
+                assert abs(curve.threshold - first) <= 1e-3 * first, \
+                    (case, curve.threshold, first)
+
+
+def _humps(w, n, height):
+    # n equal humps of the given height across log10 w in [-8, 8]
+    return height * np.sin(np.pi * n * (np.log10(w) + 8.0) / 16.0) ** 2
+
+
+def _bump(w, centre, height):
+    return height * np.exp(-((np.log10(w) - centre) / 0.5) ** 2)
+
+
+def _counted_sweep(curve):
+    """sweep_function on [1e-8, 1e8] plus the size of every call of `fun`.
+
+    The first refinement call probes two points per refined candidate, so
+    sizes[1] // 2 is the number of candidates.
+    """
+    sizes = []
+
+    def fun(w):
+        assert isinstance(w, np.ndarray) and w.ndim == 1
+        sizes.append(w.size)
+        return curve(w)
+
+    return sweep_function(fun, 1e-8, 1e8), sizes
+
+
+def test_sweep_probes_whole_arrays():
+    (_, max_phi, _, threshold), sizes = _counted_sweep(
+        lambda w: _humps(w, 50, 0.8))
+    assert sizes[1] // 2 == 50
+    assert len(sizes) <= 32, len(sizes)
+    assert max_phi == pytest.approx(0.8, rel=1e-6)
+    assert threshold == INFINITY
+
+
+def test_sweep_plateau_refines_once_from_its_start():
+    (_, max_phi, argmax_w, _), sizes = _counted_sweep(
+        lambda w: np.minimum(_bump(w, 0.0, 1.0), 0.5))
+    assert sizes[1] // 2 == 1
+    assert max_phi == 0.5
+    start = 10.0 ** (-0.5 * np.sqrt(np.log(2.0)))  # where the bump hits 0.5
+    step = 1e16 ** (1.0 / 511)
+    assert start <= argmax_w <= start * step
+
+
+def test_sweep_prunes_humps_below_three_tenths_of_peak():
+    main = lambda w: _bump(w, 2.0, 1.0)
+    (_, ref_max, ref_arg, _), ref_sizes = _counted_sweep(main)
+    (_, max_phi, argmax_w, _), sizes = _counted_sweep(
+        lambda w: np.maximum(main(w), _bump(w, -4.0, 0.29)))
+    assert ref_sizes[1] // 2 == sizes[1] // 2 == 1
+    assert (max_phi, argmax_w) == (ref_max, ref_arg)
+    _, sizes = _counted_sweep(
+        lambda w: np.maximum(main(w), _bump(w, -4.0, 0.31)))
+    assert sizes[1] // 2 == 2
+
+
+def test_sweep_caps_candidates_without_moving_max():
+    (_, max_phi, _, _), sizes = _counted_sweep(lambda w: _humps(w, 80, 0.8))
+    assert sizes[1] // 2 == 64
+    assert max_phi == pytest.approx(0.8, rel=1e-6)
 
 
 def test_sweep_rejects_bad_window():

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +10,8 @@ from pintlab.butcher import (REGISTRY, ButcherTableau, OrderMismatch,
                              make_trbdf2, scheme_names, stability_eval,
                              stability_eval_batch, tableau_from_text,
                              tableau_to_text, verify_order)
+
+from mp_reference import mp_stage_form
 
 ALL_NAMES = ["bwe", "fwe", "midpoint", "trapezoid", "sdirk22", "sdirk23",
              "sdirk33", "sdirk34", "esdirk32", "esdirk33", "gauss4",
@@ -79,23 +80,6 @@ def test_explicit_schemes_are_truncated_exponentials():
         assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
 
 
-def _mp_stage_form(tab, w):
-    """lam(w) = 1 - w b^T (I + wA)^{-1} 1 in 50 digits for the float tableau.
-
-    Stiffly accurate tableaux use b := A[-1], the weights the scheme is
-    evaluated with.
-    """
-    with mpmath.workdps(50):
-        s = tab.s
-        A = mpmath.matrix([[mpmath.mpf(float(v)) for v in row]
-                           for row in tab.A])
-        b = (A[s - 1, :] if tab.stiffly_accurate
-             else mpmath.matrix([[mpmath.mpf(float(v)) for v in tab.b]]))
-        wm = mpmath.mpc(w.real, w.imag)
-        x = mpmath.lu_solve(mpmath.eye(s) + wm * A, mpmath.ones(s, 1))
-        return complex(1 - wm * sum(b[j] * x[j] for j in range(s)))
-
-
 def test_mpmath_reference_cross_check():
     mags = np.geomspace(1e-3, 1e8, 56)
     for tab in REGISTRY:
@@ -103,7 +87,7 @@ def test_mpmath_reference_cross_check():
             ws = mags * axis
             got = stability_eval_batch(tab, ws)
             for w, lam in zip(ws, got):
-                ref = _mp_stage_form(tab, complex(w))
+                ref = complex(mp_stage_form(tab, complex(w)))
                 assert abs(lam - ref) <= 1e-14 * max(1.0, abs(ref)), \
                     (tab.name, w, lam, ref)
 
