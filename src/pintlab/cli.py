@@ -200,6 +200,10 @@ def _table2_tolerance_abs(cell):
 
 def cmd_table(args) -> int:
     rows = args.rows.split(",") if args.rows else None
+    unknown = set(rows or ()) - set(golden.TABLE2_ROW_ORDER)
+    if unknown:
+        raise ConfigError(f"unknown --rows {', '.join(sorted(unknown))}; "
+                          f"valid: {', '.join(golden.TABLE2_ROW_ORDER)}")
     if args.which == "table2":
         failures = _run_table2(args, rows)
     else:
@@ -344,9 +348,6 @@ def cmd_simulate(args) -> int:
     combos = [(k, ht, lv) for k in ks for ht in hts for lv in levels_list]
     results = []
     for k, ht, lv in combos:
-        if args.nt % k ** (lv - 1) != 0:
-            raise ConfigError(
-                f"nt={args.nt} not divisible by k**(levels-1)={k ** (lv - 1)}")
         if args.spectrum:
             with open(args.spectrum) as fh:
                 problem = eigenvalues_from_csv(fh)

@@ -136,6 +136,8 @@ def singularity_roots(tab: ButcherTableau, k: int, w_max: float):
     doubly-stable region {w real > 0 : |lam(w)| < 1 and |mu(w)| < 1} are
     flagged; purely imaginary stable roots are marked separately.
     """
+    if k < 2:
+        raise ValueError(f"coarsening factor k must be >= 2, got {k}")
     if not tab.explicit_flag:
         raise ValueError(f"{tab.name} is not explicit")
     if tab.order != tab.s or tab.s > 4:

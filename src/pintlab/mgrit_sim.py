@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "MgritRun",
     "RhoResult",
     "step",
-    "relax",
     "iterate",
     "measure_rho",
     "error_propagation_matrices",
@@ -65,11 +65,13 @@ class TimeHierarchy:
 
     def __post_init__(self):
         if self.levels < 2:
-            raise ValueError("need at least two levels")
+            raise ValueError(f"need at least two levels, got {self.levels}")
         if self.k < 2:
-            raise ValueError("coarsening factor k must be >= 2")
+            raise ValueError(f"coarsening factor k must be >= 2, got {self.k}")
         if self.N % self.k ** (self.levels - 1) != 0:
-            raise ValueError("N must be divisible by k**(levels-1)")
+            raise ValueError(
+                f"N={self.N} not divisible by k**(levels-1)="
+                f"{self.k}**{self.levels - 1}={self.k ** (self.levels - 1)}")
         if isinstance(self.fine, ButcherTableau):
             object.__setattr__(self, "fine",
                                PropagatorSpec.uniform(self.fine, self.k))
@@ -202,19 +204,25 @@ class _MatrixStepper:
         return out
 
 
-def step(tab: ButcherTableau, problem: ModelProblem, dt: float, u,
-         path: str = "diagonal"):
-    """Advance the state vector u by one step of size dt.
+def _stepper(tab: ButcherTableau, problem: ModelProblem, dt: float,
+             path: str):
+    """One step of size dt, as a callable on states of shape (..., width).
 
     Diagonal path: elementwise multiplication by lam(dt * xi_j).  Matrix
     path: DIRK stage solves against the problem's matrix realization.
     """
-    u = np.asarray(u)
     if path == "diagonal":
-        return u * stability_eval_batch(tab, dt * problem.eigenvalues)
+        return partial(np.multiply,
+                       stability_eval_batch(tab, dt * problem.eigenvalues))
     if problem.matrix is None:
         raise SolveError("matrix path requires a matrix realization")
-    return _MatrixStepper(tab, problem.matrix, dt)(u)
+    return _MatrixStepper(tab, problem.matrix, dt)
+
+
+def step(tab: ButcherTableau, problem: ModelProblem, dt: float, u,
+         path: str = "diagonal"):
+    """Advance the state vector u by one step of size dt."""
+    return _stepper(tab, problem, dt, path)(np.asarray(u))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +230,11 @@ def step(tab: ButcherTableau, problem: ModelProblem, dt: float, u,
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """Per-level stepping callables plus the MGRIT cycle machinery."""
+    """Per-level steppers plus the MGRIT cycle machinery.
+
+    Relaxation and residual are built from one primitive, `_advance`, which
+    steps a whole stride of points at once.
+    """
 
     def __init__(self, run: MgritRun):
         self.run = run
@@ -233,103 +245,78 @@ class _Engine:
         if self.n_points[-1] < 1:
             raise ValueError("coarsest level has no intervals")
         if run.path == "diagonal":
-            xi = run.problem.eigenvalues
-            self.width = xi.size
+            self.width = run.problem.eigenvalues.size
             self.dtype = complex
-            fine_fac = [
-                stability_eval_batch(tab, frac * hier.h_t * xi)
-                for tab, frac in hier.fine.steps
-            ]
-            self.level_steps = [fine_fac]
-            for l in range(1, hier.levels):
-                if hier.coarse == EXACT_COARSE:
-                    fac = np.prod(np.asarray(fine_fac), axis=0)
-                else:
-                    fac = stability_eval_batch(hier.coarse, hier.dt(l) * xi)
-                self.level_steps.append([fac] * self.k)
-            self._apply = lambda fac, u: fac * u
         else:
-            L = run.problem.matrix
-            self.width = L.shape[0]
+            self.width = run.problem.matrix.shape[0]
             self.dtype = float
             if hier.coarse == EXACT_COARSE:
                 raise SolveError("exact coarse propagator is diagonal-path only")
-            fine_steppers = [
-                _MatrixStepper(tab, L, frac * hier.h_t)
-                for tab, frac in hier.fine.steps
-            ]
-            self.level_steps = [fine_steppers]
-            for l in range(1, hier.levels):
-                stepper = _MatrixStepper(hier.coarse, L, hier.dt(l))
-                self.level_steps.append([stepper] * self.k)
-            self._apply = lambda fac, u: fac(u)
+        fine = [_stepper(tab, run.problem, frac * hier.h_t, run.path)
+                for tab, frac in hier.fine.steps]
+        self.steppers = [fine]
+        for l in range(1, hier.levels):
+            if hier.coarse == EXACT_COARSE:
+                coarse = partial(np.multiply,
+                                 np.prod([s.args[0] for s in fine], axis=0))
+            else:
+                coarse = _stepper(hier.coarse, run.problem, hier.dt(l),
+                                  run.path)
+            self.steppers.append([coarse] * self.k)
 
     # -- grid operations ----------------------------------------------------
 
     def zeros(self, level):
         return np.zeros((self.n_points[level] + 1, self.width), self.dtype)
 
-    def f_relax(self, u, g, level, theta=1.0):
-        steps = self.level_steps[level]
+    def _advance(self, u, level, j, theta):
+        """Scaled step from points j-1::k to j::k (theta on coarse levels)."""
         nc = self.n_points[level] // self.k
         scale = theta if level >= 1 else 1.0
-        for j in range(1, self.k):
-            u[j::self.k] = scale * self._apply(steps[j - 1], u[j - 1::self.k][:nc]) \
-                + g[j::self.k]
-        return u
-
-    def c_relax(self, u, g, level, theta=1.0):
-        steps = self.level_steps[level]
-        nc = self.n_points[level] // self.k
-        scale = theta if level >= 1 else 1.0
-        u[self.k::self.k] = scale * self._apply(steps[self.k - 1],
-                                                u[self.k - 1::self.k][:nc]) \
-            + g[self.k::self.k]
-        u[0] = g[0]
-        return u
+        return scale * self.steppers[level][j - 1](u[j - 1::self.k][:nc])
 
     def relax(self, u, g, level, kind, theta=1.0):
-        u = self.f_relax(u, g, level, theta)
-        if kind in (RELAX_FC, RELAX_FCF):
-            u = self.c_relax(u, g, level, theta)
-        if kind == RELAX_FCF:
-            u = self.f_relax(u, g, level, theta)
+        """Relax u in place: an F sweep runs strides 1..k-1, a C sweep k."""
+        k = self.k
+        f = list(range(1, k))
+        for j in {RELAX_F: f, RELAX_FC: f + [k], RELAX_FCF: f + [k] + f}[kind]:
+            u[j::k] = self._advance(u, level, j, theta) + g[j::k]
+            if j == k:
+                u[0] = g[0]
         return u
 
     def residual(self, u, g, level, theta=1.0):
-        steps = self.level_steps[level]
-        nc = self.n_points[level] // self.k
-        scale = theta if level >= 1 else 1.0
-        r = np.empty_like(u)
+        """Residual g - A u on the C-points, index 0 included.
+
+        This is the coarse right-hand side.  F-relaxation zeroes the F-point
+        residual (exactly where g is 0), so after a cycle the C-point norm is
+        the full residual norm.
+        """
+        k = self.k
+        r = np.empty_like(u[::k])
         r[0] = g[0] - u[0]
-        for j in range(1, self.k + 1):
-            src = u[j - 1::self.k][:nc]
-            r[j::self.k] = g[j::self.k] - u[j::self.k] \
-                + scale * self._apply(steps[j - 1], src)
+        r[1:] = g[k::k] - u[k::k] + self._advance(u, level, k, theta)
         return r
 
     def seq_solve(self, g, level, theta=1.0):
         """Exact solve by sequential time stepping (the coarsest level)."""
-        steps = self.level_steps[level]
+        steps = self.steppers[level]
         u = np.empty_like(g)
         u[0] = g[0]
         for n in range(1, g.shape[0]):
-            u[n] = theta * self._apply(steps[(n - 1) % self.k], u[n - 1]) + g[n]
+            u[n] = theta * steps[(n - 1) % self.k](u[n - 1]) + g[n]
         return u
 
     def vcycle(self, u, g, level, theta=1.0):
         """One V-cycle: relax, coarse-grid correction, ideal interpolation."""
-        k = self.k
         u = self.relax(u, g, level, self.run.relaxation, theta)
-        r = self.residual(u, g, level, theta if level >= 1 else 1.0)
-        gc = r[::k].copy()
+        gc = self.residual(u, g, level, theta)
         if level + 1 == self.levels - 1:
             e = self.seq_solve(gc, level + 1, theta)
         else:
             e = self.vcycle(np.zeros_like(gc), gc, level + 1, theta)
-        u[::k] += e
-        u = self.f_relax(u, g, level, theta if level >= 1 else 1.0)
-        return u
+        u[::self.k] += e
+        return self.relax(u, g, level, RELAX_F, theta)
 
     # -- initial error ------------------------------------------------------
 
@@ -362,13 +349,6 @@ class _Engine:
 # Public driver operations
 # ---------------------------------------------------------------------------
 
-def relax(run: MgritRun, level: int, u, rhs):
-    """Apply the run's relaxation sweep on `level`; returns the updated state."""
-    eng = _Engine(run)
-    return eng.relax(np.array(u, dtype=eng.dtype), np.asarray(rhs), level,
-                     run.relaxation)
-
-
 class RhoResult(NamedTuple):
     rho: float
     history: tuple
@@ -388,7 +368,11 @@ def iterate(run: MgritRun, u0=None, engine: _Engine | None = None,
     else:
         u = np.array(u0, eng.dtype)
     g = eng.zeros(0)
-    r0 = float(np.linalg.norm(eng.residual(u, g, 0)))
+    # the initial state is unrelaxed, so its residual is taken on every point;
+    # each cycle ends with F-relaxation, so later norms need the C-points only
+    k = eng.k
+    r_f = [g[j::k] - u[j::k] + eng._advance(u, 0, j, 1.0) for j in range(1, k)]
+    r0 = float(np.linalg.norm(np.concatenate([eng.residual(u, g, 0), *r_f])))
     history = [r0]
     if r0 == 0.0:
         return history, u

@@ -375,6 +375,39 @@ def test_sweep_caps_candidates_without_moving_max():
     assert max_phi == pytest.approx(0.8, rel=1e-6)
 
 
+@pytest.mark.parametrize("height, unbounded", [
+    (1e6 * (1.0 + 1e-6), True), (1e6 * (1.0 - 1e-6), False)],
+    ids=["above", "below"])
+def test_sweep_cuts_unbounded_at_one_million(height, unbounded):
+    # a finite plateau: every grid sample on it reads `height` exactly
+    _, max_phi, argmax_w, _ = sweep_function(
+        lambda w: np.minimum(_bump(w, 0.0, 2.0 * height), height),
+        1e-8, 1e8)
+    assert max_phi == (INFINITY if unbounded else height)
+    # in both cases argmax_w is where the plateau starts, near 10**-0.42
+    assert 0.3 < argmax_w < 0.5
+
+
+@pytest.mark.parametrize("tail, max_phi_expected", [
+    (0.4, 0.5),            # lower tail: the window decides
+    (0.5, 0.5),            # level tail: supremum approached at infinity
+    (0.502, 0.502),        # slightly higher: the tail value is the supremum
+    (0.9, INFINITY),       # much higher: still climbing at the edge
+    (2e6, INFINITY),       # past the unbounded cut-off
+])
+def test_sweep_flat_window_decided_by_tail_probe(tail, max_phi_expected):
+    # flat on [1e-8, 1e8]; only the probe at 10 * w_max sees `tail`
+    samples, max_phi, argmax_w, threshold = sweep_function(
+        lambda w: np.where(w < 5e8, 0.5, tail), 1e-8, 1e8)
+    assert np.all(samples[:, 1] == 0.5)
+    assert max_phi == max_phi_expected
+    assert argmax_w == (1e-8 if tail < 0.5 else INFINITY)
+    if tail >= 1.0:
+        assert threshold == pytest.approx(5e8, rel=1e-12)
+    else:
+        assert threshold == INFINITY
+
+
 def test_sweep_rejects_bad_window():
     with pytest.raises(ValueError):
         sweep(query(BWE, BWE, 2), w_min=1.0, w_max=0.5)

@@ -237,6 +237,27 @@ def test_simulate_bad_divisibility_exits_2(capsys):
     assert "divisible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_simulate_k_below_2_exits_2(k, capsys):
+    rc = main(["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", k,
+               "--nt", "64", "--nmodes", "4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"k must be >= 2, got {k}" in err
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_singularity_k_below_2_exits_2(k, tmp_path, capsys):
+    rc = main(["singularity", "--scheme", "erk4", "--k", k,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"k must be >= 2, got {k}" in err
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("ht", ["0", "-1"])
 def test_simulate_nonpositive_ht_exits_2(ht, capsys):
     rc = main(["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2",
@@ -262,6 +283,16 @@ def test_table2_single_row_passes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "all gated cells within tolerance" in out
+
+
+def test_table2_unknown_row_exits_2(capsys):
+    rc = main(["table", "table2", "--rows", "bwe,bogus"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "unknown --rows bogus" in captured.err
+    assert "valid: bwe, midpoint, trapezoid" in captured.err
+    assert captured.out == ""
 
 
 def test_simulate_custom_spectrum_csv(tmp_path):

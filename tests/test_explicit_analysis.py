@@ -88,6 +88,13 @@ def test_fwe_k2_single_origin_root():
     assert not records[0].in_stable_region
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_singularity_roots_rejects_k_below_2(k):
+    # at k = 1 the coarse and fine polynomials coincide, so p is 0
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        singularity_roots(ERK4, k, 10.0)
+
+
 def test_origin_root_always_reported():
     for tab, k in [(ERK2, 2), (ERK3, 3), (ERK4, 4)]:
         records = singularity_roots(tab, k, 50.0)

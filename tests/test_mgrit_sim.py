@@ -7,9 +7,10 @@ from pintlab.bounds import (BoundQuery, PropagatorSpec, pointwise_bound,
                             spectrum_max)
 from pintlab.butcher import get_scheme
 from pintlab.mgrit_sim import (EXACT_COARSE, MgritRun, RhoResult, SolveError,
-                               TimeHierarchy, error_propagation_matrices,
+                               TimeHierarchy, _Engine,
+                               error_propagation_matrices,
                                error_propagation_norm, iterate, measure_rho,
-                               relax, run_to_csv, step)
+                               run_to_csv, step)
 from pintlab.model_problems import (ModelProblem, make_fd_diffusion,
                                     make_spd_interval)
 
@@ -70,7 +71,7 @@ def test_f_relax_is_fixed_point_on_exact_solution():
     run = simple_run(N=32, k=4)
     # the exact homogeneous solution (zero) is untouched
     u = np.zeros((33, run.problem.n_modes), complex)
-    out = relax(run, 0, u, np.zeros_like(u))
+    out = _Engine(run).relax(u.copy(), np.zeros_like(u), 0, run.relaxation)
     assert np.all(out == 0)
 
 
@@ -80,13 +81,33 @@ def test_f_relax_zeroes_f_point_residual():
     m = run.problem.n_modes
     u = rng.standard_normal((33, m)).astype(complex)
     rhs = rng.standard_normal((33, m)).astype(complex)
-    out = relax(run, 0, u, rhs)
-    from pintlab.mgrit_sim import _Engine
-    eng = _Engine(run)
-    r = eng.residual(out, rhs, 0)
+    out = _Engine(run).relax(u.copy(), rhs, 0, run.relaxation)
+    # full residual r_n = g_n - u_n + lam u_{n-1}, lam = 1/(1 + xi) for bwe
+    lam = 1.0 / (1.0 + run.problem.eigenvalues)
+    r = rhs - out
+    r[1:] += lam * out[:-1]
     f_mask = np.ones(33, bool)
     f_mask[::4] = False
     assert np.linalg.norm(r[f_mask]) <= 1e-12 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_vcycle_leaves_f_point_residual_exactly_zero(relax_kind, levels):
+    # iterate's per-cycle norm is taken on the C-points only, which is the
+    # full residual norm because the closing F-relaxation zeroes the rest
+    hier = TimeHierarchy(32, 1.0, 4, levels, SDIRK33, BWE)
+    run = MgritRun(hier, spd(3.0, 20), relax_kind)
+    eng = _Engine(run)
+    g = eng.zeros(0)
+    u = eng.vcycle(eng.initial_state(0), g, 0)
+    r = g - u
+    r[1:] += step(SDIRK33, run.problem, 1.0, u[:-1])
+    f_mask = np.ones(33, bool)
+    f_mask[::4] = False
+    assert np.all(r[f_mask] == 0)
+    assert np.linalg.norm(r[~f_mask]) > 0
+    assert np.array_equal(eng.residual(u, g, 0), r[::4])
 
 
 def test_fcf_reduces_error_to_interval_propagated_form():
@@ -98,7 +119,7 @@ def test_fcf_reduces_error_to_interval_propagated_form():
     run = MgritRun(hier, problem, "FCF")
     rng = np.random.default_rng(5)
     u = rng.standard_normal((N + 1, problem.n_modes)).astype(complex)
-    out = relax(run, 0, u, np.zeros_like(u))
+    out = _Engine(run).relax(u.copy(), np.zeros_like(u), 0, run.relaxation)
     lam = 1.0 / (1.0 + problem.eigenvalues)
     for c in range(N // k):
         for j in range(1, k):
@@ -190,15 +211,17 @@ def test_rho_bwe_table_cell():
     assert res.rho == pytest.approx(0.12, abs=0.02)
 
 
-def test_diagonal_and_matrix_histories_agree():
+@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_diagonal_and_matrix_histories_agree(relax_kind, levels):
     problem = make_fd_diffusion(9)
     evals, V = np.linalg.eigh(problem.matrix)
     N, k = 32, 4
-    hier = TimeHierarchy(N, 0.005, k, 2, SDIRK22, BWE)
+    hier = TimeHierarchy(N, 0.005, k, levels, SDIRK22, BWE)
     rng = np.random.default_rng(11)
     u0_phys = rng.standard_normal((N + 1, 9))
-    run_mat = MgritRun(hier, problem, "F", path="matrix")
-    run_diag = MgritRun(hier, problem, "F", path="diagonal")
+    run_mat = MgritRun(hier, problem, relax_kind, path="matrix")
+    run_diag = MgritRun(hier, problem, relax_kind, path="diagonal")
     hist_mat, _ = iterate(run_mat, u0=u0_phys)
     hist_diag, _ = iterate(run_diag, u0=u0_phys @ V)
     assert len(hist_mat) == len(hist_diag)
@@ -293,7 +316,7 @@ def test_mixed_fine_propagator_steps():
     u = np.zeros((9, 1), complex)
     u[0] = 0.0
     u[4] = 1.0
-    out = relax(run, 0, u, np.zeros_like(u))
+    out = _Engine(run).relax(u.copy(), np.zeros_like(u), 0, run.relaxation)
     f1 = stability_eval(SDIRK22, 2.0)
     f3 = stability_eval(TRAP, 2.0)
     assert out[5, 0] == pytest.approx(f1)
@@ -323,8 +346,8 @@ def test_fc_relaxation_composes_f_then_c():
     m = run_fc.problem.n_modes
     u = rng.standard_normal((17, m)).astype(complex)
     rhs = rng.standard_normal((17, m)).astype(complex)
-    fc = relax(run_fc, 0, u, rhs)
-    f_only = relax(run_f, 0, u, rhs)
+    fc = _Engine(run_fc).relax(u.copy(), rhs, 0, "FC")
+    f_only = _Engine(run_f).relax(u.copy(), rhs, 0, "F")
     # C-points get the one-step update from the F-relaxed state
     lam = 1.0 / (1.0 + run_fc.problem.eigenvalues)
     expected = f_only.copy()
