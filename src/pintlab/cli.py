@@ -200,6 +200,8 @@ def _table2_tolerance_abs(cell):
 
 def cmd_table(args) -> int:
     rows = args.rows.split(",") if args.rows else None
+    if rows and args.which == "table1":
+        raise ConfigError("--rows applies to table2 only")
     unknown = set(rows or ()) - set(golden.TABLE2_ROW_ORDER)
     if unknown:
         raise ConfigError(f"unknown --rows {', '.join(sorted(unknown))}; "
@@ -345,20 +347,25 @@ def cmd_simulate(args) -> int:
             "max_iters", "theta_schedule")
     header = _provenance(args, keys)
 
-    combos = [(k, ht, lv) for k in ks for ht in hts for lv in levels_list]
+    # every combination is checked before the first run starts
+    runs = []
+    for k in ks:
+        for ht in hts:
+            if args.spectrum:
+                with open(args.spectrum) as fh:
+                    problem = eigenvalues_from_csv(fh)
+            else:
+                problem = make_spd_interval(
+                    args.ximax, args.nmodes,
+                    include=[w / ht for w in inject_w])
+            runs += [MgritRun(TimeHierarchy(args.nt, ht, k, lv, fine, coarse),
+                              problem, args.relax.upper(), theta,
+                              seed=args.seed, tol=args.tol,
+                              max_iters=args.max_iters)
+                     for lv in levels_list]
     results = []
-    for k, ht, lv in combos:
-        if args.spectrum:
-            with open(args.spectrum) as fh:
-                problem = eigenvalues_from_csv(fh)
-        else:
-            problem = make_spd_interval(
-                args.ximax, args.nmodes,
-                include=[w / ht for w in inject_w])
-        hier = TimeHierarchy(args.nt, ht, k, lv, fine, coarse)
-        run = MgritRun(hier, problem, args.relax.upper(), theta,
-                       seed=args.seed, tol=args.tol,
-                       max_iters=args.max_iters)
+    for run in runs:
+        k, ht, lv = run.hierarchy.k, run.hierarchy.h_t, run.hierarchy.levels
         res = measure_rho(run, seeds=args.seeds)
         results.append((k, ht, lv, res))
         print(f"k={k} ht={ht:g} levels={lv}: rho={res.rho:.4f} "

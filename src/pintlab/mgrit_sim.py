@@ -5,7 +5,10 @@ initial error), so the recorded residual history is exactly the image of the
 error under the iteration and the measured convergence factor is
 forcing-independent.  Two state representations are supported: a diagonal
 path (eigenmode coefficients, any scheme) and a matrix path (physical
-unknowns, explicit and DIRK schemes).
+unknowns, explicit and DIRK schemes).  The diagonal path runs in float64
+when the spectrum is real and in complex128 otherwise; a complex initial
+state given to `iterate` promotes the run to complex.  The matrix path is
+float64.  The coarsest-level solve steps each row in place.
 """
 
 from __future__ import annotations
@@ -125,36 +128,12 @@ class MgritRun:
 # Stepping kernels
 # ---------------------------------------------------------------------------
 
-def _thomas(dl, d, du, rhs):
-    """Tridiagonal solve along the last axis; rhs shape (..., M)."""
-    M = d.size
-    cp = np.empty(M - 1)
-    beta = np.empty(M)
-    beta[0] = d[0]
-    for i in range(M - 1):
-        cp[i] = du[i] / beta[i]
-        beta[i + 1] = d[i + 1] - dl[i] * cp[i]
-    y = np.empty_like(rhs)
-    y[..., 0] = rhs[..., 0] / beta[0]
-    for i in range(1, M):
-        y[..., i] = (rhs[..., i] - dl[i - 1] * y[..., i - 1]) / beta[i]
-    x = np.empty_like(rhs)
-    x[..., -1] = y[..., -1]
-    for i in range(M - 2, -1, -1):
-        x[..., i] = y[..., i] - cp[i] * x[..., i + 1]
-    return x
-
-
-def _is_tridiagonal(L):
-    return np.all(L == (np.tril(np.triu(L, -1), 1)))
-
-
 class _MatrixStepper:
     """One Runge-Kutta step of u' = -L u on the matrix path.
 
-    DIRK stages solve shifted systems (I + dt*a_ii*L); tridiagonal L uses
-    the Thomas algorithm, other shapes a cached dense factorization.  Fully
-    implicit (non-lower-triangular) tableaux are unsupported here.
+    DIRK stages solve shifted systems (I + dt*a_ii*L) through a cached dense
+    inverse.  Fully implicit (non-lower-triangular) tableaux are unsupported
+    here.
     """
 
     def __init__(self, tab: ButcherTableau, L: np.ndarray, dt: float):
@@ -164,26 +143,8 @@ class _MatrixStepper:
         self.tab = tab
         self.L = L
         self.dt = dt
-        self.tridiag = _is_tridiagonal(L)
-        self._solvers = {}
-        for aii in np.diag(tab.A):
-            if aii != 0.0 and aii not in self._solvers:
-                shifted = np.eye(L.shape[0]) + dt * aii * L
-                if self.tridiag:
-                    self._solvers[aii] = (
-                        np.diag(shifted, -1).copy(),
-                        np.diag(shifted).copy(),
-                        np.diag(shifted, 1).copy(),
-                    )
-                else:
-                    self._solvers[aii] = np.linalg.inv(shifted)
-
-    def _stage_solve(self, aii, rhs):
-        solver = self._solvers[aii]
-        if self.tridiag:
-            dl, d, du = solver
-            return _thomas(dl, d, du, rhs)
-        return rhs @ solver.T
+        self._inverses = {aii: np.linalg.inv(np.eye(L.shape[0]) + dt * aii * L)
+                          for aii in set(np.diag(tab.A).tolist()) - {0.0}}
 
     def __call__(self, u):
         """Advance state(s) u of shape (..., M) by one step."""
@@ -196,7 +157,7 @@ class _MatrixStepper:
                 if aij != 0.0:
                     rhs = rhs - dt * aij * (stages[j] @ L.T)
             aii = tab.A[i, i]
-            stages.append(self._stage_solve(aii, rhs) if aii != 0.0 else rhs)
+            stages.append(rhs @ self._inverses[aii].T if aii != 0.0 else rhs)
         out = u.copy()
         for i in range(tab.s):
             if tab.b[i] != 0.0:
@@ -208,12 +169,14 @@ def _stepper(tab: ButcherTableau, problem: ModelProblem, dt: float,
              path: str):
     """One step of size dt, as a callable on states of shape (..., width).
 
-    Diagonal path: elementwise multiplication by lam(dt * xi_j).  Matrix
-    path: DIRK stage solves against the problem's matrix realization.
+    Diagonal path: elementwise multiplication by lam(dt * xi_j), kept real
+    for a real spectrum (its imaginary parts are exactly 0).  Matrix path:
+    DIRK stage solves against the problem's matrix realization.
     """
     if path == "diagonal":
-        return partial(np.multiply,
-                       stability_eval_batch(tab, dt * problem.eigenvalues))
+        lam = stability_eval_batch(tab, dt * problem.eigenvalues)
+        return partial(np.multiply, lam if np.any(problem.eigenvalues.imag)
+                       else np.ascontiguousarray(lam.real))
     if problem.matrix is None:
         raise SolveError("matrix path requires a matrix realization")
     return _MatrixStepper(tab, problem.matrix, dt)
@@ -246,7 +209,8 @@ class _Engine:
             raise ValueError("coarsest level has no intervals")
         if run.path == "diagonal":
             self.width = run.problem.eigenvalues.size
-            self.dtype = complex
+            self.dtype = (complex if np.any(run.problem.eigenvalues.imag)
+                          else float)
         else:
             self.width = run.problem.matrix.shape[0]
             self.dtype = float
@@ -272,15 +236,17 @@ class _Engine:
     def _advance(self, u, level, j, theta):
         """Scaled step from points j-1::k to j::k (theta on coarse levels)."""
         nc = self.n_points[level] // self.k
-        scale = theta if level >= 1 else 1.0
-        return scale * self.steppers[level][j - 1](u[j - 1::self.k][:nc])
+        out = self.steppers[level][j - 1](u[j - 1::self.k][:nc])
+        if level and theta != 1.0:
+            out *= theta
+        return out
 
     def relax(self, u, g, level, kind, theta=1.0):
         """Relax u in place: an F sweep runs strides 1..k-1, a C sweep k."""
         k = self.k
         f = list(range(1, k))
         for j in {RELAX_F: f, RELAX_FC: f + [k], RELAX_FCF: f + [k] + f}[kind]:
-            u[j::k] = self._advance(u, level, j, theta) + g[j::k]
+            np.add(self._advance(u, level, j, theta), g[j::k], out=u[j::k])
             if j == k:
                 u[0] = g[0]
         return u
@@ -295,16 +261,19 @@ class _Engine:
         k = self.k
         r = np.empty_like(u[::k])
         r[0] = g[0] - u[0]
-        r[1:] = g[k::k] - u[k::k] + self._advance(u, level, k, theta)
+        np.subtract(g[k::k], u[k::k], out=r[1:])
+        r[1:] += self._advance(u, level, k, theta)
         return r
 
     def seq_solve(self, g, level, theta=1.0):
-        """Exact solve by sequential time stepping (the coarsest level)."""
-        steps = self.steppers[level]
-        u = np.empty_like(g)
-        u[0] = g[0]
-        for n in range(1, g.shape[0]):
-            u[n] = theta * steps[(n - 1) % self.k](u[n - 1]) + g[n]
+        """Exact solve by sequential time stepping (the coarsest level).
+
+        Every coarse step is the same stepper; each row is updated in place.
+        """
+        step = self.steppers[level][0]
+        u = g.copy()
+        for prev, cur in zip(u, u[1:]):
+            cur += step(prev) if theta == 1.0 else theta * step(prev)
         return u
 
     def vcycle(self, u, g, level, theta=1.0):
@@ -325,7 +294,7 @@ class _Engine:
         rng = np.random.default_rng(seed)
         shape = (self.n_points[0] + 1, self.width)
         u = rng.standard_normal(shape).astype(self.dtype)
-        if self.dtype is complex and np.any(run.problem.eigenvalues.imag != 0):
+        if self.dtype is complex:
             u = u + 1j * rng.standard_normal(shape)
         # the time-zero value is the known initial condition, not an unknown;
         # error is seeded on t >= 1 (exactness counts assume this)
@@ -366,13 +335,14 @@ def iterate(run: MgritRun, u0=None, engine: _Engine | None = None,
     if u0 is None:
         u = eng.initial_state(run.seed if seed is None else seed)
     else:
-        u = np.array(u0, eng.dtype)
+        u = np.array(u0, np.result_type(eng.dtype, np.asarray(u0)))
     g = eng.zeros(0)
     # the initial state is unrelaxed, so its residual is taken on every point;
     # each cycle ends with F-relaxation, so later norms need the C-points only
     k = eng.k
-    r_f = [g[j::k] - u[j::k] + eng._advance(u, 0, j, 1.0) for j in range(1, k)]
-    r0 = float(np.linalg.norm(np.concatenate([eng.residual(u, g, 0), *r_f])))
+    r_f = (g[j::k] - u[j::k] + eng._advance(u, 0, j, 1.0) for j in range(1, k))
+    r0 = math.hypot(np.linalg.norm(eng.residual(u, g, 0)),
+                    *map(np.linalg.norm, r_f))
     history = [r0]
     if r0 == 0.0:
         return history, u
@@ -444,7 +414,7 @@ def error_propagation_matrices(run: MgritRun):
     k = run.hierarchy.k
     nc = run.hierarchy.points(1)
     m = eng.width
-    E = np.zeros((m, nc, nc), complex)
+    E = np.zeros((m, nc, nc), eng.dtype)
     g = eng.zeros(0)
     for c in range(1, nc + 1):
         u = eng.zeros(0)

@@ -237,6 +237,17 @@ def test_simulate_bad_divisibility_exits_2(capsys):
     assert "divisible" in capsys.readouterr().err
 
 
+def test_simulate_checks_every_combination_before_running(tmp_path, capsys):
+    rc = main(["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2,3",
+               "--nt", "64", "--nmodes", "4", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: N=64 not divisible by "
+                            "k**(levels-1)=3**1=3\n")
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("k", ["0", "1"])
 def test_simulate_k_below_2_exits_2(k, capsys):
     rc = main(["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", k,
@@ -292,6 +303,14 @@ def test_table2_unknown_row_exits_2(capsys):
     assert captured.err.count("\n") == 1
     assert "unknown --rows bogus" in captured.err
     assert "valid: bwe, midpoint, trapezoid" in captured.err
+    assert captured.out == ""
+
+
+def test_table1_rejects_rows(capsys):
+    rc = main(["table", "table1", "--rows", "sdirk22"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --rows applies to table2 only\n"
     assert captured.out == ""
 
 

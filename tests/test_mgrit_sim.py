@@ -5,14 +5,14 @@ import pytest
 
 from pintlab.bounds import (BoundQuery, PropagatorSpec, pointwise_bound,
                             spectrum_max)
-from pintlab.butcher import get_scheme
+from pintlab.butcher import get_scheme, stability_eval_batch
 from pintlab.mgrit_sim import (EXACT_COARSE, MgritRun, RhoResult, SolveError,
                                TimeHierarchy, _Engine,
                                error_propagation_matrices,
                                error_propagation_norm, iterate, measure_rho,
                                run_to_csv, step)
 from pintlab.model_problems import (ModelProblem, make_fd_diffusion,
-                                    make_spd_interval)
+                                    make_skew_advection, make_spd_interval)
 
 BWE = get_scheme("bwe")
 SDIRK22 = get_scheme("sdirk22")
@@ -227,6 +227,64 @@ def test_diagonal_and_matrix_histories_agree(relax_kind, levels):
     assert len(hist_mat) == len(hist_diag)
     for a, b in zip(hist_mat, hist_diag):
         assert a == pytest.approx(b, rel=1e-9)
+
+
+def test_real_spectrum_runs_in_float_and_complex_u0_promotes():
+    # float64 arithmetic on a real spectrum against the complex128 route
+    hier = TimeHierarchy(64, 1.0, 4, 3, SDIRK33, BWE)
+    run = MgritRun(hier, spd(3.0, 20), "FCF", tol=0.0, max_iters=4)
+    assert _Engine(run).dtype is float
+    u0 = np.random.default_rng(12).standard_normal((65, run.problem.n_modes))
+    h_real, u_real = iterate(run, u0=u0)
+    h_cplx, u_cplx = iterate(run, u0=u0 + 0j)
+    assert u_real.dtype == np.float64
+    assert u_cplx.dtype == np.complex128
+    assert np.all(u_cplx.imag == 0)
+    np.testing.assert_allclose(h_real, h_cplx, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(u_real, u_cplx.real, rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
+def test_skew_spectrum_runs_in_complex_and_matches_matrix_path(relax_kind):
+    M = 8
+    problem = make_skew_advection(M, 1.0)
+    # unitary Fourier basis: column j is the eigenvector of eigenvalue j
+    V = np.exp(2j * np.pi * np.outer(np.arange(M), np.arange(M)) / M)
+    V /= np.sqrt(M)
+    assert np.allclose(problem.matrix @ V, V * problem.eigenvalues)
+    hier = TimeHierarchy(32, 0.5, 4, 2, SDIRK22, SDIRK22)
+    run_diag = MgritRun(hier, problem, relax_kind, tol=0.0, max_iters=4)
+    run_mat = MgritRun(hier, problem, relax_kind, tol=0.0, max_iters=4,
+                       path="matrix")
+    assert _Engine(run_diag).dtype is complex
+    assert _Engine(run_diag).initial_state(0).dtype == np.complex128
+    u0_phys = np.random.default_rng(13).standard_normal((33, M))
+    hist_mat, _ = iterate(run_mat, u0=u0_phys)
+    hist_diag, u = iterate(run_diag, u0=u0_phys @ V.conj())
+    assert u.dtype == np.complex128
+    assert len(hist_mat) == len(hist_diag)
+    for a, b in zip(hist_mat, hist_diag):
+        assert a == pytest.approx(b, rel=1e-9)
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5, 0.0])
+@pytest.mark.parametrize("problem", [spd(3.0, 12), make_skew_advection(8, 1.0)],
+                         ids=["real", "skew"])
+def test_seq_solve_equals_reference_recurrence(theta, problem):
+    hier = TimeHierarchy(48, 0.5, 4, 2, SDIRK33, BWE)
+    eng = _Engine(MgritRun(hier, problem, "F"))
+    g = np.random.default_rng(6).standard_normal((13, problem.n_modes))
+    g = g.astype(eng.dtype)
+    g_before = g.copy()
+    u = eng.seq_solve(g, 1, theta)
+    # u_n = theta * mu u_{n-1} + g_n in complex arithmetic, one row at a time
+    mu = stability_eval_batch(BWE, hier.dt(1) * problem.eigenvalues)
+    ref = g.astype(complex)
+    for n in range(1, 13):
+        ref[n] = theta * (mu * ref[n - 1]) + g[n]
+    assert u.dtype == g.dtype
+    assert np.array_equal(u, ref)
+    assert np.array_equal(g, g_before)
 
 
 def test_theta_schedule_pair_equals_one_fcf_cycle():
