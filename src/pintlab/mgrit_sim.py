@@ -9,6 +9,9 @@ unknowns, explicit and DIRK schemes).  The diagonal path runs in float64
 when the spectrum is real and in complex128 otherwise; a complex initial
 state given to `iterate` promotes the run to complex.  The matrix path is
 float64.  The coarsest-level solve steps each row in place.
+
+Level 0 has no right-hand side (`g` is None), and each level-0 state that
+`iterate` gives a cycle after the first is F-relaxed, with known residual.
 """
 
 from __future__ import annotations
@@ -118,6 +121,10 @@ class MgritRun:
                                tuple(float(t) for t in self.theta_schedule))
             if self.relaxation != RELAX_F:
                 raise ValueError("theta weighting requires F-relaxation")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be >= 0, got {self.tol!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.path not in ("diagonal", "matrix"):
             raise ValueError(f"unknown path {self.path!r}")
         if self.path == "matrix" and self.problem.matrix is None:
@@ -146,8 +153,8 @@ class _MatrixStepper:
         self._inverses = {aii: np.linalg.inv(np.eye(L.shape[0]) + dt * aii * L)
                           for aii in set(np.diag(tab.A).tolist()) - {0.0}}
 
-    def __call__(self, u):
-        """Advance state(s) u of shape (..., M) by one step."""
+    def __call__(self, u, out=None):
+        """Advance state(s) u of shape (..., M) by one step (into `out`)."""
         tab, L, dt = self.tab, self.L, self.dt
         stages = []
         for i in range(tab.s):
@@ -158,10 +165,13 @@ class _MatrixStepper:
                     rhs = rhs - dt * aij * (stages[j] @ L.T)
             aii = tab.A[i, i]
             stages.append(rhs @ self._inverses[aii].T if aii != 0.0 else rhs)
-        out = u.copy()
+        if out is None:
+            out = u.copy()
+        else:
+            out[...] = u
         for i in range(tab.s):
             if tab.b[i] != 0.0:
-                out = out - dt * tab.b[i] * (stages[i] @ L.T)
+                out -= dt * tab.b[i] * (stages[i] @ L.T)
         return out
 
 
@@ -233,22 +243,24 @@ class _Engine:
     def zeros(self, level):
         return np.zeros((self.n_points[level] + 1, self.width), self.dtype)
 
-    def _advance(self, u, level, j, theta):
+    def _advance(self, u, level, j, theta, out=None):
         """Scaled step from points j-1::k to j::k (theta on coarse levels)."""
         nc = self.n_points[level] // self.k
-        out = self.steppers[level][j - 1](u[j - 1::self.k][:nc])
+        out = self.steppers[level][j - 1](u[j - 1::self.k][:nc], out=out)
         if level and theta != 1.0:
             out *= theta
         return out
 
     def relax(self, u, g, level, kind, theta=1.0):
-        """Relax u in place: an F sweep runs strides 1..k-1, a C sweep k."""
+        """Relax u in place; an F sweep runs strides 1..k-1, a C sweep k."""
         k = self.k
-        f = list(range(1, k))
-        for j in {RELAX_F: f, RELAX_FC: f + [k], RELAX_FCF: f + [k] + f}[kind]:
-            np.add(self._advance(u, level, j, theta), g[j::k], out=u[j::k])
-            if j == k:
-                u[0] = g[0]
+        for sweep in kind:
+            for j in range(1, k) if sweep == "F" else (k,):
+                self._advance(u, level, j, theta, out=u[j::k])
+                if g is not None:
+                    u[j::k] += g[j::k]
+                if j == k:
+                    u[0] = 0.0 if g is None else g[0]
         return u
 
     def residual(self, u, g, level, theta=1.0):
@@ -260,9 +272,9 @@ class _Engine:
         """
         k = self.k
         r = np.empty_like(u[::k])
-        r[0] = g[0] - u[0]
-        np.subtract(g[k::k], u[k::k], out=r[1:])
-        r[1:] += self._advance(u, level, k, theta)
+        r[0] = -u[0] if g is None else g[0] - u[0]
+        self._advance(u, level, k, theta, out=r[1:])
+        r[1:] -= u[k::k] if g is None else u[k::k] - g[k::k]
         return r
 
     def seq_solve(self, g, level, theta=1.0):
@@ -276,10 +288,17 @@ class _Engine:
             cur += step(prev) if theta == 1.0 else theta * step(prev)
         return u
 
-    def vcycle(self, u, g, level, theta=1.0):
-        """One V-cycle: relax, coarse-grid correction, ideal interpolation."""
-        u = self.relax(u, g, level, self.run.relaxation, theta)
-        gc = self.residual(u, g, level, theta)
+    def vcycle(self, u, g, level, theta=1.0, r=None):
+        """One V-cycle: relax, coarse-grid correction, ideal interpolation.
+
+        A given C-point residual `r` marks u as F-relaxed: the leading F sweep
+        is skipped.  F-relaxation takes r as the coarse right-hand side; FC
+        and FCF only test r against None, as their C sweep moves the C-points.
+        """
+        kind = self.run.relaxation
+        u = self.relax(u, g, level, kind if r is None else kind[1:], theta)
+        gc = (r if r is not None and kind == RELAX_F
+              else self.residual(u, g, level, theta))
         if level + 1 == self.levels - 1:
             e = self.seq_solve(gc, level + 1, theta)
         else:
@@ -293,7 +312,7 @@ class _Engine:
         run = self.run
         rng = np.random.default_rng(seed)
         shape = (self.n_points[0] + 1, self.width)
-        u = rng.standard_normal(shape).astype(self.dtype)
+        u = rng.standard_normal(shape)
         if self.dtype is complex:
             u = u + 1j * rng.standard_normal(shape)
         # the time-zero value is the known initial condition, not an unknown;
@@ -308,7 +327,7 @@ class _Engine:
             j = int(np.argmin(np.abs(mags - w_star)))
             mask = np.zeros(self.width)
             mask[j] = 1.0
-            u = u * mask
+            u *= mask
         elif spec != "random_seeded":
             raise ValueError(f"unknown initial_error {spec!r}")
         return u
@@ -336,21 +355,22 @@ def iterate(run: MgritRun, u0=None, engine: _Engine | None = None,
         u = eng.initial_state(run.seed if seed is None else seed)
     else:
         u = np.array(u0, np.result_type(eng.dtype, np.asarray(u0)))
-    g = eng.zeros(0)
     # the initial state is unrelaxed, so its residual is taken on every point;
     # each cycle ends with F-relaxation, so later norms need the C-points only
     k = eng.k
-    r_f = (g[j::k] - u[j::k] + eng._advance(u, 0, j, 1.0) for j in range(1, k))
-    r0 = math.hypot(np.linalg.norm(eng.residual(u, g, 0)),
+    r_f = (eng._advance(u, 0, j, 1.0) - u[j::k] for j in range(1, k))
+    r0 = math.hypot(np.linalg.norm(eng.residual(u, None, 0)),
                     *map(np.linalg.norm, r_f))
     history = [r0]
     if r0 == 0.0:
         return history, u
+    r = None
     for it in range(run.max_iters):
         theta = (1.0 if run.theta_schedule is None
                  else run.theta_schedule[it % len(run.theta_schedule)])
-        u = eng.vcycle(u, g, 0, theta)
-        rn = float(np.linalg.norm(eng.residual(u, g, 0)))
+        u = eng.vcycle(u, None, 0, theta, r)
+        r = eng.residual(u, None, 0)
+        rn = float(np.linalg.norm(r))
         history.append(rn)
         if not math.isfinite(rn) or rn > 1e6 * r0:
             break
@@ -382,12 +402,14 @@ def measure_rho(run: MgritRun, seeds: int = 1) -> RhoResult:
     With seeds > 1 the maximum rho over `seeds` random initial errors is
     reported (worst-case factors need worst-case error components excited).
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     eng = _Engine(run)
     nc1 = run.hierarchy.points(1)
     n_exact = nc1 if run.relaxation in (RELAX_F, RELAX_FC) else (nc1 + 1) // 2
     best = None
     all_converged = True
-    for i in range(max(1, seeds)):
+    for i in range(seeds):
         history, _ = iterate(run, engine=eng, seed=run.seed + i)
         rho = _rho_from_history(history, n_exact)
         converged = history[-1] <= run.tol * history[0]
@@ -415,11 +437,10 @@ def error_propagation_matrices(run: MgritRun):
     nc = run.hierarchy.points(1)
     m = eng.width
     E = np.zeros((m, nc, nc), eng.dtype)
-    g = eng.zeros(0)
     for c in range(1, nc + 1):
         u = eng.zeros(0)
         u[c * k, :] = 1.0
-        u = eng.vcycle(u, g, 0)
+        u = eng.vcycle(u, None, 0)
         E[:, :, c - 1] = u[k::k].T
     return [E[j] for j in range(m)]
 

@@ -280,6 +280,33 @@ def test_simulate_nonpositive_ht_exits_2(ht, capsys):
     assert "--ht must be positive" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key,value,message", [
+    ("seeds", "0", "seeds must be >= 1, got 0"),
+    ("seeds", "-3", "seeds must be >= 1, got -3"),
+    ("max_iters", "0", "max_iters must be >= 1, got 0"),
+    ("max_iters", "-1", "max_iters must be >= 1, got -1"),
+    ("tol", "-1", "tol must be >= 0, got -1.0"),
+    ("tol", "nan", "tol must be >= 0, got nan"),
+    ("ximax", "nan", "xi_max must be positive, got nan"),
+])
+def test_simulate_bad_run_setting_exits_2(key, value, message, source,
+                                          tmp_path, capsys):
+    argv = ["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2",
+            "--nt", "64", "--nmodes", "4", "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_file_name_has_no_colon(tmp_path):
     rc = main(["bounds", "--fine", "trbdf2:0.5", "--coarse", "bwe",
                "--k", "2", "--n", "64", "--out", str(tmp_path)])

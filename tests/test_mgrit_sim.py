@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -412,3 +413,106 @@ def test_fc_relaxation_composes_f_then_c():
     expected[4::4] = lam * f_only[3::4][:4] + rhs[4::4]
     expected[0] = rhs[0]
     assert np.allclose(fc, expected, rtol=1e-13, atol=1e-14)
+
+
+# --- level-0 shortcuts against the full cycle --------------------------------
+
+def _reference_iterate(run):
+    """`iterate` with every cycle in full on an explicit zero right-hand
+    side: pre-relaxation, residual, coarse solve or recursion, correction,
+    closing F sweep, then the history residual."""
+    eng = _Engine(run)
+    k = eng.k
+
+    def cycle(u, g, level, theta):
+        eng.relax(u, g, level, run.relaxation, theta)
+        gc = eng.residual(u, g, level, theta)
+        if level + 1 == eng.levels - 1:
+            e = eng.seq_solve(gc, level + 1, theta)
+        else:
+            e = cycle(np.zeros_like(gc), gc, level + 1, theta)
+        u[::k] += e
+        return eng.relax(u, g, level, "F", theta)
+
+    u = eng.initial_state(run.seed)
+    g = eng.zeros(0)
+    r_f = [g[j::k] - u[j::k] + eng._advance(u, 0, j, 1.0)
+           for j in range(1, k)]
+    r0 = math.hypot(np.linalg.norm(eng.residual(u, g, 0)),
+                    *map(np.linalg.norm, r_f))
+    history = [r0]
+    for it in range(run.max_iters):
+        theta = (1.0 if run.theta_schedule is None
+                 else run.theta_schedule[it % len(run.theta_schedule)])
+        u = cycle(u, g, 0, theta)
+        rn = float(np.linalg.norm(eng.residual(u, g, 0)))
+        history.append(rn)
+        if not math.isfinite(rn) or rn > 1e6 * r0 or rn <= run.tol * r0:
+            break
+    return history, u
+
+
+def _assert_iterate_bit_identical(run):
+    history, u = iterate(run)
+    ref_history, ref_u = _reference_iterate(run)
+    assert len(history) > 3
+    assert history == ref_history
+    assert u.dtype == ref_u.dtype
+    assert np.array_equal(u, ref_u)
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("levels", [2, 3, 4])
+@pytest.mark.parametrize("spectrum", ["real", "skew"])
+def test_iterate_is_bit_identical_to_full_cycles(relax_kind, levels,
+                                                 spectrum):
+    problem = (spd(3.0, 20) if spectrum == "real"
+               else make_skew_advection(16, 1.0))
+    hier = TimeHierarchy(64, 0.5, 2, levels, SDIRK33, BWE)
+    _assert_iterate_bit_identical(MgritRun(hier, problem, relax_kind,
+                                           max_iters=30))
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_iterate_is_bit_identical_to_full_cycles_theta(levels):
+    hier = TimeHierarchy(64, 1.0, 2, levels, SDIRK33, BWE)
+    _assert_iterate_bit_identical(MgritRun(hier, spd(3.0, 20), "F",
+                                           (1.0, 0.0, 0.5), max_iters=30))
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_iterate_is_bit_identical_to_full_cycles_matrix(relax_kind, levels):
+    hier = TimeHierarchy(32, 0.01, 2, levels, SDIRK33, BWE)
+    _assert_iterate_bit_identical(MgritRun(
+        hier, make_fd_diffusion(9), relax_kind, max_iters=10, path="matrix"))
+
+
+@pytest.mark.parametrize("fine", ["sdirk33", "bwe"])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
+def test_error_propagator_is_closed_form_toeplitz(fine, k, relax_kind):
+    # two-level propagator on C-points 1..Nc, per mode: strictly lower
+    # triangular Toeplitz with t_i = (lam^k - mu) mu^(i-1), i >= 1 (F) and
+    # t_i = lam^k (lam^k - mu) mu^(i-2), i >= 2 (FCF)
+    nc = 16
+    tab = get_scheme(fine)
+    problem = spd(3.0, 8)
+    hier = TimeHierarchy(nc * k, 1.0, k, 2, tab, BWE)
+    probed = error_propagation_matrices(MgritRun(hier, problem, relax_kind))
+    lamk = stability_eval_batch(tab, problem.eigenvalues) ** k
+    mu = stability_eval_batch(BWE, k * problem.eigenvalues)
+    first = 1 if relax_kind == "F" else 2
+    i = np.subtract.outer(np.arange(nc), np.arange(nc))
+    for E, lk, m in zip(probed, lamk, mu):
+        t = (lk - m) * m ** np.maximum(i - first, 0)
+        if relax_kind == "FCF":
+            t = lk * t
+        T = np.where(i >= first, t, 0.0)
+        assert np.max(np.abs(E - T)) <= 1e-13
+
+
+@pytest.mark.parametrize("seeds", [0, -3])
+def test_measure_rho_rejects_fewer_than_one_seed(seeds):
+    with pytest.raises(ValueError, match="seeds must be >= 1"):
+        measure_rho(simple_run(N=16), seeds=seeds)
