@@ -8,7 +8,9 @@ path (eigenmode coefficients, any scheme) and a matrix path (physical
 unknowns, explicit and DIRK schemes).  The diagonal path runs in float64
 when the spectrum is real and in complex128 otherwise; a complex initial
 state given to `iterate` promotes the run to complex.  The matrix path is
-float64.  The coarsest-level solve steps each row in place.
+float64 and steps with each scheme's dense one-step matrix.  Both paths
+share one coarsest-level solve, an in-place odd-even (cyclic) reduction
+that steps grids of at most 32 rows one row at a time.
 
 Level 0 has no right-hand side (`g` is None), and each level-0 state that
 `iterate` gives a cycle after the first is F-relaxed, with known residual.
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +71,9 @@ class TimeHierarchy:
     coarse: object = None     # ButcherTableau or EXACT_COARSE
 
     def __post_init__(self):
+        if not 0.0 < self.h_t < math.inf:
+            raise ValueError(
+                f"h_t must be finite and positive, got {self.h_t!r}")
         if self.levels < 2:
             raise ValueError(f"need at least two levels, got {self.levels}")
         if self.k < 2:
@@ -119,6 +123,9 @@ class MgritRun:
         if self.theta_schedule is not None:
             object.__setattr__(self, "theta_schedule",
                                tuple(float(t) for t in self.theta_schedule))
+            bad = [t for t in self.theta_schedule if not math.isfinite(t)]
+            if bad:
+                raise ValueError(f"theta must be finite, got {bad[0]!r}")
             if self.relaxation != RELAX_F:
                 raise ValueError("theta weighting requires F-relaxation")
         if not self.tol >= 0.0:
@@ -135,67 +142,73 @@ class MgritRun:
 # Stepping kernels
 # ---------------------------------------------------------------------------
 
-class _MatrixStepper:
-    """One Runge-Kutta step of u' = -L u on the matrix path.
-
-    DIRK stages solve shifted systems (I + dt*a_ii*L) through a cached dense
-    inverse.  Fully implicit (non-lower-triangular) tableaux are unsupported
-    here.
-    """
-
-    def __init__(self, tab: ButcherTableau, L: np.ndarray, dt: float):
-        if np.any(np.abs(np.triu(tab.A, 1)) > 0):
-            raise SolveError(
-                f"{tab.name}: fully implicit stages unsupported on the matrix path")
-        self.tab = tab
-        self.L = L
-        self.dt = dt
-        self._inverses = {aii: np.linalg.inv(np.eye(L.shape[0]) + dt * aii * L)
-                          for aii in set(np.diag(tab.A).tolist()) - {0.0}}
-
-    def __call__(self, u, out=None):
-        """Advance state(s) u of shape (..., M) by one step (into `out`)."""
-        tab, L, dt = self.tab, self.L, self.dt
-        stages = []
-        for i in range(tab.s):
-            rhs = u.copy()
-            for j in range(i):
-                aij = tab.A[i, j]
-                if aij != 0.0:
-                    rhs = rhs - dt * aij * (stages[j] @ L.T)
-            aii = tab.A[i, i]
-            stages.append(rhs @ self._inverses[aii].T if aii != 0.0 else rhs)
-        if out is None:
-            out = u.copy()
-        else:
-            out[...] = u
-        for i in range(tab.s):
-            if tab.b[i] != 0.0:
-                out -= dt * tab.b[i] * (stages[i] @ L.T)
-        return out
+def _apply(op, x, out=None):
+    """One linear step of the rows of x: times a diagonal factor, or @ a
+    dense one."""
+    if op.ndim == 2:
+        return np.matmul(x, op, out=out)
+    return np.multiply(op, x, out=out)
 
 
-def _stepper(tab: ButcherTableau, problem: ModelProblem, dt: float,
-             path: str):
-    """One step of size dt, as a callable on states of shape (..., width).
+def _factor(tab: ButcherTableau, problem: ModelProblem, dt: float,
+            path: str):
+    """One step of size dt as the linear factor `_apply` takes.
 
-    Diagonal path: elementwise multiplication by lam(dt * xi_j), kept real
-    for a real spectrum (its imaginary parts are exactly 0).  Matrix path:
-    DIRK stage solves against the problem's matrix realization.
+    Diagonal path: lam(dt * xi_j), kept real for a real spectrum (its
+    imaginary parts are exactly 0).  Matrix path: the dense S^T with
+    u_next = u @ S^T for row states u, from the DIRK stage formulas run on
+    the identity; fully implicit tableaux are unsupported there.
     """
     if path == "diagonal":
         lam = stability_eval_batch(tab, dt * problem.eigenvalues)
-        return partial(np.multiply, lam if np.any(problem.eigenvalues.imag)
-                       else np.ascontiguousarray(lam.real))
+        return (lam if np.any(problem.eigenvalues.imag)
+                else np.ascontiguousarray(lam.real))
     if problem.matrix is None:
         raise SolveError("matrix path requires a matrix realization")
-    return _MatrixStepper(tab, problem.matrix, dt)
+    if np.any(np.abs(np.triu(tab.A, 1)) > 0):
+        raise SolveError(
+            f"{tab.name}: fully implicit stages unsupported on the matrix path")
+    eye = np.eye(problem.matrix.shape[0])
+    hlt = dt * problem.matrix.T
+    stages = []                     # stage values times dt L^T
+    for i in range(tab.s):
+        y = eye - sum(a * ks for a, ks in zip(tab.A[i], stages))
+        if tab.A[i, i] != 0.0:
+            y = y @ np.linalg.inv(eye + tab.A[i, i] * hlt)
+        stages.append(y @ hlt)
+    return eye - sum(b * ks for b, ks in zip(tab.b, stages))
 
 
 def step(tab: ButcherTableau, problem: ModelProblem, dt: float, u,
          path: str = "diagonal"):
     """Advance the state vector u by one step of size dt."""
-    return _stepper(tab, problem, dt, path)(np.asarray(u))
+    return _apply(_factor(tab, problem, dt, path), np.asarray(u))
+
+
+_LOOP_ROWS = 32     # grids this short solve faster row by row
+
+
+def _scan(u, a, theta=1.0, buf=None):
+    """Solve u_n += theta a u_{n-1}, n >= 1, in place by odd-even reduction.
+
+    The even rows' steps are added to the odd rows, which then satisfy the
+    same recurrence with factor a∘a; once they are solved, the odd rows are
+    stepped into the even ones.  `buf` is half-length scratch that every
+    level reuses.  Grids of at most _LOOP_ROWS rows are stepped row by row.
+    """
+    if len(u) <= _LOOP_ROWS:
+        for prev, cur in zip(u, u[1:]):
+            cur += _apply(a, prev) if theta == 1.0 else theta * _apply(a, prev)
+        return u
+    if theta != 1.0:
+        a = theta * a
+    odd = u[1::2]
+    if buf is None:
+        buf = np.empty_like(odd)
+    odd += _apply(a, u[:-1:2], buf[:len(odd)])
+    _scan(odd, _apply(a, a), buf=buf)
+    u[2::2] += _apply(a, u[1:-1:2], buf[:(len(u) - 1) // 2])
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +216,7 @@ def step(tab: ButcherTableau, problem: ModelProblem, dt: float, u,
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """Per-level steppers plus the MGRIT cycle machinery.
+    """Per-level step factors plus the MGRIT cycle machinery.
 
     Relaxation and residual are built from one primitive, `_advance`, which
     steps a whole stride of points at once.
@@ -226,17 +239,14 @@ class _Engine:
             self.dtype = float
             if hier.coarse == EXACT_COARSE:
                 raise SolveError("exact coarse propagator is diagonal-path only")
-        fine = [_stepper(tab, run.problem, frac * hier.h_t, run.path)
+        fine = [_factor(tab, run.problem, frac * hier.h_t, run.path)
                 for tab, frac in hier.fine.steps]
-        self.steppers = [fine]
+        self.factors = [fine]
         for l in range(1, hier.levels):
-            if hier.coarse == EXACT_COARSE:
-                coarse = partial(np.multiply,
-                                 np.prod([s.args[0] for s in fine], axis=0))
-            else:
-                coarse = _stepper(hier.coarse, run.problem, hier.dt(l),
-                                  run.path)
-            self.steppers.append([coarse] * self.k)
+            coarse = (np.prod(fine, axis=0) if hier.coarse == EXACT_COARSE
+                      else _factor(hier.coarse, run.problem, hier.dt(l),
+                                   run.path))
+            self.factors.append([coarse] * self.k)
 
     # -- grid operations ----------------------------------------------------
 
@@ -246,7 +256,7 @@ class _Engine:
     def _advance(self, u, level, j, theta, out=None):
         """Scaled step from points j-1::k to j::k (theta on coarse levels)."""
         nc = self.n_points[level] // self.k
-        out = self.steppers[level][j - 1](u[j - 1::self.k][:nc], out=out)
+        out = _apply(self.factors[level][j - 1], u[j - 1::self.k][:nc], out)
         if level and theta != 1.0:
             out *= theta
         return out
@@ -278,15 +288,11 @@ class _Engine:
         return r
 
     def seq_solve(self, g, level, theta=1.0):
-        """Exact solve by sequential time stepping (the coarsest level).
+        """Exact solve of u_n = theta a u_{n-1} + g_n (the coarsest level).
 
-        Every coarse step is the same stepper; each row is updated in place.
+        Every coarse step has the same factor a; see `_scan`.
         """
-        step = self.steppers[level][0]
-        u = g.copy()
-        for prev, cur in zip(u, u[1:]):
-            cur += step(prev) if theta == 1.0 else theta * step(prev)
-        return u
+        return _scan(g.copy(), self.factors[level][0], theta)
 
     def vcycle(self, u, g, level, theta=1.0, r=None):
         """One V-cycle: relax, coarse-grid correction, ideal interpolation.

@@ -72,6 +72,8 @@ def make_spd_interval(xi_max: float, n: int, include=()) -> ModelProblem:
         raise ValueError("need n >= 2")
     if not xi_max > 0:
         raise ValueError(f"xi_max must be positive, got {xi_max!r}")
+    if xi_max == np.inf:
+        raise ValueError(f"xi_max must be finite, got {xi_max!r}")
     fill = np.geomspace(xi_max * 1e-2, xi_max, int(n))
     extra = [float(v) for v in include if 0.0 < float(v) <= xi_max]
     eig = np.sort(np.concatenate([fill, np.asarray(extra, dtype=float)]))

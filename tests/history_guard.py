@@ -1,0 +1,211 @@
+"""History guard: record the MGRIT simulator's output on a fixed set of runs,
+and compare two such records.
+
+    PYTHONPATH=src python tests/history_guard.py dump OUT.json
+    python tests/history_guard.py compare A.json B.json
+
+`dump` runs every case below with the pintlab found on the import path
+(so a record can be taken from any checkout) and writes, per case, the
+residual history, `rho`, `converged` and a checksum of the state `iterate`
+returns.  `compare` checks B against A:
+
+- the same cases, history lengths and `converged` flags;
+- every history value within |B - A| <= 1e-13 |A| + 1e-16 h0, where h0 is
+  A's initial residual;
+- `rho` within |B - A| <= 1e-12 |A| + 1e-16, or the same non-finite value;
+- the state norm within 1e-12 |A| + 1e-16 h0, or the same non-finite value.
+
+The absolute terms match the history's: a run that converges in one cycle
+(an exact coarse propagator) has rho = h1/h0 and a final state at rounding
+level, and both move by rounding alone whenever the coarse solve sums in
+another order.
+
+It prints the worst case of each and exits 1 if any check fails.  This
+file is a script, not a test module: pytest does not collect it.
+"""
+
+import hashlib
+import json
+import math
+import sys
+
+import numpy as np
+
+HIST_REL, HIST_ABS = 1e-13, 1e-16
+RHO_REL, RHO_ABS = 1e-12, 1e-16
+NORM_REL, NORM_ABS = 1e-12, 1e-16
+
+
+def _cases():
+    """(name, MgritRun or ("propagator_norm", MgritRun)) for every case."""
+    from pintlab.bounds import PropagatorSpec
+    from pintlab.butcher import get_scheme
+    from pintlab.mgrit_sim import EXACT_COARSE, MgritRun, TimeHierarchy
+    from pintlab.model_problems import (make_fd_diffusion,
+                                        make_skew_advection,
+                                        make_spd_interval)
+
+    s = get_scheme
+    spd = make_spd_interval(3.0, 40, include=[1.0])
+    skew = make_skew_advection(32, 1.0)
+    diffusion = make_fd_diffusion(9)
+    out = []
+    for fine, coarse in (("bwe", "bwe"), ("sdirk33", "bwe"),
+                         ("esdirk33", "sdirk22")):
+        for relax in ("F", "FC", "FCF"):
+            for lv in (2, 3, 4, 5):
+                hier = TimeHierarchy(256, 0.5, 2, lv, s(fine), s(coarse))
+                out.append((f"{fine}/{coarse} {relax} N=256 k=2 L={lv}",
+                            MgritRun(hier, spd, relax)))
+    for relax in ("F", "FC", "FCF"):
+        hier = TimeHierarchy(256, 0.5, 4, 3, s("sdirk33"), s("bwe"))
+        out.append((f"sdirk33/bwe {relax} N=256 k=4 L=3",
+                    MgritRun(hier, spd, relax)))
+    for lv in (2, 3):
+        hier = TimeHierarchy(256, 0.5, 2, lv, s("sdirk33"), s("bwe"))
+        out.append((f"theta (1,0,0.5) L={lv}",
+                    MgritRun(hier, spd, "F", (1.0, 0.0, 0.5))))
+    for relax in ("F", "FCF"):
+        for lv in (2, 3):
+            hier = TimeHierarchy(256, 0.5, 2, lv, s("trapezoid"),
+                                 s("sdirk22"))
+            out.append((f"skew trapezoid/sdirk22 {relax} L={lv}",
+                        MgritRun(hier, skew, relax)))
+    for relax in ("F", "FCF"):
+        hier = TimeHierarchy(256, 0.5, 4, 2, s("sdirk33"), EXACT_COARSE)
+        out.append((f"exact coarse {relax}", MgritRun(hier, spd, relax)))
+    mixed = PropagatorSpec(((s("sdirk22"), 1.0), (s("sdirk22"), 1.0),
+                            (s("trapezoid"), 1.0), (s("trapezoid"), 1.0)))
+    hier = TimeHierarchy(256, 0.5, 4, 2, mixed, s("sdirk22"))
+    out.append(("mixed fine FCF", MgritRun(hier, spd, "FCF")))
+    for path in ("matrix", "diagonal"):
+        for relax in ("F", "FC", "FCF"):
+            for lv in (2, 3):
+                hier = TimeHierarchy(256, 0.002, 2, lv, s("sdirk33"),
+                                     s("bwe"))
+                out.append((f"fd_diffusion(9) {path} {relax} L={lv}",
+                            MgritRun(hier, diffusion, relax, path=path)))
+    for fine, coarse, ximax in (("bwe", "bwe", 1.66),
+                                ("esdirk33", "esdirk32", 6.0)):
+        hier = TimeHierarchy(2048, 1.0, 2, 2, s(fine), s(coarse))
+        out.append((f"{fine}/{coarse} F N=2048 k=2",
+                    MgritRun(hier, make_spd_interval(ximax, 120), "F")))
+    # unstable explicit coarse (or fine) schemes: the runs diverge
+    for fine, coarse in (("erk4", "fwe"), ("erk4", "erk2"),
+                         ("bwe", "erk4")):
+        for n in (1024, 2048):
+            hier = TimeHierarchy(n, 1.0, 2, 2, s(fine), s(coarse))
+            out.append((f"divergent {fine}/{coarse} N={n}",
+                        MgritRun(hier, spd, "F", max_iters=30)))
+    # |mu| = 1.1 at the top mode: finite growth, stopped at 1e6 h0
+    hier = TimeHierarchy(1024, 1.0, 2, 2, s("erk4"), s("fwe"))
+    out.append(("divergent erk4/fwe mild N=1024",
+                MgritRun(hier, make_spd_interval(1.05, 40), "F")))
+    for relax in ("F", "FC", "FCF"):
+        hier = TimeHierarchy(128, 1.0, 2, 2, s("sdirk33"), s("bwe"))
+        out.append((f"propagator norm {relax} Nc=64",
+                    ("propagator_norm",
+                     MgritRun(hier, make_spd_interval(3.0, 8), relax))))
+    return out
+
+
+def _checksum(u):
+    u = np.ascontiguousarray(u)
+    return {"norm": float(np.linalg.norm(u)),
+            "sha256": hashlib.sha256(u.tobytes()).hexdigest()[:16],
+            "dtype": str(u.dtype)}
+
+
+def dump(path):
+    from pintlab.mgrit_sim import (error_propagation_norm, iterate,
+                                   measure_rho)
+    records = {}
+    for name, case in _cases():
+        if isinstance(case, tuple):
+            nrm = error_propagation_norm(case[1])
+            records[name] = {"history": [nrm], "rho": nrm, "converged": True,
+                             "state": None}
+            continue
+        res = measure_rho(case)
+        _, u = iterate(case)
+        records[name] = {"history": [float(h) for h in res.history],
+                         "rho": float(res.rho),
+                         "converged": bool(res.converged),
+                         "state": _checksum(u)}
+    with open(path, "w") as fh:
+        json.dump(records, fh, indent=1)
+    print(f"wrote {len(records)} runs to {path}")
+
+
+def _ratio(a, b, rel, floor):
+    """|b - a| over its tolerance rel |a| + floor: 0 for equal values, inf
+    for unequal non-finite ones."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / (rel * abs(a) + floor)
+
+
+def compare(path_a, path_b):
+    with open(path_a) as fh:
+        A = json.load(fh)
+    with open(path_b) as fh:
+        B = json.load(fh)
+    failures = []
+    if A.keys() != B.keys():
+        failures.append(f"case sets differ: {sorted(A.keys() ^ B.keys())}")
+    worst = dict.fromkeys(("history", "rho", "state norm"), (0.0, ""))
+
+    def note(kind, ratio, name):
+        if ratio >= worst[kind][0]:
+            worst[kind] = (ratio, name)
+
+    same_bytes = 0
+    for name in (n for n in A if n in B):
+        a, b = A[name], B[name]
+        ha, hb = a["history"], b["history"]
+        if len(ha) != len(hb) or a["converged"] != b["converged"]:
+            failures.append(f"{name}: length {len(ha)} -> {len(hb)}, "
+                            f"converged {a['converged']} -> {b['converged']}")
+            continue
+        h0 = abs(ha[0])
+        for x, y in zip(ha, hb):
+            ratio = _ratio(x, y, HIST_REL, HIST_ABS * h0)
+            note("history", ratio, name)
+            if ratio > 1.0:
+                failures.append(f"{name}: history {x!r} -> {y!r}")
+                break
+        r = _ratio(a["rho"], b["rho"], RHO_REL, RHO_ABS)
+        note("rho", r, name)
+        if r > 1.0:
+            failures.append(f"{name}: rho {a['rho']!r} -> {b['rho']!r}")
+        if a["state"] is not None:
+            r = _ratio(a["state"]["norm"], b["state"]["norm"], NORM_REL,
+                       NORM_ABS * h0)
+            note("state norm", r, name)
+            if r > 1.0:
+                failures.append(f"{name}: state norm {a['state']['norm']!r}"
+                                f" -> {b['state']['norm']!r}")
+            same_bytes += a["state"]["sha256"] == b["state"]["sha256"]
+    for kind, (ratio, name) in worst.items():
+        print(f"worst {kind}: {ratio:.3g} of its tolerance ({name})")
+    print(f"{len(A)} runs, {same_bytes} returned states bit-identical")
+    for line in failures:
+        print(f"FAIL {line}")
+    print("PASS" if not failures else f"{len(failures)} failure(s)")
+    return 1 if failures else 0
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "dump":
+        dump(argv[1])
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -307,6 +307,31 @@ def test_simulate_bad_run_setting_exits_2(key, value, message, source,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key,value,message", [
+    ("ht", "inf", "h_t must be finite and positive, got inf"),
+    ("ximax", "inf", "xi_max must be finite, got inf"),
+    ("theta_schedule", "nan", "theta must be finite, got nan"),
+    ("theta_schedule", "inf", "theta must be finite, got inf"),
+])
+def test_simulate_non_finite_setting_exits_2(key, value, message, source,
+                                             tmp_path, capsys):
+    # each would otherwise run and print rho=nan with exit 0
+    argv = ["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2",
+            "--nt", "64", "--nmodes", "4", "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_file_name_has_no_colon(tmp_path):
     rc = main(["bounds", "--fine", "trbdf2:0.5", "--coarse", "bwe",
                "--k", "2", "--n", "64", "--out", str(tmp_path)])
