@@ -1,12 +1,18 @@
-"""Structural analysis of explicit schemes: stability polynomials, the
-truncated-exponential optimality of the coarse propagator, and root-finding
-for the coarse-minus-fine-power polynomial.
+"""Structural analysis of explicit schemes: the truncated-exponential
+optimality of the coarse propagator, and root-finding for the gap polynomial.
 
-For an explicit s-stage scheme the per-step factor lam(w) is a polynomial of
-degree <= s, stored here by its coefficients in powers of (-w).  For schemes
-of order p = s the polynomial is the exponential series truncated at the
-(-w)^s term, which makes the coarse propagator the optimal degree-s Taylor
-approximation of lam(w)^k.
+Each tableau stores its stability function as lam = P/Q, by the coefficients
+of P and Q in powers of w.  The coarse propagator is the same tableau with
+step k*dt, mu(w) = lam(kw), so mu - lam^k has the numerator
+
+    p(w) = P(kw) Q(w)^k - P(w)^k Q(kw),
+
+the gap polynomial: its roots are where the coarse propagator reproduces the
+k-fold fine one.  For an explicit s-stage scheme Q == 1, lam = P has degree
+<= s and p has degree s*k.  For schemes of order s, P is the exponential
+series truncated at the (-w)^s term, which makes the coarse propagator the
+optimal degree-s Taylor approximation of lam(w)^k: p vanishes through
+degree s.
 """
 
 from __future__ import annotations
@@ -21,10 +27,8 @@ from .butcher import ButcherTableau, stability_eval_batch
 
 __all__ = [
     "NotTruncatedExponential",
-    "StabilityPolynomial",
     "RootRecord",
-    "stability_polynomial",
-    "phi_k_polynomial",
+    "gap_polynomial",
     "check_taylor_optimality",
     "singularity_roots",
     "roots_to_csv",
@@ -35,85 +39,39 @@ class NotTruncatedExponential(ValueError):
     """The scheme's stability polynomial is not a truncated exponential."""
 
 
-@dataclass(frozen=True)
-class StabilityPolynomial:
-    """Polynomial in (-w): coefficients[l] multiplies (-w)**l."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           tuple(float(c) for c in self.coefficients))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def in_powers_of_w(self) -> tuple:
-        """Coefficients rewritten for powers of w (sign-alternated)."""
-        return tuple(((-1.0) ** l) * c for l, c in enumerate(self.coefficients))
-
-    def __call__(self, w):
-        acc = np.zeros_like(np.asarray(w, dtype=complex))
-        for c in reversed(self.in_powers_of_w()):
-            acc = acc * w + c
-        return acc
-
-
-def stability_polynomial(tab: ButcherTableau) -> StabilityPolynomial:
-    """Exact polynomial coefficients of lam(w) for an explicit tableau.
-
-    lam = P/Q with Q = det(I + wA) == 1 for strictly lower-triangular A, so
-    lam is the tableau's numerator P(w) = det(I + w(A - 1 b^T)).
-    """
-    if not tab.explicit_flag:
-        raise ValueError(f"{tab.name} is not explicit")
-    coeffs = [((-1.0) ** l) * float(p) for l, p in enumerate(tab.P)]
-    return StabilityPolynomial(tuple(coeffs))
-
-
-def phi_k_polynomial(tab: ButcherTableau, k: int) -> StabilityPolynomial:
-    """lam(w)^k as an exact degree s*k polynomial via repeated convolution."""
-    base = np.asarray(stability_polynomial(tab).coefficients)
-    acc = base.copy()
-    for _ in range(int(k) - 1):
-        acc = np.convolve(acc, base)
-    return StabilityPolynomial(tuple(acc))
-
-
-def _is_truncated_exponential(poly: StabilityPolynomial, rtol=1e-13) -> bool:
-    for l, c in enumerate(poly.coefficients):
-        target = 1.0 / math.factorial(l)
-        if abs(c - target) > rtol * target:
-            return False
-    return True
+def gap_polynomial(tab: ButcherTableau, k: int) -> np.ndarray:
+    """Float64 coefficients, in powers of w, of the gap polynomial
+    p(w) = P(kw) Q(w)^k - P(w)^k Q(kw), the numerator of mu - lam^k."""
+    # numpy loads np.polynomial on first use: a simulator run never pays it
+    poly = np.polynomial.polynomial
+    P, Q = tab.P.astype(float), tab.Q.astype(float)
+    kl = float(k) ** np.arange(len(P))
+    return poly.polysub(poly.polymul(P * kl, poly.polypow(Q, k)),
+                        poly.polymul(poly.polypow(P, k), Q * kl))
 
 
 def check_taylor_optimality(tab: ButcherTableau, k: int) -> bool:
     """Does the coarse polynomial match the s lowest-order terms of lam^k?
 
-    The coarse propagator is the same tableau with step k*dt, i.e. the same
-    polynomial evaluated at k*w.  Raises NotTruncatedExponential when the
-    scheme's polynomial is not the truncated exponential (the hypothesis of
-    the optimality statement).
+    True when the gap polynomial vanishes through degree s.  Raises
+    NotTruncatedExponential when the scheme is implicit or its polynomial
+    is not the truncated exponential (the hypothesis of the optimality
+    statement).
     """
-    poly = stability_polynomial(tab)
-    if not _is_truncated_exponential(poly):
+    P, l = tab.P.astype(float), np.arange(tab.s + 1)
+    taylor = np.array([(-1.0) ** j / math.factorial(j) for j in l])
+    if not tab.explicit_flag or np.any(np.abs(P - taylor)
+                                       > 1e-13 * np.abs(taylor)):
         raise NotTruncatedExponential(
             f"{tab.name}: stability polynomial is not a truncated exponential")
-    fine_pow = phi_k_polynomial(tab, k).in_powers_of_w()
-    coarse = [c * (float(k) ** l)
-              for l, c in enumerate(poly.in_powers_of_w())]
-    for l in range(tab.s + 1):
-        ref = coarse[l]
-        if abs(fine_pow[l] - ref) > 1e-13 * max(1.0, abs(ref)):
-            return False
-    return True
+    coarse = np.abs(P) * float(k) ** l
+    p = gap_polynomial(tab, k)[:tab.s + 1]
+    return bool(np.all(np.abs(p) <= 1e-13 * np.maximum(1.0, coarse)))
 
 
 @dataclass(frozen=True)
 class RootRecord:
-    """One root of the coarse-minus-fine-power polynomial."""
+    """One root of the gap polynomial."""
 
     w: complex
     multiplicity: int = 1
@@ -126,7 +84,7 @@ class RootRecord:
 
 
 def singularity_roots(tab: ButcherTableau, k: int, w_max: float):
-    """All roots with |w| <= w_max of p(w) = coarse(w) - fine(w)^k.
+    """All roots with |w| <= w_max of the gap polynomial P(kw) - P(w)^k.
 
     p is the degree s*k polynomial (in w) whose zeros are exactly the w at
     which the coarse propagator reproduces an eigenvalue of the k-fold fine
@@ -142,12 +100,7 @@ def singularity_roots(tab: ButcherTableau, k: int, w_max: float):
         raise ValueError(f"{tab.name} is not explicit")
     if tab.order != tab.s or tab.s > 4:
         raise ValueError("requires an explicit scheme with order == s <= 4")
-    fine_pow = np.asarray(phi_k_polynomial(tab, k).in_powers_of_w())
-    single = stability_polynomial(tab).in_powers_of_w()
-    coarse = np.zeros_like(fine_pow)
-    for l, c in enumerate(single):
-        coarse[l] = c * (float(k) ** l)
-    p = coarse - fine_pow  # coefficients of w^l, l = 0..s*k
+    p = gap_polynomial(tab, k)  # coefficients of w^l, l = 0..s*k
     scale = np.max(np.abs(p))
     # the lowest-order coefficients vanish identically (the coarse polynomial
     # matches lam^k through degree s); strip them to expose the origin root

@@ -362,26 +362,28 @@ def iterate(run: MgritRun, u0=None, engine: _Engine | None = None,
     else:
         u = np.array(u0, np.result_type(eng.dtype, np.asarray(u0)))
     # the initial state is unrelaxed, so its residual is taken on every point;
-    # each cycle ends with F-relaxation, so later norms need the C-points only
+    # each cycle ends with F-relaxation, so later norms need the C-points only.
+    # A divergent run overflows; the history check below reports it.
     k = eng.k
-    r_f = (eng._advance(u, 0, j, 1.0) - u[j::k] for j in range(1, k))
-    r0 = math.hypot(np.linalg.norm(eng.residual(u, None, 0)),
-                    *map(np.linalg.norm, r_f))
-    history = [r0]
-    if r0 == 0.0:
-        return history, u
-    r = None
-    for it in range(run.max_iters):
-        theta = (1.0 if run.theta_schedule is None
-                 else run.theta_schedule[it % len(run.theta_schedule)])
-        u = eng.vcycle(u, None, 0, theta, r)
-        r = eng.residual(u, None, 0)
-        rn = float(np.linalg.norm(r))
-        history.append(rn)
-        if not math.isfinite(rn) or rn > 1e6 * r0:
-            break
-        if rn <= run.tol * r0:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_f = (eng._advance(u, 0, j, 1.0) - u[j::k] for j in range(1, k))
+        r0 = math.hypot(np.linalg.norm(eng.residual(u, None, 0)),
+                        *map(np.linalg.norm, r_f))
+        history = [r0]
+        if r0 == 0.0:
+            return history, u
+        r = None
+        for it in range(run.max_iters):
+            theta = (1.0 if run.theta_schedule is None
+                     else run.theta_schedule[it % len(run.theta_schedule)])
+            u = eng.vcycle(u, None, 0, theta, r)
+            r = eng.residual(u, None, 0)
+            rn = float(np.linalg.norm(r))
+            history.append(rn)
+            if not math.isfinite(rn) or rn > 1e6 * r0:
+                break
+            if rn <= run.tol * r0:
+                break
     return history, u
 
 

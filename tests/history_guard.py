@@ -1,5 +1,5 @@
-"""History guard: record the MGRIT simulator's output on a fixed set of runs,
-and compare two such records.
+"""History guard: record the MGRIT simulator's output on a fixed set of runs
+and the explicit schemes' singularity roots, and compare two such records.
 
     PYTHONPATH=src python tests/history_guard.py dump OUT.json
     python tests/history_guard.py compare A.json B.json
@@ -7,13 +7,16 @@ and compare two such records.
 `dump` runs every case below with the pintlab found on the import path
 (so a record can be taken from any checkout) and writes, per case, the
 residual history, `rho`, `converged` and a checksum of the state `iterate`
-returns.  `compare` checks B against A:
+returns.  It also writes `singularity_roots` of fwe, erk2, erk3 and erk4 at
+k = 2..16 with w_max = 100: each root's w, multiplicity and flags.
+`compare` checks B against A:
 
 - the same cases, history lengths and `converged` flags;
 - every history value within |B - A| <= 1e-13 |A| + 1e-16 h0, where h0 is
   A's initial residual;
 - `rho` within |B - A| <= 1e-12 |A| + 1e-16, or the same non-finite value;
-- the state norm within 1e-12 |A| + 1e-16 h0, or the same non-finite value.
+- the state norm within 1e-12 |A| + 1e-16 h0, or the same non-finite value;
+- the same singularity roots, compared with ==.
 
 The absolute terms match the history's: a run that converges in one cycle
 (an exact coarse propagator) has rho = h1/h0 and a final state at rounding
@@ -34,6 +37,8 @@ import numpy as np
 HIST_REL, HIST_ABS = 1e-13, 1e-16
 RHO_REL, RHO_ABS = 1e-12, 1e-16
 NORM_REL, NORM_ABS = 1e-12, 1e-16
+ROOT_SCHEMES = ("fwe", "erk2", "erk3", "erk4")
+ROOT_KS, ROOT_W_MAX = range(2, 17), 100.0
 
 
 def _cases():
@@ -111,9 +116,23 @@ def _cases():
 
 def _checksum(u):
     u = np.ascontiguousarray(u)
-    return {"norm": float(np.linalg.norm(u)),
+    with np.errstate(over="ignore"):  # a diverged state's norm is inf
+        norm = float(np.linalg.norm(u))
+    return {"norm": norm,
             "sha256": hashlib.sha256(u.tobytes()).hexdigest()[:16],
             "dtype": str(u.dtype)}
+
+
+def _roots():
+    """[re, im, multiplicity, in_stable_region, imag_axis_stable] per root."""
+    from pintlab.butcher import get_scheme
+    from pintlab.explicit_analysis import singularity_roots
+    return {f"{name} k={k}": [[r.w.real, r.w.imag, r.multiplicity,
+                               bool(r.in_stable_region),
+                               bool(r.imag_axis_stable)]
+                              for r in singularity_roots(get_scheme(name), k,
+                                                         ROOT_W_MAX)]
+            for name in ROOT_SCHEMES for k in ROOT_KS}
 
 
 def dump(path):
@@ -132,9 +151,10 @@ def dump(path):
                          "rho": float(res.rho),
                          "converged": bool(res.converged),
                          "state": _checksum(u)}
+    roots = _roots()
     with open(path, "w") as fh:
-        json.dump(records, fh, indent=1)
-    print(f"wrote {len(records)} runs to {path}")
+        json.dump({"runs": records, "roots": roots}, fh, indent=1)
+    print(f"wrote {len(records)} runs and {len(roots)} root sets to {path}")
 
 
 def _ratio(a, b, rel, floor):
@@ -147,11 +167,14 @@ def _ratio(a, b, rel, floor):
     return abs(a - b) / (rel * abs(a) + floor)
 
 
+def _load(path):
+    with open(path) as fh:
+        record = json.load(fh)
+    return record["runs"], record["roots"]
+
+
 def compare(path_a, path_b):
-    with open(path_a) as fh:
-        A = json.load(fh)
-    with open(path_b) as fh:
-        B = json.load(fh)
+    (A, roots_a), (B, roots_b) = map(_load, (path_a, path_b))
     failures = []
     if A.keys() != B.keys():
         failures.append(f"case sets differ: {sorted(A.keys() ^ B.keys())}")
@@ -188,9 +211,14 @@ def compare(path_a, path_b):
                 failures.append(f"{name}: state norm {a['state']['norm']!r}"
                                 f" -> {b['state']['norm']!r}")
             same_bytes += a["state"]["sha256"] == b["state"]["sha256"]
+    for name in sorted(roots_a.keys() | roots_b.keys()):
+        if roots_a.get(name) != roots_b.get(name):
+            failures.append(f"roots {name}: {roots_a.get(name)} -> "
+                            f"{roots_b.get(name)}")
     for kind, (ratio, name) in worst.items():
         print(f"worst {kind}: {ratio:.3g} of its tolerance ({name})")
     print(f"{len(A)} runs, {same_bytes} returned states bit-identical")
+    print(f"{len(roots_a)} root sets, compared with ==")
     for line in failures:
         print(f"FAIL {line}")
     print("PASS" if not failures else f"{len(failures)} failure(s)")

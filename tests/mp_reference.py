@@ -19,3 +19,11 @@ def mp_stage_form(tab, w):
         wm = mpmath.mpc(w.real, w.imag)
         x = mpmath.lu_solve(mpmath.eye(s) + wm * A, mpmath.ones(s, 1))
         return 1 - wm * sum(b[j] * x[j] for j in range(s))
+
+
+def mp_det_q(tab, w):
+    """Q(w) = det(I + wA) in 50 digits for the float tableau."""
+    with mpmath.workdps(50):
+        A = mpmath.matrix([[mpmath.mpf(float(v)) for v in row]
+                           for row in tab.A])
+        return mpmath.det(mpmath.eye(tab.s) + w * A)

@@ -1,6 +1,8 @@
 import glob
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -228,6 +230,22 @@ def test_simulate_determinism(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert read(a / "run_history.csv") == read(b / "run_history.csv")
+
+
+def test_simulate_divergent_run_is_silent(tmp_path):
+    # erk4/fwe overflows within a few cycles; the run reports rho=inf and
+    # prints no numpy warning on the way (run as a child with the default
+    # warning filters, which show each RuntimeWarning)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "pintlab.cli", "simulate",
+         "--fine", "erk4", "--coarse", "fwe", "--nt", "1024", "--ximax", "3",
+         "--nmodes", "20", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "rho=inf converged=False" in proc.stdout
 
 
 def test_simulate_bad_divisibility_exits_2(capsys):

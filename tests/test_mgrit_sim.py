@@ -321,6 +321,17 @@ def test_divergence_flagged():
     assert res.rho > 1.0
 
 
+def test_divergent_run_overflows_without_warnings():
+    # pytest turns warnings into errors, so an overflow warning from a cycle
+    # or a norm would fail this call; iterate reports the overflow in its
+    # history instead
+    hier = TimeHierarchy(1024, 1.0, 2, 2, get_scheme("erk4"),
+                         get_scheme("fwe"))
+    history, _ = iterate(MgritRun(hier, spd(3.0, 20), "F"))
+    assert history[-1] == math.inf
+    assert measure_rho(MgritRun(hier, spd(3.0, 20), "F")).rho == math.inf
+
+
 def test_worst_mode_seeding():
     problem = spd(2.0, 30, include=[1.0])
     hier = TimeHierarchy(64, 1.0, 2, 2, BWE, BWE)
