@@ -12,8 +12,9 @@ float64 and steps with each scheme's dense one-step matrix.  Both paths
 share one coarsest-level solve, an in-place odd-even (cyclic) reduction
 that steps grids of at most 32 rows one row at a time.
 
-Level 0 has no right-hand side (`g` is None), and each level-0 state that
-`iterate` gives a cycle after the first is F-relaxed, with known residual.
+Level 0 has no right-hand side, and `iterate` keeps it on its C-points: an
+F-relaxed F-point is its C-point stepped forward, so the full grid is rebuilt
+by one F sweep at return.  Levels >= 1 carry the full grid and `g`.
 """
 
 from __future__ import annotations
@@ -294,23 +295,58 @@ class _Engine:
         """
         return _scan(g.copy(), self.factors[level][0], theta)
 
-    def vcycle(self, u, g, level, theta=1.0, r=None):
-        """One V-cycle: relax, coarse-grid correction, ideal interpolation.
+    def correction(self, g, level, theta=1.0):
+        """Coarse-grid error on `level` for right-hand side g: the exact
+        solve on the coarsest level, one V-cycle from zero above it."""
+        if level == self.levels - 1:
+            return self.seq_solve(g, level, theta)
+        return self.vcycle(np.zeros_like(g), g, level, theta)
 
-        A given C-point residual `r` marks u as F-relaxed: the leading F sweep
-        is skipped.  F-relaxation takes r as the coarse right-hand side; FC
-        and FCF only test r against None, as their C sweep moves the C-points.
+    def vcycle(self, u, g, level, theta=1.0):
+        """One full-grid V-cycle: relax, coarse-grid correction, ideal
+        interpolation.  `iterate` runs level 0 by `cycle0` instead."""
+        u = self.relax(u, g, level, self.run.relaxation, theta)
+        u[::self.k] += self.correction(self.residual(u, g, level, theta),
+                                       level + 1, theta)
+        return self.relax(u, g, level, RELAX_F, theta)
+
+    # -- level 0 on its C-points ----------------------------------------------
+
+    def interval_step(self, c):
+        """Level-0 C-points 0..Nc-1 stepped across their coarse intervals by
+        the k fine factors in order, as the F sweep and the residual do."""
+        x = _apply(self.factors[0][0], c[:-1])
+        for op in self.factors[0][1:]:
+            x = _apply(op, x, x)
+        return x
+
+    @staticmethod
+    def c_residual(c, t):
+        """Level-0 residual on C-points c with F-relaxed F-points, given
+        t = interval_step(c)."""
+        r = np.empty_like(c)
+        r[0] = -c[0]
+        np.subtract(t, c[1:], out=r[1:])
+        return r
+
+    def cycle0(self, c, t, r, theta=1.0):
+        """One level-0 V-cycle on the C-points c, in place.
+
+        The F-points are implied F-relaxed from c, so the leading F sweep
+        has nothing to do; t = interval_step(c) and r = c_residual(c, t).
+        Returns t and r for the corrected c.
         """
         kind = self.run.relaxation
-        u = self.relax(u, g, level, kind if r is None else kind[1:], theta)
-        gc = (r if r is not None and kind == RELAX_F
-              else self.residual(u, g, level, theta))
-        if level + 1 == self.levels - 1:
-            e = self.seq_solve(gc, level + 1, theta)
-        else:
-            e = self.vcycle(np.zeros_like(gc), gc, level + 1, theta)
-        u[::self.k] += e
-        return self.relax(u, g, level, RELAX_F, theta)
+        if kind != RELAX_F:             # C sweep from the F-relaxed state
+            c[0] = 0.0
+            c[1:] = t
+            if kind == RELAX_FCF:
+                t = self.interval_step(c)
+            # under FC, t - t: 0 on every finite value (FC never corrects)
+            r = self.c_residual(c, t)
+        c += self.correction(r, 1, theta)
+        t = self.interval_step(c)
+        return t, self.c_residual(c, t)
 
     # -- initial error ------------------------------------------------------
 
@@ -362,7 +398,7 @@ def iterate(run: MgritRun, u0=None, engine: _Engine | None = None,
     else:
         u = np.array(u0, np.result_type(eng.dtype, np.asarray(u0)))
     # the initial state is unrelaxed, so its residual is taken on every point;
-    # each cycle ends with F-relaxation, so later norms need the C-points only.
+    # an F sweep overwrites every F-point, so the cycles keep the C-points.
     # A divergent run overflows; the history check below reports it.
     k = eng.k
     with np.errstate(over="ignore", invalid="ignore"):
@@ -372,19 +408,24 @@ def iterate(run: MgritRun, u0=None, engine: _Engine | None = None,
         history = [r0]
         if r0 == 0.0:
             return history, u
-        r = None
+        c = u[::k].copy()
+        del u
+        t = eng.interval_step(c)
+        r = eng.c_residual(c, t)
         for it in range(run.max_iters):
             theta = (1.0 if run.theta_schedule is None
                      else run.theta_schedule[it % len(run.theta_schedule)])
-            u = eng.vcycle(u, None, 0, theta, r)
-            r = eng.residual(u, None, 0)
+            t, r = eng.cycle0(c, t, r, theta)
             rn = float(np.linalg.norm(r))
             history.append(rn)
             if not math.isfinite(rn) or rn > 1e6 * r0:
                 break
             if rn <= run.tol * r0:
                 break
-    return history, u
+        del t, r
+        u = np.empty((eng.n_points[0] + 1, eng.width), c.dtype)
+        u[::k] = c
+        return history, eng.relax(u, None, 0, RELAX_F)
 
 
 def _rho_from_history(history, n_exact) -> float:
@@ -418,7 +459,7 @@ def measure_rho(run: MgritRun, seeds: int = 1) -> RhoResult:
     best = None
     all_converged = True
     for i in range(seeds):
-        history, _ = iterate(run, engine=eng, seed=run.seed + i)
+        history = iterate(run, engine=eng, seed=run.seed + i)[0]
         rho = _rho_from_history(history, n_exact)
         converged = history[-1] <= run.tol * history[0]
         diverged = (not math.isfinite(history[-1])
@@ -441,15 +482,15 @@ def error_propagation_matrices(run: MgritRun):
     if run.path != "diagonal":
         raise ValueError("dense probing is diagonal-path only")
     eng = _Engine(run)
-    k = run.hierarchy.k
     nc = run.hierarchy.points(1)
     m = eng.width
     E = np.zeros((m, nc, nc), eng.dtype)
     for c in range(1, nc + 1):
-        u = eng.zeros(0)
-        u[c * k, :] = 1.0
-        u = eng.vcycle(u, None, 0)
-        E[:, :, c - 1] = u[k::k].T
+        x = eng.zeros(1)
+        x[c, :] = 1.0
+        t = eng.interval_step(x)
+        eng.cycle0(x, t, eng.c_residual(x, t))
+        E[:, :, c - 1] = x[1:].T
     return [E[j] for j in range(m)]
 
 

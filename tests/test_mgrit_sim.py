@@ -463,10 +463,12 @@ def _reference_iterate(run):
     return history, u
 
 
-def _assert_iterate_bit_identical(run):
-    history, u = iterate(run)
-    ref_history, ref_u = _reference_iterate(run)
-    assert len(history) > 3
+def _assert_iterate_bit_identical(run, min_cycles=3):
+    # a divergent run overflows; both routes must overflow alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        history, u = iterate(run)
+        ref_history, ref_u = _reference_iterate(run)
+    assert len(history) > min_cycles
     assert history == ref_history
     assert u.dtype == ref_u.dtype
     assert np.array_equal(u, ref_u)
@@ -497,6 +499,83 @@ def test_iterate_is_bit_identical_to_full_cycles_matrix(relax_kind, levels):
     hier = TimeHierarchy(32, 0.01, 2, levels, SDIRK33, BWE)
     _assert_iterate_bit_identical(MgritRun(
         hier, make_fd_diffusion(9), relax_kind, max_iters=10, path="matrix"))
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("levels", [2, 3])
+@pytest.mark.parametrize("k", [3, 4])
+def test_iterate_is_bit_identical_to_full_cycles_k(relax_kind, levels, k):
+    hier = TimeHierarchy(k ** 4, 0.5, k, levels, SDIRK33, BWE)
+    _assert_iterate_bit_identical(MgritRun(hier, spd(3.0, 20), relax_kind,
+                                           max_iters=30))
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_iterate_is_bit_identical_to_full_cycles_mixed_fine(relax_kind,
+                                                            levels):
+    # four different factors per interval: their order matters
+    spec = PropagatorSpec(((SDIRK22, 1.0), (SDIRK22, 1.0),
+                           (TRAP, 1.0), (TRAP, 1.0)))
+    hier = TimeHierarchy(128, 1.0, 4, levels, spec, SDIRK22)
+    _assert_iterate_bit_identical(MgritRun(hier, spd(6.0, 20), relax_kind,
+                                           max_iters=30))
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+def test_iterate_is_bit_identical_to_full_cycles_exact_coarse(relax_kind):
+    # tol = 0 keeps the exact propagator's rounding-level cycles running
+    hier = TimeHierarchy(64, 0.5, 4, 2, SDIRK33, EXACT_COARSE)
+    _assert_iterate_bit_identical(MgritRun(hier, spd(3.0, 20), relax_kind,
+                                           tol=0.0, max_iters=6))
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_iterate_is_bit_identical_to_full_cycles_worst_mode(relax_kind,
+                                                            levels):
+    hier = TimeHierarchy(64, 1.0, 2, levels, SDIRK33, BWE)
+    _assert_iterate_bit_identical(MgritRun(
+        hier, spd(2.0, 30, include=[1.0]), relax_kind,
+        initial_error=("worst_mode", 1.0), max_iters=30))
+
+
+@pytest.mark.parametrize("relax_kind", ["FC", "FCF"])
+@pytest.mark.parametrize("ximax", [1.05, 3.0])
+def test_iterate_is_bit_identical_to_full_cycles_divergent(relax_kind,
+                                                           ximax):
+    # erk4/fwe is unstable on the top modes.  ximax 1.05: every value stays
+    # finite (FCF passes the 1e6 stop in one cycle); 3.0: FC grows to the
+    # 1e6 stop, FCF overflows in its first coarse solve
+    hier = TimeHierarchy(1024, 1.0, 2, 2, get_scheme("erk4"),
+                         get_scheme("fwe"))
+    run = MgritRun(hier, spd(ximax, 20), relax_kind, max_iters=40)
+    _assert_iterate_bit_identical(run, 1 if relax_kind == "FCF" else 3)
+
+
+def _full_grid_probe(run):
+    """`error_propagation_matrices` by the full-grid level-0 V-cycle: a unit
+    error at one C-point, every F-point zero, full pre-relaxation."""
+    eng = _Engine(run)
+    k, nc = eng.k, eng.n_points[1]
+    E = np.zeros((eng.width, nc, nc), eng.dtype)
+    for c in range(1, nc + 1):
+        u = eng.zeros(0)
+        u[c * k] = 1.0
+        E[:, :, c - 1] = eng.vcycle(u, None, 0)[k::k].T
+    return list(E)
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_probed_propagator_equals_full_grid_probe(relax_kind, levels):
+    hier = TimeHierarchy(64, 0.5, 2, levels, SDIRK33, BWE)
+    run = MgritRun(hier, spd(3.0, 8), relax_kind)
+    probed = error_propagation_matrices(run)
+    reference = _full_grid_probe(run)
+    assert len(probed) == len(reference) == 8
+    for E, ref in zip(probed, reference):
+        assert np.array_equal(E, ref)
 
 
 @pytest.mark.parametrize("fine", ["sdirk33", "bwe"])
