@@ -7,7 +7,8 @@ convergence over a spectrum is a sup over w of
     phi_F   = |mu - lam^k| / D,      phi_FCF = |lam^k| * phi_F,
 
 where D is either the plain 1 - |mu| ("simple") or the N_c-aware
-sqrt((1-|mu|)^2 + pi^2 |mu| / (C*Nc^2)) with C = 1 (lower) / C = 6 (upper).
+sqrt((1-|mu|)^2 + pi^2 |mu| / (C*Nc^2)) with C = 1 (lower) / C = 6 (upper);
+under FCF the tight kinds take Nc - 1 in place of Nc.
 A scalar weight theta rescales the coarse propagator (mu -> theta*mu); a
 scalar weight omega blends the correction with the identity.
 """
@@ -44,6 +45,7 @@ INFINITY = math.inf
 
 RELAX_F = "F"
 RELAX_FCF = "FCF"
+RELAXATIONS = (RELAX_F, RELAX_FCF)
 SIMPLE = "simple"
 LOWER_TIGHT = "lower_tight"
 UPPER_TIGHT = "upper_tight"
@@ -122,7 +124,7 @@ class BoundQuery:
             raise ValueError("coarsening factor k must be >= 2")
         if abs(self.fine.k - self.k) > 1e-9:
             raise ValueError("fine propagator fractions must sum to k")
-        if self.relaxation not in (RELAX_F, RELAX_FCF):
+        if self.relaxation not in RELAXATIONS:
             raise ValueError(f"unknown relaxation {self.relaxation!r}")
         if self.bound_kind not in (SIMPLE, LOWER_TIGHT, UPPER_TIGHT):
             raise ValueError(f"unknown bound kind {self.bound_kind!r}")
@@ -135,8 +137,11 @@ class BoundQuery:
         if not 0.0 < self.omega <= 2.0 - 1e-15:
             raise ValueError("omega must lie in (0, 2)")
         if self.bound_kind in (LOWER_TIGHT, UPPER_TIGHT):
-            if not (self.Nc == INFINITY or self.Nc >= 1):
-                raise ValueError("Nc must be >= 1 or INFINITY")
+            # FCF's propagator lives on Nc - 1 C-points (see bound_values)
+            least = 2 if self.relaxation == RELAX_FCF else 1
+            if not (self.Nc == INFINITY or self.Nc >= least):
+                raise ValueError(f"Nc must be >= {least} or INFINITY for "
+                                 f"{self.relaxation} tight bounds")
 
     def describe(self) -> str:
         fine = (self.fine.steps[0][0].name if self.fine.is_uniform
@@ -215,8 +220,11 @@ def bound_values(q: BoundQuery, w):
             phi = np.where(tiny, np.inf, phi)
     else:
         C = 1.0 if q.bound_kind == LOWER_TIGHT else 6.0
-        extra = (0.0 if q.Nc == INFINITY
-                 else (np.pi ** 2) * amu / (C * q.Nc ** 2))
+        # the FCF propagator is Toeplitz on Nc - 1 C-points: its first
+        # sub-diagonal is 0
+        nc = q.Nc - 1 if q.relaxation == RELAX_FCF else q.Nc
+        extra = (0.0 if nc == INFINITY
+                 else (np.pi ** 2) * amu / (C * nc ** 2))
         phi = num / np.sqrt(one_minus ** 2 + extra)
         phi = np.where(amu > 1.0 + _TIGHT_SLACK, np.inf, phi)
         phi = np.where(np.isnan(phi), np.inf, phi)

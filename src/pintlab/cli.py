@@ -15,8 +15,9 @@ import numpy as np
 
 from . import __version__, golden
 from ._csv import write_csv
-from .bounds import (INFINITY, SIMPLE, LOWER_TIGHT, UPPER_TIGHT, REAL_AXIS,
-                     IMAG_AXIS, BoundQuery, PropagatorSpec, max_over_k, sweep)
+from .bounds import (INFINITY, RELAXATIONS, SIMPLE, LOWER_TIGHT, UPPER_TIGHT,
+                     REAL_AXIS, IMAG_AXIS, BoundQuery, PropagatorSpec,
+                     max_over_k, sweep)
 from .butcher import get_scheme, scheme_names
 from .explicit_analysis import roots_to_csv, singularity_roots
 from .mgrit_sim import (EXACT_COARSE, MgritRun, TimeHierarchy, measure_rho,
@@ -28,6 +29,18 @@ __all__ = ["main"]
 
 class ConfigError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports a bad command line as a ConfigError: one line
+    and exit code 2, not a usage block and SystemExit."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+# --relax accepts each relaxation in lower and upper case
+_RELAX_CHOICES = [r.lower() for r in RELAXATIONS] + list(RELAXATIONS)
 
 
 def _parse_int_list(text: str):
@@ -140,23 +153,24 @@ def cmd_bounds(args) -> int:
     keys = ("fine", "coarse", "k", "relax", "kind", "nc", "axis", "theta",
             "omega", "wmin", "wmax", "n")
     header = _provenance(args, keys)
-    for k in ks:
-        for nc in ncs:
-            q = BoundQuery(PropagatorSpec.uniform(fine, k), coarse, k,
-                           args.relax.upper(), nc, kind,
-                           theta=args.theta, omega=args.omega, axis=axis)
-            curve = sweep(q, args.wmin, args.wmax, args.n)
-            nc_tag = "inf" if nc == INFINITY else f"{nc:g}"
-            name = (f"bounds_{_file_tag(args.fine)}_"
-                    f"{_file_tag(args.coarse)}_"
-                    f"{args.relax.lower()}_k{k}_nc{nc_tag}.csv")
-            path = _outpath(args, name)
-            with open(path, "w") as fh:
-                curve.to_csv(fh, header + [f"query: {q.describe()}"])
-            print(f"{path}: max_phi="
-                  f"{'unbounded' if curve.unbounded else f'{curve.max_phi:.6g}'}"
-                  f" argmax_w={curve.argmax_w:.6g}"
-                  f" threshold={curve.threshold:.6g}")
+    # every query is checked before the first curve is written
+    queries = [BoundQuery(PropagatorSpec.uniform(fine, k), coarse, k,
+                          args.relax.upper(), nc, kind,
+                          theta=args.theta, omega=args.omega, axis=axis)
+               for k in ks for nc in ncs]
+    for q in queries:
+        curve = sweep(q, args.wmin, args.wmax, args.n)
+        nc_tag = "inf" if q.Nc == INFINITY else f"{q.Nc:g}"
+        name = (f"bounds_{_file_tag(args.fine)}_"
+                f"{_file_tag(args.coarse)}_"
+                f"{args.relax.lower()}_k{q.k}_nc{nc_tag}.csv")
+        path = _outpath(args, name)
+        with open(path, "w") as fh:
+            curve.to_csv(fh, header + [f"query: {q.describe()}"])
+        print(f"{path}: max_phi="
+              f"{'unbounded' if curve.unbounded else f'{curve.max_phi:.6g}'}"
+              f" argmax_w={curve.argmax_w:.6g}"
+              f" threshold={curve.threshold:.6g}")
     return 0
 
 
@@ -418,7 +432,7 @@ def cmd_singularity(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="pintlab",
         description="Parareal/MGRIT two-grid convergence laboratory")
     p.add_argument("--version", action="version",
@@ -430,7 +444,7 @@ def _build_parser():
     b.add_argument("--fine", required=True, help=f"fine scheme ({names})")
     b.add_argument("--coarse", required=True, help="coarse scheme")
     b.add_argument("--k", default="2", help="coarsening factors, e.g. 2,4,8")
-    b.add_argument("--relax", default="f", choices=["f", "fcf", "F", "FCF"])
+    b.add_argument("--relax", default="f", choices=_RELAX_CHOICES)
     b.add_argument("--kind", choices=sorted(_BOUND_KINDS))
     b.add_argument("--nc", default="inf", help="coarse step counts, e.g. 16,inf")
     b.add_argument("--axis", default="real", choices=["real", "imag"])
@@ -455,8 +469,7 @@ def _build_parser():
     s.add_argument("--fine", required=True)
     s.add_argument("--coarse", required=True)
     s.add_argument("--k", default="2")
-    s.add_argument("--relax", default="f", choices=["f", "fc", "fcf",
-                                                    "F", "FC", "FCF"])
+    s.add_argument("--relax", default="f", choices=_RELAX_CHOICES)
     s.add_argument("--levels", default="2")
     s.add_argument("--nt", type=int, default=1024)
     s.add_argument("--ht", default="1.0")
@@ -487,8 +500,8 @@ def _build_parser():
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _apply_config_file(args, commands[args.command])
         return args.func(args)
     except (ConfigError, KeyError, ValueError, OSError) as exc:

@@ -12,9 +12,11 @@ float64 and steps with each scheme's dense one-step matrix.  Both paths
 share one coarsest-level solve, an in-place odd-even (cyclic) reduction
 that steps grids of at most 32 rows one row at a time.
 
-Level 0 has no right-hand side, and `iterate` keeps it on its C-points: an
-F-relaxed F-point is its C-point stepped forward, so the full grid is rebuilt
-by one F sweep at return.  Levels >= 1 carry the full grid and `g`.
+Every level runs its V-cycle on its C-points: an F-relaxed F-point is its
+C-point stepped forward with the right-hand side added on the way, so the
+F sweeps disappear from the cycle.  One F sweep rebuilds a full grid where
+one is needed: the coarse correction a level returns to the level above,
+and the state `iterate` returns.  F- and FCF-relaxation are supported.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csv import write_csv
-from .bounds import RELAX_F, RELAX_FCF, PropagatorSpec
+from .bounds import RELAX_F, RELAX_FCF, RELAXATIONS, PropagatorSpec
 from .butcher import ButcherTableau, stability_eval_batch
 from .model_problems import ModelProblem
 
@@ -45,8 +47,6 @@ __all__ = [
 ]
 
 EXACT_COARSE = "exact"
-
-RELAX_FC = "FC"
 
 
 class SolveError(RuntimeError):
@@ -119,7 +119,7 @@ class MgritRun:
     path: str = "diagonal"    # or "matrix"
 
     def __post_init__(self):
-        if self.relaxation not in (RELAX_F, RELAX_FC, RELAX_FCF):
+        if self.relaxation not in RELAXATIONS:
             raise ValueError(f"unknown relaxation {self.relaxation!r}")
         if self.theta_schedule is not None:
             object.__setattr__(self, "theta_schedule",
@@ -219,8 +219,8 @@ def _scan(u, a, theta=1.0, buf=None):
 class _Engine:
     """Per-level step factors plus the MGRIT cycle machinery.
 
-    Relaxation and residual are built from one primitive, `_advance`, which
-    steps a whole stride of points at once.
+    Every level runs its cycle on its C-points (`cycle`); an F sweep
+    (`f_sweep`) rebuilds a full grid only where one is returned.
     """
 
     def __init__(self, run: MgritRun):
@@ -262,30 +262,44 @@ class _Engine:
             out *= theta
         return out
 
-    def relax(self, u, g, level, kind, theta=1.0):
-        """Relax u in place; an F sweep runs strides 1..k-1, a C sweep k."""
+    def f_sweep(self, c, level, g=None, theta=1.0):
+        """The full grid of `level` whose C-points are c and whose F-points
+        are F-relaxed: u_j = theta a u_{j-1} + g_j, strides 1..k-1."""
         k = self.k
-        for sweep in kind:
-            for j in range(1, k) if sweep == "F" else (k,):
-                self._advance(u, level, j, theta, out=u[j::k])
-                if g is not None:
-                    u[j::k] += g[j::k]
-                if j == k:
-                    u[0] = 0.0 if g is None else g[0]
+        u = np.empty((self.n_points[level] + 1, self.width), c.dtype)
+        u[::k] = c
+        for j in range(1, k):
+            self._advance(u, level, j, theta, out=u[j::k])
+            if g is not None:
+                u[j::k] += g[j::k]
         return u
 
-    def residual(self, u, g, level, theta=1.0):
-        """Residual g - A u on the C-points, index 0 included.
+    def interval_step(self, c, level, g=None, theta=1.0, out=None):
+        """C-points 0..Nc-1 of `level` stepped across their coarse intervals
+        through the k factors in order, with each F-point's g added on the
+        way: the products the F sweep and the residual make.  Written into
+        `out` when given."""
+        k = self.k
+        x = c[:-1]
+        for j, op in enumerate(self.factors[level], 1):
+            x = _apply(op, x, out if j == 1 else x)
+            if level and theta != 1.0:
+                x *= theta
+            if g is not None and j < k:
+                x += g[j::k]
+        return x
+
+    def residual(self, c, t, g=None):
+        """Residual g - A u on the C-points c, index 0 included, with the
+        F-points F-relaxed and t = interval_step(c, ...).
 
         This is the coarse right-hand side.  F-relaxation zeroes the F-point
-        residual (exactly where g is 0), so after a cycle the C-point norm is
-        the full residual norm.
+        residual, so it is the full residual.
         """
-        k = self.k
-        r = np.empty_like(u[::k])
-        r[0] = -u[0] if g is None else g[0] - u[0]
-        self._advance(u, level, k, theta, out=r[1:])
-        r[1:] -= u[k::k] if g is None else u[k::k] - g[k::k]
+        r = np.empty_like(c)
+        r[0] = -c[0] if g is None else g[0] - c[0]
+        np.subtract(t, c[1:] if g is None else c[1:] - g[self.k::self.k],
+                    out=r[1:])
         return r
 
     def seq_solve(self, g, level, theta=1.0):
@@ -296,57 +310,36 @@ class _Engine:
         return _scan(g.copy(), self.factors[level][0], theta)
 
     def correction(self, g, level, theta=1.0):
-        """Coarse-grid error on `level` for right-hand side g: the exact
-        solve on the coarsest level, one V-cycle from zero above it."""
+        """Coarse-grid error on `level`'s full grid for right-hand side g:
+        the exact solve on the coarsest level, one cycle from zero above
+        it."""
         if level == self.levels - 1:
             return self.seq_solve(g, level, theta)
-        return self.vcycle(np.zeros_like(g), g, level, theta)
+        c = np.zeros_like(g[::self.k])
+        t = self.interval_step(c, level, g, theta)
+        r = self.residual(c, t, g) if self.run.relaxation == RELAX_F else None
+        self.cycle(c, t, r, level, g, theta)
+        return self.f_sweep(c, level, g, theta)
 
-    def vcycle(self, u, g, level, theta=1.0):
-        """One full-grid V-cycle: relax, coarse-grid correction, ideal
-        interpolation.  `iterate` runs level 0 by `cycle0` instead."""
-        u = self.relax(u, g, level, self.run.relaxation, theta)
-        u[::self.k] += self.correction(self.residual(u, g, level, theta),
-                                       level + 1, theta)
-        return self.relax(u, g, level, RELAX_F, theta)
-
-    # -- level 0 on its C-points ----------------------------------------------
-
-    def interval_step(self, c):
-        """Level-0 C-points 0..Nc-1 stepped across their coarse intervals by
-        the k fine factors in order, as the F sweep and the residual do."""
-        x = _apply(self.factors[0][0], c[:-1])
-        for op in self.factors[0][1:]:
-            x = _apply(op, x, x)
-        return x
-
-    @staticmethod
-    def c_residual(c, t):
-        """Level-0 residual on C-points c with F-relaxed F-points, given
-        t = interval_step(c)."""
-        r = np.empty_like(c)
-        r[0] = -c[0]
-        np.subtract(t, c[1:], out=r[1:])
-        return r
-
-    def cycle0(self, c, t, r, theta=1.0):
-        """One level-0 V-cycle on the C-points c, in place.
+    def cycle(self, c, t, r, level, g=None, theta=1.0):
+        """One V-cycle on the C-points c of `level`, in place.
 
         The F-points are implied F-relaxed from c, so the leading F sweep
-        has nothing to do; t = interval_step(c) and r = c_residual(c, t).
-        Returns t and r for the corrected c.
+        has nothing to do: t = interval_step(c, level, g, theta) and, under
+        F-relaxation, r = residual(c, t, g).  Under FCF the C sweep moves c
+        and its residual is taken afresh, so r is not read and t is
+        overwritten.
         """
-        kind = self.run.relaxation
-        if kind != RELAX_F:             # C sweep from the F-relaxed state
-            c[0] = 0.0
-            c[1:] = t
-            if kind == RELAX_FCF:
-                t = self.interval_step(c)
-            # under FC, t - t: 0 on every finite value (FC never corrects)
-            r = self.c_residual(c, t)
-        c += self.correction(r, 1, theta)
-        t = self.interval_step(c)
-        return t, self.c_residual(c, t)
+        if self.run.relaxation == RELAX_FCF:
+            c[0] = 0.0 if g is None else g[0]
+            if g is None:
+                c[1:] = t
+            else:
+                np.add(t, g[self.k::self.k], out=c[1:])
+            # reusing t keeps the live temporaries per level at c, t and r
+            t = self.interval_step(c, level, g, theta, out=t)
+            r = self.residual(c, t, g)
+        c += self.correction(r, level + 1, theta)
 
     # -- initial error ------------------------------------------------------
 
@@ -403,19 +396,22 @@ def iterate(run: MgritRun, u0=None, engine: _Engine | None = None,
     k = eng.k
     with np.errstate(over="ignore", invalid="ignore"):
         r_f = (eng._advance(u, 0, j, 1.0) - u[j::k] for j in range(1, k))
-        r0 = math.hypot(np.linalg.norm(eng.residual(u, None, 0)),
-                        *map(np.linalg.norm, r_f))
+        c_norm = np.linalg.norm(eng.residual(u[::k],
+                                             eng._advance(u, 0, k, 1.0)))
+        r0 = math.hypot(c_norm, *map(np.linalg.norm, r_f))
         history = [r0]
         if r0 == 0.0:
             return history, u
         c = u[::k].copy()
         del u
-        t = eng.interval_step(c)
-        r = eng.c_residual(c, t)
+        t = eng.interval_step(c, 0)
+        r = eng.residual(c, t)
         for it in range(run.max_iters):
             theta = (1.0 if run.theta_schedule is None
                      else run.theta_schedule[it % len(run.theta_schedule)])
-            t, r = eng.cycle0(c, t, r, theta)
+            eng.cycle(c, t, r, 0, theta=theta)
+            t = eng.interval_step(c, 0)
+            r = eng.residual(c, t)
             rn = float(np.linalg.norm(r))
             history.append(rn)
             if not math.isfinite(rn) or rn > 1e6 * r0:
@@ -423,9 +419,7 @@ def iterate(run: MgritRun, u0=None, engine: _Engine | None = None,
             if rn <= run.tol * r0:
                 break
         del t, r
-        u = np.empty((eng.n_points[0] + 1, eng.width), c.dtype)
-        u[::k] = c
-        return history, eng.relax(u, None, 0, RELAX_F)
+        return history, eng.f_sweep(c, 0)
 
 
 def _rho_from_history(history, n_exact) -> float:
@@ -455,7 +449,7 @@ def measure_rho(run: MgritRun, seeds: int = 1) -> RhoResult:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     eng = _Engine(run)
     nc1 = run.hierarchy.points(1)
-    n_exact = nc1 if run.relaxation in (RELAX_F, RELAX_FC) else (nc1 + 1) // 2
+    n_exact = nc1 if run.relaxation == RELAX_F else (nc1 + 1) // 2
     best = None
     all_converged = True
     for i in range(seeds):
@@ -488,8 +482,8 @@ def error_propagation_matrices(run: MgritRun):
     for c in range(1, nc + 1):
         x = eng.zeros(1)
         x[c, :] = 1.0
-        t = eng.interval_step(x)
-        eng.cycle0(x, t, eng.c_residual(x, t))
+        t = eng.interval_step(x, 0)
+        eng.cycle(x, t, eng.residual(x, t), 0)
         E[:, :, c - 1] = x[1:].T
     return [E[j] for j in range(m)]
 

@@ -136,6 +136,27 @@ def test_theta_validation():
 
 # --- invariants ------------------------------------------------------------
 
+@pytest.mark.parametrize("kind", ["lower_tight", "upper_tight"])
+def test_fcf_tight_bound_is_f_bound_at_nc_minus_1_times_lam_k(kind):
+    # the FCF propagator is Toeplitz on Nc - 1 C-points
+    w = np.geomspace(1e-3, 1e3, 40)
+    for fine, coarse, k in [(BWE, BWE, 2), (SDIRK33, BWE, 4)]:
+        fcf = bound_values(query(fine, coarse, k, "FCF", Nc=64.0,
+                                 bound_kind=kind), w)
+        f = bound_values(query(fine, coarse, k, Nc=63.0, bound_kind=kind), w)
+        lamk = np.array([abs(fine_interval_eigenvalue(
+            PropagatorSpec.uniform(fine, k), x)) for x in w])
+        np.testing.assert_allclose(fcf, lamk * f, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["lower_tight", "upper_tight"])
+def test_fcf_tight_bound_needs_two_coarse_points(kind):
+    with pytest.raises(ValueError, match="Nc must be >= 2"):
+        query(BWE, BWE, 2, "FCF", Nc=1.0, bound_kind=kind)
+    query(BWE, BWE, 2, "FCF", Nc=2.0, bound_kind=kind)
+    query(BWE, BWE, 2, "F", Nc=1.0, bound_kind=kind)
+    query(BWE, BWE, 2, "FCF", Nc=1.0)            # the simple kind has no Nc
+
 def test_sandwich_ordering():
     w = np.geomspace(1e-6, 1e6, 50)
     for fine, coarse, k in [(BWE, BWE, 2), (SDIRK33, BWE, 4),

@@ -400,3 +400,59 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "pintlab" in capsys.readouterr().out
+
+
+def test_help_flag_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--relax {f,fcf,F,FCF}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--fine", "bwe", "--coarse", "bwe", "--relax", "fc"],
+     "argument --relax: invalid choice: 'fc' (choose from 'f', 'fcf', 'F', "
+     "'FCF')"),
+    (["bounds", "--fine", "bwe", "--coarse", "bwe", "--relax", "FC"],
+     "argument --relax: invalid choice: 'FC' (choose from 'f', 'fcf', 'F', "
+     "'FCF')"),
+    (["simulate", "--fine", "bwe", "--coarse", "bwe", "--seeds", "abc"],
+     "argument --seeds: invalid int value: 'abc'"),
+    (["simulate", "--coarse", "bwe"],
+     "the following arguments are required: --fine"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+     "'bounds', 'table', 'simulate', 'singularity')"),
+], ids=["simulate_relax_fc", "bounds_relax_fc", "seeds_abc", "missing_fine",
+        "unknown_command"])
+def test_parse_error_is_one_line_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_config_relax_fc_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("relax = fc\n")
+    rc = main(["simulate", "--fine", "bwe", "--coarse", "bwe", "--nt", "64",
+               "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {cfg}:1: relax: invalid choice 'fc' "
+                            "(choose from 'f', 'fcf', 'F', 'FCF')\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["lower", "upper"])
+def test_bounds_fcf_tight_nc_below_2_exits_2(kind, tmp_path, capsys):
+    # the FCF propagator lives on Nc - 1 C-points; checked before any
+    # curve of the list is written
+    rc = main(["bounds", "--fine", "bwe", "--coarse", "bwe", "--relax", "fcf",
+               "--kind", kind, "--nc", "16,1", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: Nc must be >= 2 or INFINITY for FCF "
+                            "tight bounds\n")
+    assert not os.listdir(tmp_path)

@@ -66,13 +66,52 @@ def test_step_gauss4_matrix_path_unsupported():
     assert np.all(np.isfinite(out))
 
 
+# --- full-grid reference cycle -------------------------------------------------
+
+def _relax(eng, u, g, level, kind, theta=1.0):
+    """Relax the full grid u in place; an F sweep runs strides 1..k-1, a C
+    sweep k."""
+    k = eng.k
+    for sweep in kind:
+        for j in range(1, k) if sweep == "F" else (k,):
+            eng._advance(u, level, j, theta, out=u[j::k])
+            if g is not None:
+                u[j::k] += g[j::k]
+            if j == k:
+                u[0] = 0.0 if g is None else g[0]
+    return u
+
+
+def _residual(eng, u, g, level, theta=1.0):
+    """Residual g - A u of the full grid u on its C-points, index 0 included."""
+    k = eng.k
+    r = np.empty_like(u[::k])
+    r[0] = -u[0] if g is None else g[0] - u[0]
+    eng._advance(u, level, k, theta, out=r[1:])
+    r[1:] -= u[k::k] if g is None else u[k::k] - g[k::k]
+    return r
+
+
+def _vcycle(eng, u, g, level, theta=1.0):
+    """One full-grid V-cycle: relaxation, residual, coarsest solve or
+    recursion from zero, correction, closing F sweep."""
+    u = _relax(eng, u, g, level, eng.run.relaxation, theta)
+    gc = _residual(eng, u, g, level, theta)
+    if level + 1 == eng.levels - 1:
+        e = eng.seq_solve(gc, level + 1, theta)
+    else:
+        e = _vcycle(eng, np.zeros_like(gc), gc, level + 1, theta)
+    u[::eng.k] += e
+    return _relax(eng, u, g, level, "F", theta)
+
+
 # --- relaxation ---------------------------------------------------------------
 
 def test_f_relax_is_fixed_point_on_exact_solution():
     run = simple_run(N=32, k=4)
     # the exact homogeneous solution (zero) is untouched
     u = np.zeros((33, run.problem.n_modes), complex)
-    out = _Engine(run).relax(u.copy(), np.zeros_like(u), 0, run.relaxation)
+    out = _Engine(run).f_sweep(u[::4], 0, np.zeros_like(u))
     assert np.all(out == 0)
 
 
@@ -82,7 +121,7 @@ def test_f_relax_zeroes_f_point_residual():
     m = run.problem.n_modes
     u = rng.standard_normal((33, m)).astype(complex)
     rhs = rng.standard_normal((33, m)).astype(complex)
-    out = _Engine(run).relax(u.copy(), rhs, 0, run.relaxation)
+    out = _Engine(run).f_sweep(u[::4], 0, rhs)
     # full residual r_n = g_n - u_n + lam u_{n-1}, lam = 1/(1 + xi) for bwe
     lam = 1.0 / (1.0 + run.problem.eigenvalues)
     r = rhs - out
@@ -92,7 +131,7 @@ def test_f_relax_zeroes_f_point_residual():
     assert np.linalg.norm(r[f_mask]) <= 1e-12 * np.linalg.norm(rhs)
 
 
-@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 @pytest.mark.parametrize("levels", [2, 3])
 def test_vcycle_leaves_f_point_residual_exactly_zero(relax_kind, levels):
     # iterate's per-cycle norm is taken on the C-points only, which is the
@@ -101,14 +140,18 @@ def test_vcycle_leaves_f_point_residual_exactly_zero(relax_kind, levels):
     run = MgritRun(hier, spd(3.0, 20), relax_kind)
     eng = _Engine(run)
     g = eng.zeros(0)
-    u = eng.vcycle(eng.initial_state(0), g, 0)
+    c = eng.initial_state(0)[::4].copy()
+    t = eng.interval_step(c, 0, g)
+    eng.cycle(c, t, eng.residual(c, t, g), 0, g)
+    u = eng.f_sweep(c, 0, g)
     r = g - u
     r[1:] += step(SDIRK33, run.problem, 1.0, u[:-1])
     f_mask = np.ones(33, bool)
     f_mask[::4] = False
     assert np.all(r[f_mask] == 0)
     assert np.linalg.norm(r[~f_mask]) > 0
-    assert np.array_equal(eng.residual(u, g, 0), r[::4])
+    assert np.array_equal(eng.residual(c, eng.interval_step(c, 0, g), g),
+                          r[::4])
 
 
 def test_fcf_reduces_error_to_interval_propagated_form():
@@ -120,12 +163,15 @@ def test_fcf_reduces_error_to_interval_propagated_form():
     run = MgritRun(hier, problem, "FCF")
     rng = np.random.default_rng(5)
     u = rng.standard_normal((N + 1, problem.n_modes)).astype(complex)
-    out = _Engine(run).relax(u.copy(), np.zeros_like(u), 0, run.relaxation)
+    eng = _Engine(run)
+    out = _relax(eng, u.copy(), np.zeros_like(u), 0, run.relaxation)
     lam = 1.0 / (1.0 + problem.eigenvalues)
     for c in range(N // k):
         for j in range(1, k):
             assert np.allclose(out[c * k + j], lam ** j * out[c * k],
                                rtol=1e-12, atol=1e-14)
+    # so the C-points carry the whole state, as the engine's cycle assumes
+    assert np.array_equal(eng.f_sweep(out[::k], 0), out)
 
 
 # --- V-cycle ------------------------------------------------------------------
@@ -212,7 +258,7 @@ def test_rho_bwe_table_cell():
     assert res.rho == pytest.approx(0.12, abs=0.02)
 
 
-@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 @pytest.mark.parametrize("levels", [2, 3])
 def test_diagonal_and_matrix_histories_agree(relax_kind, levels):
     problem = make_fd_diffusion(9)
@@ -383,10 +429,9 @@ def test_mixed_fine_propagator_steps():
     problem = ModelProblem("diagonal_spd", [2.0])
     hier = TimeHierarchy(8, 1.0, 4, 2, spec, SDIRK22)
     run = MgritRun(hier, problem, "F")
-    u = np.zeros((9, 1), complex)
-    u[0] = 0.0
-    u[4] = 1.0
-    out = _Engine(run).relax(u.copy(), np.zeros_like(u), 0, run.relaxation)
+    c = np.zeros((3, 1), complex)
+    c[1] = 1.0
+    out = _Engine(run).f_sweep(c, 0)
     f1 = stability_eval(SDIRK22, 2.0)
     f3 = stability_eval(TRAP, 2.0)
     assert out[5, 0] == pytest.approx(f1)
@@ -409,24 +454,12 @@ def test_mixed_fine_propagator_rescues_large_modes():
     assert res.rho <= bound + 0.02
 
 
-def test_fc_relaxation_composes_f_then_c():
-    run_fc = simple_run(N=16, k=4, ximax=2.0, relax_kind="FC")
-    run_f = simple_run(N=16, k=4, ximax=2.0, relax_kind="F")
-    rng = np.random.default_rng(9)
-    m = run_fc.problem.n_modes
-    u = rng.standard_normal((17, m)).astype(complex)
-    rhs = rng.standard_normal((17, m)).astype(complex)
-    fc = _Engine(run_fc).relax(u.copy(), rhs, 0, "FC")
-    f_only = _Engine(run_f).relax(u.copy(), rhs, 0, "F")
-    # C-points get the one-step update from the F-relaxed state
-    lam = 1.0 / (1.0 + run_fc.problem.eigenvalues)
-    expected = f_only.copy()
-    expected[4::4] = lam * f_only[3::4][:4] + rhs[4::4]
-    expected[0] = rhs[0]
-    assert np.allclose(fc, expected, rtol=1e-13, atol=1e-14)
+def test_mgrit_run_rejects_fc_relaxation():
+    with pytest.raises(ValueError, match="unknown relaxation 'FC'"):
+        simple_run(relax_kind="FC")
 
 
-# --- level-0 shortcuts against the full cycle --------------------------------
+# --- C-point cycles against the full-grid cycle -------------------------------
 
 def _reference_iterate(run):
     """`iterate` with every cycle in full on an explicit zero right-hand
@@ -434,29 +467,18 @@ def _reference_iterate(run):
     closing F sweep, then the history residual."""
     eng = _Engine(run)
     k = eng.k
-
-    def cycle(u, g, level, theta):
-        eng.relax(u, g, level, run.relaxation, theta)
-        gc = eng.residual(u, g, level, theta)
-        if level + 1 == eng.levels - 1:
-            e = eng.seq_solve(gc, level + 1, theta)
-        else:
-            e = cycle(np.zeros_like(gc), gc, level + 1, theta)
-        u[::k] += e
-        return eng.relax(u, g, level, "F", theta)
-
     u = eng.initial_state(run.seed)
     g = eng.zeros(0)
     r_f = [g[j::k] - u[j::k] + eng._advance(u, 0, j, 1.0)
            for j in range(1, k)]
-    r0 = math.hypot(np.linalg.norm(eng.residual(u, g, 0)),
+    r0 = math.hypot(np.linalg.norm(_residual(eng, u, g, 0)),
                     *map(np.linalg.norm, r_f))
     history = [r0]
     for it in range(run.max_iters):
         theta = (1.0 if run.theta_schedule is None
                  else run.theta_schedule[it % len(run.theta_schedule)])
-        u = cycle(u, g, 0, theta)
-        rn = float(np.linalg.norm(eng.residual(u, g, 0)))
+        u = _vcycle(eng, u, g, 0, theta)
+        rn = float(np.linalg.norm(_residual(eng, u, g, 0)))
         history.append(rn)
         if not math.isfinite(rn) or rn > 1e6 * r0 or rn <= run.tol * r0:
             break
@@ -474,7 +496,7 @@ def _assert_iterate_bit_identical(run, min_cycles=3):
     assert np.array_equal(u, ref_u)
 
 
-@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 @pytest.mark.parametrize("levels", [2, 3, 4])
 @pytest.mark.parametrize("spectrum", ["real", "skew"])
 def test_iterate_is_bit_identical_to_full_cycles(relax_kind, levels,
@@ -493,7 +515,7 @@ def test_iterate_is_bit_identical_to_full_cycles_theta(levels):
                                            (1.0, 0.0, 0.5), max_iters=30))
 
 
-@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 @pytest.mark.parametrize("levels", [2, 3])
 def test_iterate_is_bit_identical_to_full_cycles_matrix(relax_kind, levels):
     hier = TimeHierarchy(32, 0.01, 2, levels, SDIRK33, BWE)
@@ -501,7 +523,7 @@ def test_iterate_is_bit_identical_to_full_cycles_matrix(relax_kind, levels):
         hier, make_fd_diffusion(9), relax_kind, max_iters=10, path="matrix"))
 
 
-@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 @pytest.mark.parametrize("levels", [2, 3])
 @pytest.mark.parametrize("k", [3, 4])
 def test_iterate_is_bit_identical_to_full_cycles_k(relax_kind, levels, k):
@@ -510,7 +532,7 @@ def test_iterate_is_bit_identical_to_full_cycles_k(relax_kind, levels, k):
                                            max_iters=30))
 
 
-@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 @pytest.mark.parametrize("levels", [2, 3])
 def test_iterate_is_bit_identical_to_full_cycles_mixed_fine(relax_kind,
                                                             levels):
@@ -522,7 +544,7 @@ def test_iterate_is_bit_identical_to_full_cycles_mixed_fine(relax_kind,
                                            max_iters=30))
 
 
-@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 def test_iterate_is_bit_identical_to_full_cycles_exact_coarse(relax_kind):
     # tol = 0 keeps the exact propagator's rounding-level cycles running
     hier = TimeHierarchy(64, 0.5, 4, 2, SDIRK33, EXACT_COARSE)
@@ -530,7 +552,7 @@ def test_iterate_is_bit_identical_to_full_cycles_exact_coarse(relax_kind):
                                            tol=0.0, max_iters=6))
 
 
-@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 @pytest.mark.parametrize("levels", [2, 3])
 def test_iterate_is_bit_identical_to_full_cycles_worst_mode(relax_kind,
                                                             levels):
@@ -540,17 +562,32 @@ def test_iterate_is_bit_identical_to_full_cycles_worst_mode(relax_kind,
         initial_error=("worst_mode", 1.0), max_iters=30))
 
 
-@pytest.mark.parametrize("relax_kind", ["FC", "FCF"])
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 @pytest.mark.parametrize("ximax", [1.05, 3.0])
 def test_iterate_is_bit_identical_to_full_cycles_divergent(relax_kind,
                                                            ximax):
     # erk4/fwe is unstable on the top modes.  ximax 1.05: every value stays
-    # finite (FCF passes the 1e6 stop in one cycle); 3.0: FC grows to the
-    # 1e6 stop, FCF overflows in its first coarse solve
+    # finite and the first cycle passes the 1e6 stop; 3.0: the first cycle
+    # overflows
     hier = TimeHierarchy(1024, 1.0, 2, 2, get_scheme("erk4"),
                          get_scheme("fwe"))
     run = MgritRun(hier, spd(ximax, 20), relax_kind, max_iters=40)
-    _assert_iterate_bit_identical(run, 1 if relax_kind == "FCF" else 3)
+    _assert_iterate_bit_identical(run, 1)
+
+
+@pytest.mark.parametrize("relax_kind,theta", [("F", 1.0), ("F", 0.5),
+                                              ("FCF", 1.0)])
+@pytest.mark.parametrize("levels", [3, 4])
+def test_coarse_correction_is_bit_identical_to_full_grid_vcycle(
+        relax_kind, theta, levels):
+    # a nonzero right-hand side on every point, index 0 included
+    hier = TimeHierarchy(64, 0.5, 2, levels, SDIRK33, BWE)
+    eng = _Engine(MgritRun(hier, spd(3.0, 20), relax_kind))
+    g = np.random.default_rng(7).standard_normal((33, 20))
+    g_before = g.copy()
+    ref = _vcycle(eng, np.zeros_like(g), g_before, 1, theta)
+    assert np.array_equal(eng.correction(g, 1, theta), ref)
+    assert np.array_equal(g, g_before)
 
 
 def _full_grid_probe(run):
@@ -562,11 +599,11 @@ def _full_grid_probe(run):
     for c in range(1, nc + 1):
         u = eng.zeros(0)
         u[c * k] = 1.0
-        E[:, :, c - 1] = eng.vcycle(u, None, 0)[k::k].T
+        E[:, :, c - 1] = _vcycle(eng, u, None, 0)[k::k].T
     return list(E)
 
 
-@pytest.mark.parametrize("relax_kind", ["F", "FC", "FCF"])
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 @pytest.mark.parametrize("levels", [2, 3])
 def test_probed_propagator_equals_full_grid_probe(relax_kind, levels):
     hier = TimeHierarchy(64, 0.5, 2, levels, SDIRK33, BWE)
@@ -716,19 +753,16 @@ def _sandwich(nc, relax_kind, w, k=2):
 @pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 def test_closed_form_propagator_within_tight_sandwich(nc, relax_kind):
     # the paper's per-mode sandwich, far beyond the Nc = 32 of the dense
-    # probes; the modes include the bound's argmax near w = 1.  FCF's lower
-    # bound is the strict xfail below.
+    # probes; the modes include the bound's argmax near w = 1
     lo, nrm, hi = _sandwich(nc, relax_kind, np.array([0.3, 1.0, 3.0]))
     assert np.all(nrm <= hi), (nrm, hi)
-    if relax_kind == "F":
-        assert np.all(lo <= nrm), (lo, nrm)
+    assert np.all(lo <= nrm), (lo, nrm)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the FCF propagator is Toeplitz on Nc - 1 C-points; the lower tight "
-    "bound taken at Nc exceeds its norm by a relative 1e-5 at Nc = 64, "
-    "falling like Nc^-3"))
 @pytest.mark.parametrize("nc", [64, 256, 1024])
 def test_fcf_lower_tight_bound_below_closed_form_norm(nc):
+    # the FCF propagator is Toeplitz on Nc - 1 C-points, so the FCF bounds
+    # take Nc - 1; taken at Nc, the lower bound exceeded the norm by a
+    # relative 1.4e-5 at Nc = 64
     lo, nrm, _ = _sandwich(nc, "FCF", np.array([1.0]))
     assert lo[0] <= nrm[0], (lo, nrm)
