@@ -377,11 +377,9 @@ def cmd_simulate(args) -> int:
                               seed=args.seed, tol=args.tol,
                               max_iters=args.max_iters)
                      for lv in levels_list]
-    results = []
-    for run in runs:
-        k, ht, lv = run.hierarchy.k, run.hierarchy.h_t, run.hierarchy.levels
-        res = measure_rho(run, seeds=args.seeds)
-        results.append((k, ht, lv, res))
+    results = [(run.hierarchy.k, run.hierarchy.h_t, run.hierarchy.levels, res)
+               for run, res in zip(runs, measure_rho(runs, seeds=args.seeds))]
+    for k, ht, lv, res in results:
         print(f"k={k} ht={ht:g} levels={lv}: rho={res.rho:.4f} "
               f"converged={res.converged} iters={len(res.history) - 1}")
 

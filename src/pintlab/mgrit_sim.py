@@ -17,6 +17,13 @@ C-point stepped forward with the right-hand side added on the way, so the
 F sweeps disappear from the cycle.  One F sweep rebuilds a full grid where
 one is needed: the coarse correction a level returns to the level above,
 and the state `iterate` returns.  F- and FCF-relaxation are supported.
+
+Level 0 runs its cycles in two buffers that `iterate` allocates once, the
+interval products t and the residual r, and the coarsest level solves in
+place on the residual it is given.  `measure_rho` measures a list of runs
+seed by seed and draws each seed's initial error once for consecutive runs
+on the same grid, so a sweep over k draws once per seed; `iterate` reads
+that state without copying or writing it.
 """
 
 from __future__ import annotations
@@ -289,25 +296,31 @@ class _Engine:
                 x += g[j::k]
         return x
 
-    def residual(self, c, t, g=None):
+    def residual(self, c, t, g=None, out=None):
         """Residual g - A u on the C-points c, index 0 included, with the
-        F-points F-relaxed and t = interval_step(c, ...).
+        F-points F-relaxed and t = interval_step(c, ...).  Written into
+        `out` when given, which must not share memory with c, t or g.
 
         This is the coarse right-hand side.  F-relaxation zeroes the F-point
         residual, so it is the full residual.
         """
-        r = np.empty_like(c)
+        r = np.empty_like(c) if out is None else out
         r[0] = -c[0] if g is None else g[0] - c[0]
-        np.subtract(t, c[1:] if g is None else c[1:] - g[self.k::self.k],
-                    out=r[1:])
+        if g is None:
+            np.subtract(t, c[1:], out=r[1:])
+        else:
+            np.subtract(c[1:], g[self.k::self.k], out=r[1:])
+            np.subtract(t, r[1:], out=r[1:])
         return r
 
     def seq_solve(self, g, level, theta=1.0):
-        """Exact solve of u_n = theta a u_{n-1} + g_n (the coarsest level).
+        """Exact solve of u_n = theta a u_{n-1} + g_n (the coarsest level),
+        in place: returns g overwritten by u.
 
-        Every coarse step has the same factor a; see `_scan`.
+        Every coarse step has the same factor a; see `_scan`.  The
+        right-hand side is always a residual its caller never reads again.
         """
-        return _scan(g.copy(), self.factors[level][0], theta)
+        return _scan(g, self.factors[level][0], theta)
 
     def correction(self, g, level, theta=1.0):
         """Coarse-grid error on `level`'s full grid for right-hand side g:
@@ -327,8 +340,9 @@ class _Engine:
         The F-points are implied F-relaxed from c, so the leading F sweep
         has nothing to do: t = interval_step(c, level, g, theta) and, under
         F-relaxation, r = residual(c, t, g).  Under FCF the C sweep moves c
-        and its residual is taken afresh, so r is not read and t is
-        overwritten.
+        and its residual is taken afresh, so r is not read; t and r (when
+        given) are overwritten.  Either way r is consumed: the coarsest
+        solve may overwrite it.
         """
         if self.run.relaxation == RELAX_FCF:
             c[0] = 0.0 if g is None else g[0]
@@ -336,9 +350,9 @@ class _Engine:
                 c[1:] = t
             else:
                 np.add(t, g[self.k::self.k], out=c[1:])
-            # reusing t keeps the live temporaries per level at c, t and r
+            # reusing t and r keeps the live temporaries per level at c, t, r
             t = self.interval_step(c, level, g, theta, out=t)
-            r = self.residual(c, t, g)
+            r = self.residual(c, t, g, out=r)
         c += self.correction(r, level + 1, theta)
 
     # -- initial error ------------------------------------------------------
@@ -378,40 +392,47 @@ class RhoResult(NamedTuple):
     converged: bool
 
 
-def iterate(run: MgritRun, u0=None, engine: _Engine | None = None,
-            seed: int | None = None):
+def iterate(run: MgritRun, u0=None, engine: _Engine | None = None):
     """Drive V-cycles on the homogeneous problem; returns residual history.
 
-    Stops when the residual drops below tol * ||r0|| or grows past 1e6 * ||r0||
-    (divergence).  theta_schedule entries apply per iteration, cyclically.
+    Starts from u0 when given (read only, never written or returned) and
+    else from the run's seeded initial error.  Stops when the residual
+    drops below tol * ||r0|| or grows past 1e6 * ||r0|| (divergence).
+    theta_schedule entries apply per iteration, cyclically.
     """
     eng = engine if engine is not None else _Engine(run)
     if u0 is None:
-        u = eng.initial_state(run.seed if seed is None else seed)
+        u = eng.initial_state(run.seed)
     else:
-        u = np.array(u0, np.result_type(eng.dtype, np.asarray(u0)))
+        u = np.asarray(u0, np.result_type(eng.dtype, np.asarray(u0)))
     # the initial state is unrelaxed, so its residual is taken on every point;
     # an F sweep overwrites every F-point, so the cycles keep the C-points.
-    # A divergent run overflows; the history check below reports it.
+    # Every cycle writes its interval products into t and its residual into
+    # r.  A divergent run overflows; the history check below reports it.
     k = eng.k
+    r = np.empty(u[::k].shape, u.dtype)
+    t = np.empty_like(r[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        r_f = (eng._advance(u, 0, j, 1.0) - u[j::k] for j in range(1, k))
-        c_norm = np.linalg.norm(eng.residual(u[::k],
-                                             eng._advance(u, 0, k, 1.0)))
-        r0 = math.hypot(c_norm, *map(np.linalg.norm, r_f))
+        c_norm = np.linalg.norm(eng.residual(
+            u[::k], eng._advance(u, 0, k, 1.0, out=t), out=r))
+        f_norms = []
+        for j in range(1, k):
+            np.subtract(eng._advance(u, 0, j, 1.0, out=t), u[j::k], out=t)
+            f_norms.append(np.linalg.norm(t))
+        r0 = math.hypot(c_norm, *f_norms)
         history = [r0]
         if r0 == 0.0:
-            return history, u
+            return history, u.copy()
         c = u[::k].copy()
         del u
-        t = eng.interval_step(c, 0)
-        r = eng.residual(c, t)
+        eng.interval_step(c, 0, out=t)
+        eng.residual(c, t, out=r)
         for it in range(run.max_iters):
             theta = (1.0 if run.theta_schedule is None
                      else run.theta_schedule[it % len(run.theta_schedule)])
             eng.cycle(c, t, r, 0, theta=theta)
-            t = eng.interval_step(c, 0)
-            r = eng.residual(c, t)
+            eng.interval_step(c, 0, out=t)
+            eng.residual(c, t, out=r)
             rn = float(np.linalg.norm(r))
             history.append(rn)
             if not math.isfinite(rn) or rn > 1e6 * r0:
@@ -437,33 +458,47 @@ def _rho_from_history(history, n_exact) -> float:
     return max(ratios) if ratios else float("nan")
 
 
-def measure_rho(run: MgritRun, seeds: int = 1) -> RhoResult:
-    """Measured convergence factor: worst successive residual ratio.
+def measure_rho(runs, seeds: int = 1) -> list:
+    """Measured convergence factor of each run in `runs`: one RhoResult per
+    run, the worst successive residual ratio.
 
     Ratios start at iteration 2 and ratios within two iterations of the
     exactness point (N_c for F-relaxation, ceil(N_c/2) for FCF) are excluded.
-    With seeds > 1 the maximum rho over `seeds` random initial errors is
-    reported (worst-case factors need worst-case error components excited).
+    With seeds > 1 each run reports the maximum rho over the random initial
+    errors of seeds run.seed .. run.seed + seeds - 1 (worst-case factors need
+    worst-case error components excited).  The seeds are the outer loop: a
+    seed's initial error is drawn once and shared by consecutive runs whose
+    draw is the same (grid rows, width, dtype and seed), so a sweep over k on
+    one time grid draws once per seed.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-    eng = _Engine(run)
-    nc1 = run.hierarchy.points(1)
-    n_exact = nc1 if run.relaxation == RELAX_F else (nc1 + 1) // 2
-    best = None
-    all_converged = True
+    runs = list(runs)
+    engines = [_Engine(run) for run in runs]
+    best = [None] * len(runs)
+    all_converged = [True] * len(runs)
     for i in range(seeds):
-        history = iterate(run, engine=eng, seed=run.seed + i)[0]
-        rho = _rho_from_history(history, n_exact)
-        converged = history[-1] <= run.tol * history[0]
-        diverged = (not math.isfinite(history[-1])
-                    or history[-1] > 1e6 * history[0])
-        if diverged:
-            converged = False
-        all_converged = all_converged and converged
-        if best is None or (rho == rho and rho > best[0]):
-            best = (rho, tuple(history))
-    return RhoResult(best[0], best[1], all_converged)
+        drawn = u0 = None
+        for j, (run, eng) in enumerate(zip(runs, engines)):
+            draw = ((eng.n_points[0], eng.width, eng.dtype, run.seed + i)
+                    if run.initial_error == "random_seeded" else None)
+            if draw is None or draw != drawn:
+                u0 = eng.initial_state(run.seed + i)
+            drawn = draw
+            history = iterate(run, u0=u0, engine=eng)[0]
+            nc1 = run.hierarchy.points(1)
+            n_exact = nc1 if run.relaxation == RELAX_F else (nc1 + 1) // 2
+            rho = _rho_from_history(history, n_exact)
+            converged = history[-1] <= run.tol * history[0]
+            diverged = (not math.isfinite(history[-1])
+                        or history[-1] > 1e6 * history[0])
+            if diverged:
+                converged = False
+            all_converged[j] = all_converged[j] and converged
+            if best[j] is None or (rho == rho and rho > best[j][0]):
+                best[j] = (rho, tuple(history))
+    return [RhoResult(rho, history, converged)
+            for (rho, history), converged in zip(best, all_converged)]
 
 
 def error_propagation_matrices(run: MgritRun):

@@ -8,14 +8,19 @@ and the explicit schemes' singularity roots, and compare two such records.
 (so a record can be taken from any checkout) and writes, per case, the
 residual history, `rho`, `converged` and a checksum of the state `iterate`
 returns.  It also writes `singularity_roots` of fwe, erk2, erk3 and erk4 at
-k = 2..16 with w_max = 100: each root's w, multiplicity and flags.
+k = 2..16 with w_max = 100: each root's w, multiplicity and flags.  And it
+runs a few k sweeps through the CLI (`simulate --k 2,4,8 --seeds 3`) and
+writes each `run_sweep.csv` row's k, rho, converged and iteration count;
+the CLI call is the same on every checkout, whatever `measure_rho` takes.
 `compare` checks B against A:
 
 - the same cases, history lengths and `converged` flags;
 - every history value within |B - A| <= 1e-13 |A| + 1e-16 h0, where h0 is
   A's initial residual;
-- `rho` within |B - A| <= 1e-12 |A| + 1e-16, or the same non-finite value;
+- `rho` within |B - A| <= 1e-12 |A| + 1e-16, or the same non-finite value,
+  for the cases and the sweep rows alike;
 - the state norm within 1e-12 |A| + 1e-16 h0, or the same non-finite value;
+- the same sweep rows' k, `converged` and iteration counts;
 - the same singularity roots, compared with ==.
 
 The absolute terms match the history's: a run that converges in one cycle
@@ -27,10 +32,16 @@ It prints the worst case of each and exits 1 if any check fails.  This
 file is a script, not a test module: pytest does not collect it.
 """
 
+import contextlib
+import csv
 import hashlib
+import inspect
+import io
 import json
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -39,6 +50,19 @@ RHO_REL, RHO_ABS = 1e-12, 1e-16
 NORM_REL, NORM_ABS = 1e-12, 1e-16
 ROOT_SCHEMES = ("fwe", "erk2", "erk3", "erk4")
 ROOT_KS, ROOT_W_MAX = range(2, 17), 100.0
+SWEEPS = {  # name: simulate arguments besides --k 2,4,8 --seeds 3
+    "esdirk33/esdirk32 F ximax 6": ("--fine", "esdirk33", "--coarse",
+                                    "esdirk32", "--nt", "1920", "--ximax",
+                                    "6", "--relax", "f"),
+    "esdirk33/esdirk32 FCF ximax 6": ("--fine", "esdirk33", "--coarse",
+                                      "esdirk32", "--nt", "1920", "--ximax",
+                                      "6", "--relax", "fcf"),
+    "bwe/bwe F L=3 ximax 1.66": ("--fine", "bwe", "--coarse", "bwe", "--nt",
+                                 "2048", "--ximax", "1.66", "--levels", "3"),
+    "esdirk33/esdirk33 F ximax 1.5 (k=8 diverges)": (
+        "--fine", "esdirk33", "--coarse", "esdirk33", "--nt", "1920",
+        "--ximax", "1.5", "--relax", "f"),
+}
 
 
 def _cases():
@@ -102,9 +126,10 @@ def _cases():
             hier = TimeHierarchy(n, 1.0, 2, 2, s(fine), s(coarse))
             out.append((f"divergent {fine}/{coarse} N={n}",
                         MgritRun(hier, spd, "F", max_iters=30)))
-    # |mu| = 1.1 at the top mode: finite growth, stopped at 1e6 h0
-    hier = TimeHierarchy(1024, 1.0, 2, 2, s("erk4"), s("fwe"))
-    out.append(("divergent erk4/fwe mild N=1024",
+    # |mu| = 1.1 at the top mode over Nc = 32 coarse steps: the residual
+    # grows for 8 cycles before the 1e6 h0 stop
+    hier = TimeHierarchy(64, 1.0, 2, 2, s("erk4"), s("fwe"))
+    out.append(("divergent erk4/fwe mild N=64",
                 MgritRun(hier, make_spd_interval(1.05, 40), "F")))
     for relax in ("F", "FCF"):
         hier = TimeHierarchy(128, 1.0, 2, 2, s("sdirk33"), s("bwe"))
@@ -135,9 +160,31 @@ def _roots():
             for name in ROOT_SCHEMES for k in ROOT_KS}
 
 
+def _sweeps():
+    """[k, rho, converged, iters] per run_sweep.csv row of each sweep."""
+    from pintlab.cli import main
+    out = {}
+    for name, args in SWEEPS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["simulate", *args, "--k", "2,4,8", "--seeds", "3",
+                    "--out", tmp]
+            with contextlib.redirect_stdout(io.StringIO()):
+                if main(argv) != 0:
+                    raise RuntimeError(f"simulate failed: {argv}")
+            with open(os.path.join(tmp, "run_sweep.csv")) as fh:
+                rows = list(csv.DictReader(line for line in fh
+                                           if not line.startswith("#")))
+        out[name] = [[int(r["k"]), float(r["rho"]), r["converged"] == "true",
+                      int(r["iters"])] for r in rows]
+    return out
+
+
 def dump(path):
     from pintlab.mgrit_sim import (error_propagation_norm, iterate,
                                    measure_rho)
+    # measure_rho takes one run on older checkouts and a list of runs on
+    # newer ones
+    one_run = "run" in inspect.signature(measure_rho).parameters
     records = {}
     for name, case in _cases():
         if isinstance(case, tuple):
@@ -145,16 +192,19 @@ def dump(path):
             records[name] = {"history": [nrm], "rho": nrm, "converged": True,
                              "state": None}
             continue
-        res = measure_rho(case)
+        res = measure_rho(case) if one_run else measure_rho([case])[0]
         _, u = iterate(case)
         records[name] = {"history": [float(h) for h in res.history],
                          "rho": float(res.rho),
                          "converged": bool(res.converged),
                          "state": _checksum(u)}
     roots = _roots()
+    sweeps = _sweeps()
     with open(path, "w") as fh:
-        json.dump({"runs": records, "roots": roots}, fh, indent=1)
-    print(f"wrote {len(records)} runs and {len(roots)} root sets to {path}")
+        json.dump({"runs": records, "roots": roots, "sweeps": sweeps}, fh,
+                  indent=1)
+    print(f"wrote {len(records)} runs, {len(roots)} root sets and "
+          f"{len(sweeps)} CLI sweeps to {path}")
 
 
 def _ratio(a, b, rel, floor):
@@ -170,11 +220,12 @@ def _ratio(a, b, rel, floor):
 def _load(path):
     with open(path) as fh:
         record = json.load(fh)
-    return record["runs"], record["roots"]
+    return record["runs"], record["roots"], record["sweeps"]
 
 
 def compare(path_a, path_b):
-    (A, roots_a), (B, roots_b) = map(_load, (path_a, path_b))
+    (A, roots_a, sweeps_a), (B, roots_b, sweeps_b) = map(_load,
+                                                          (path_a, path_b))
     failures = []
     if A.keys() != B.keys():
         failures.append(f"case sets differ: {sorted(A.keys() ^ B.keys())}")
@@ -212,6 +263,18 @@ def compare(path_a, path_b):
                                 f" -> {b['state']['norm']!r}")
             states += 1
             same_bytes += a["state"]["sha256"] == b["state"]["sha256"]
+    for name in sorted(sweeps_a.keys() | sweeps_b.keys()):
+        rows_a, rows_b = sweeps_a.get(name, []), sweeps_b.get(name, [])
+        if len(rows_a) != len(rows_b):
+            failures.append(f"sweep {name}: {len(rows_a)} -> {len(rows_b)} "
+                            "rows")
+            continue
+        for (k, rho_a, *rest_a), (_, rho_b, *rest_b) in zip(rows_a, rows_b):
+            r = _ratio(rho_a, rho_b, RHO_REL, RHO_ABS)
+            note("rho", r, f"sweep {name} k={k}")
+            if r > 1.0 or rest_a != rest_b:
+                failures.append(f"sweep {name} k={k}: {[rho_a, *rest_a]} "
+                                f"-> {[rho_b, *rest_b]}")
     for name in sorted(roots_a.keys() | roots_b.keys()):
         if roots_a.get(name) != roots_b.get(name):
             failures.append(f"roots {name}: {roots_a.get(name)} -> "
@@ -221,6 +284,8 @@ def compare(path_a, path_b):
     print(f"{len(A)} runs, {same_bytes} of {states} returned states "
           "bit-identical")
     print(f"{len(roots_a)} root sets, compared with ==")
+    print(f"{sum(map(len, sweeps_a.values()))} CLI sweep rows in "
+          f"{len(sweeps_a)} sweeps")
     for line in failures:
         print(f"FAIL {line}")
     print("PASS" if not failures else f"{len(failures)} failure(s)")

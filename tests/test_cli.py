@@ -325,6 +325,25 @@ def test_simulate_bad_run_setting_exits_2(key, value, message, source,
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_zero_seeds_exits_2_before_any_run(monkeypatch, tmp_path,
+                                                   capsys):
+    from pintlab import mgrit_sim
+    started = []
+    monkeypatch.setattr(mgrit_sim, "iterate",
+                        lambda *a, **kw: started.append(a))
+    monkeypatch.setattr(mgrit_sim._Engine, "initial_state",
+                        lambda *a: started.append(a))
+    rc = main(["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2,4",
+               "--nt", "64", "--nmodes", "4", "--seeds", "0",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert started == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seeds must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("key,value,message", [
     ("ht", "inf", "h_t must be finite and positive, got inf"),

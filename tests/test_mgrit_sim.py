@@ -239,7 +239,7 @@ def test_measured_rho_within_bound_containment():
     problem = spd(1.66, 80, include=[1.0])
     hier = TimeHierarchy(N, 1.0, k, 2, BWE, BWE)
     run = MgritRun(hier, problem, "F")
-    res = measure_rho(run, seeds=5)
+    res, = measure_rho([run], seeds=5)
     w = np.abs(problem.eigenvalues)
     lo = spectrum_max(BoundQuery(PropagatorSpec.uniform(BWE, k), BWE, k, "F",
                                  Nc=float(N // k),
@@ -254,7 +254,7 @@ def test_measured_rho_within_bound_containment():
 def test_rho_bwe_table_cell():
     problem = spd(1.66, 100, include=[1.0])
     hier = TimeHierarchy(512, 1.0, 2, 2, BWE, BWE)
-    res = measure_rho(MgritRun(hier, problem, "F"), seeds=3)
+    res, = measure_rho([MgritRun(hier, problem, "F")], seeds=3)
     assert res.rho == pytest.approx(0.12, abs=0.02)
 
 
@@ -326,12 +326,13 @@ def test_seq_solve_equals_reference_recurrence(theta, problem):
     u = eng.seq_solve(g, 1, theta)
     # u_n = theta * mu u_{n-1} + g_n in complex arithmetic, one row at a time
     mu = stability_eval_batch(BWE, hier.dt(1) * problem.eigenvalues)
-    ref = g.astype(complex)
+    ref = g_before.astype(complex)
     for n in range(1, 13):
-        ref[n] = theta * (mu * ref[n - 1]) + g[n]
+        ref[n] = theta * (mu * ref[n - 1]) + g_before[n]
     assert u.dtype == g.dtype
     assert np.array_equal(u, ref)
-    assert np.array_equal(g, g_before)
+    # the solve runs in place on its right-hand side
+    assert u is g
 
 
 def test_theta_schedule_pair_equals_one_fcf_cycle():
@@ -362,7 +363,7 @@ def test_divergence_flagged():
     # trapezoid pair beyond its convergence window
     problem = spd(12.0, 60)
     hier = TimeHierarchy(256, 1.0, 2, 2, TRAP, TRAP)
-    res = measure_rho(MgritRun(hier, problem, "F"), seeds=1)
+    res, = measure_rho([MgritRun(hier, problem, "F")], seeds=1)
     assert not res.converged
     assert res.rho > 1.0
 
@@ -375,14 +376,14 @@ def test_divergent_run_overflows_without_warnings():
                          get_scheme("fwe"))
     history, _ = iterate(MgritRun(hier, spd(3.0, 20), "F"))
     assert history[-1] == math.inf
-    assert measure_rho(MgritRun(hier, spd(3.0, 20), "F")).rho == math.inf
+    assert measure_rho([MgritRun(hier, spd(3.0, 20), "F")])[0].rho == math.inf
 
 
 def test_worst_mode_seeding():
     problem = spd(2.0, 30, include=[1.0])
     hier = TimeHierarchy(64, 1.0, 2, 2, BWE, BWE)
     run = MgritRun(hier, problem, "F", initial_error=("worst_mode", 1.0))
-    res = measure_rho(run)
+    res, = measure_rho([run])
     # only the w=1 mode is excited; its asymptotic factor is the pointwise
     # bound at the argmax, 1/8
     q = BoundQuery(PropagatorSpec.uniform(BWE, 2), BWE, 2, "F")
@@ -392,7 +393,7 @@ def test_worst_mode_seeding():
 def test_multilevel_vcycle_converges():
     hier = TimeHierarchy(64, 1.0, 2, 4, BWE, BWE)
     run = MgritRun(hier, spd(1.66, 24), "FCF", max_iters=60)
-    res = measure_rho(run)
+    res, = measure_rho([run])
     assert res.converged
     assert res.rho < 0.2
 
@@ -447,7 +448,7 @@ def test_mixed_fine_propagator_rescues_large_modes():
                            (TRAP, 1.0), (TRAP, 1.0)))
     problem = make_spd_interval(40.0, 40)
     hier = TimeHierarchy(128, 1.0, 4, 2, spec, SDIRK22)
-    res = measure_rho(MgritRun(hier, problem, "FCF"), seeds=2)
+    res, = measure_rho([MgritRun(hier, problem, "FCF")], seeds=2)
     q = BoundQuery(spec, SDIRK22, 4, "FCF")
     bound = smax(q, problem.eigenvalues.real)
     assert res.converged
@@ -642,7 +643,89 @@ def test_error_propagator_is_closed_form_toeplitz(fine, k, relax_kind):
 @pytest.mark.parametrize("seeds", [0, -3])
 def test_measure_rho_rejects_fewer_than_one_seed(seeds):
     with pytest.raises(ValueError, match="seeds must be >= 1"):
-        measure_rho(simple_run(N=16), seeds=seeds)
+        measure_rho([simple_run(N=16)], seeds=seeds)
+
+
+# --- several runs in one measure_rho call -------------------------------------
+
+def _k_sweep(relax_kind, path):
+    """Runs at k = 2, 4, 8 on one time grid and one problem."""
+    problem, h_t = ((make_fd_diffusion(9), 0.002) if path == "matrix"
+                    else (spd(3.0, 20), 0.5))
+    return [MgritRun(TimeHierarchy(64, h_t, k, 2, SDIRK33, BWE), problem,
+                     relax_kind, path=path)
+            for k in (2, 4, 8)]
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
+@pytest.mark.parametrize("path", ["diagonal", "matrix"])
+def test_measure_rho_of_several_runs_equals_each_run_alone(relax_kind, path):
+    runs = _k_sweep(relax_kind, path)
+    together = measure_rho(runs, seeds=3)
+    assert len(together) == 3
+    for run, res in zip(runs, together):
+        alone, = measure_rho([run], seeds=3)
+        assert res.rho == alone.rho
+        assert res.history == alone.history
+        assert res.converged == alone.converged
+
+
+def test_measure_rho_draws_each_seed_once_per_grid(monkeypatch):
+    draws = []
+    initial_state = _Engine.initial_state
+
+    def counted(eng, seed):
+        draws.append((eng.n_points[0], eng.width, eng.dtype, seed))
+        return initial_state(eng, seed)
+
+    monkeypatch.setattr(_Engine, "initial_state", counted)
+    real, skew = spd(3.0, 20), make_skew_advection(16, 1.0)
+
+    def run(N, k, problem, relax_kind="F", **kw):
+        hier = TimeHierarchy(N, 0.5, k, 2, SDIRK33, BWE)
+        return MgritRun(hier, problem, relax_kind, **kw)
+
+    runs = [run(64, 2, real), run(64, 4, real, "FCF"), run(64, 8, real),
+            run(128, 2, real),               # more rows
+            run(128, 4, skew),               # complex, another width
+            run(128, 8, real, seed=7)]       # another seed
+    results = measure_rho(runs, seeds=3)
+    grids = {(64, 20, float, 0), (128, 20, float, 0), (128, 16, complex, 0),
+             (128, 20, float, 7)}
+    expected = {(n, w, d, s + i) for n, w, d, s in grids for i in range(3)}
+    assert len(draws) == len(expected) and set(draws) == expected
+    # runs measured alone draw once per seed each, and agree
+    draws.clear()
+    assert results == [measure_rho([r], seeds=3)[0] for r in runs]
+    assert len(draws) == 3 * len(runs)
+
+
+def test_measure_rho_worst_mode_runs_draw_their_own_state():
+    problem = spd(2.0, 30, include=[1.0])
+    hier = TimeHierarchy(64, 1.0, 2, 2, BWE, BWE)
+    worst = MgritRun(hier, problem, "F", initial_error=("worst_mode", 1.0))
+    seeded = MgritRun(hier, problem, "F")
+    results = measure_rho([seeded, worst, seeded], seeds=2)
+    assert results == [measure_rho([r], seeds=2)[0]
+                       for r in (seeded, worst, seeded)]
+    assert results[0] == results[2] != results[1]
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
+def test_iterate_reads_u0_without_writing_or_returning_it(zero):
+    # a real u0 on a real spectrum needs no conversion, so iterate works on
+    # the caller's array itself
+    run = simple_run(N=32, k=4, ximax=3.0, max_iters=4)
+    u0 = np.random.default_rng(8).standard_normal((33, run.problem.n_modes))
+    if zero:
+        u0[:] = 0.0
+    before = u0.copy()
+    history, u = iterate(run, u0=u0)
+    assert (history == [0.0]) == zero
+    assert np.array_equal(u0, before)
+    assert not np.shares_memory(u, u0)
+    if zero:
+        assert np.array_equal(u, u0)
 
 
 # --- the coarsest solve's odd-even reduction ----------------------------------
@@ -668,13 +751,13 @@ def test_seq_solve_reduction_matches_extended_recurrence(rows, theta, coarse,
     # u_n = theta * mu u_{n-1} + g_n in extended precision, row by row
     mu = stability_eval_batch(coarse, hier.dt(1) * problem.eigenvalues)
     mu = theta * mu.astype(np.clongdouble)
-    ref = g.astype(np.clongdouble)
+    ref = g_before.astype(np.clongdouble)
     for n in range(1, rows):
-        ref[n] = mu * ref[n - 1] + g[n]
+        ref[n] = mu * ref[n - 1] + g_before[n]
     assert u.dtype == g.dtype
     scale = np.max(np.abs(ref), axis=1, keepdims=True)
     assert np.all(np.abs(u - ref) <= 1e-13 * scale)
-    assert np.array_equal(g, g_before)
+    assert u is g
 
 
 @pytest.mark.parametrize("rows", [33, 64, 1025])
@@ -689,12 +772,12 @@ def test_seq_solve_reduction_matrix_path(rows, theta):
     # the rows of eye @ S^T are the step of each unit state
     st = step(SDIRK22, problem, hier.dt(1), np.eye(9), path="matrix")
     st = theta * st.astype(np.longdouble)
-    ref = g.astype(np.longdouble)
+    ref = g_before.astype(np.longdouble)
     for n in range(1, rows):
-        ref[n] = ref[n - 1] @ st + g[n]
+        ref[n] = ref[n - 1] @ st + g_before[n]
     scale = np.max(np.abs(ref), axis=1, keepdims=True)
     assert np.all(np.abs(u - ref) <= 1e-13 * scale)
-    assert np.array_equal(g, g_before)
+    assert u is g
 
 
 # --- closed-form two-level propagator across the reduction's cutoff ----------
