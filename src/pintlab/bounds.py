@@ -290,57 +290,48 @@ class BoundCurve:
         write_csv(fileobj, header_lines, ("w", "phi"), rows, footer)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# threshold multisection: interior points per round, and the log-w width
-# (relative width in w) at which the bracket counts as found
-_SECTIONS = 64
+# multisection: log-spaced interior points per bracket and round, and the
+# log-w width at which a peak bracket, and a crossing bracket, is found
+_SECTIONS = 16
+_PEAK_TOL = 1e-4
 _CROSSING_TOL = 1e-13
 
 
-def _golden_refine(fun, w_lo, w_hi, rel_tol=1e-4):
-    """Golden-section maximization on log-w brackets, all run in lockstep.
+def _multisection(fun, w_lo, w_hi, peak):
+    """Shrink log-w brackets in lockstep by multisection.
 
-    Every bracket takes as many steps as the widest one needs, so each step
-    is one call of `fun`.  Returns every probed (w, phi) sample as two arrays.
+    Each round samples _SECTIONS log-spaced interior points of every bracket
+    in one call of `fun`.  A peak bracket keeps the two intervals around its
+    best sample; a crossing bracket, with fun(w_lo) < 1 <= fun(w_hi), keeps
+    the interval that ends at its first sample not below 1.  Returns the
+    final log-w brackets, shape (n, 2), and every probed w and phi.
     """
-    lo, hi = np.log(w_lo), np.log(w_hi)
-    probes_w, probes_v = [], []
-
-    def probe(x):
-        probes_w.append(np.exp(x))
-        probes_v.append(np.asarray(fun(probes_w[-1]), dtype=float))
-        return probes_v[-1]
-
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = np.split(probe(np.concatenate((x1, x2))), 2)
-    while np.max(hi - lo) > rel_tol:
-        up = f1 < f2
-        lo = np.where(up, x1, lo)
-        hi = np.where(up, hi, x2)
-        x = np.where(up, lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
-        v = probe(x)
-        x1, f1, x2, f2 = (np.where(up, x2, x), np.where(up, f2, v),
-                          np.where(up, x, x1), np.where(up, v, f1))
-    probe(0.5 * (lo + hi))
-    return np.concatenate(probes_w), np.concatenate(probes_v)
+    x = np.log(np.column_stack((w_lo, w_hi)))
+    tol = _PEAK_TOL if peak else _CROSSING_TOL
+    frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+    rows = np.arange(len(x))
+    probes_w, probes_v = [np.empty(0)], [np.empty(0)]
+    while np.max(x[:, 1] - x[:, 0]) > tol:
+        x = np.column_stack((x[:, 0], x[:, :1] + (x[:, 1:] - x[:, :1]) * frac,
+                             x[:, 1]))
+        w = np.exp(x[:, 1:-1])
+        v = np.asarray(fun(w.ravel()), dtype=float).reshape(w.shape)
+        probes_w.append(w.ravel())
+        probes_v.append(v.ravel())
+        if peak:
+            j = 1 + np.argmax(v, axis=1)
+            x = np.column_stack((x[rows, j - 1], x[rows, j + 1]))
+        else:
+            edge = np.ones((len(x), 1), dtype=bool)
+            j = np.argmin(np.hstack((edge, v < 1.0, ~edge)), axis=1)
+            x = np.column_stack((x[rows, j - 1], x[rows, j]))
+    return x, np.concatenate(probes_w), np.concatenate(probes_v)
 
 
 def _first_crossing(fun, w_lo, w_hi):
-    """First sampled up-crossing of 1 in a bracket, by multisection.
-
-    Needs fun(w_lo) < 1 <= fun(w_hi).  Each round samples _SECTIONS
-    log-spaced interior points in one call of `fun` and keeps the interval
-    around the first sample that is not below 1.
-    """
-    x = np.array([math.log(w_lo), math.log(w_hi)])
-    frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
-    while x[-1] - x[0] > _CROSSING_TOL:
-        x = np.concatenate(([x[0]], x[0] + (x[-1] - x[0]) * frac, [x[-1]]))
-        below = np.asarray(fun(np.exp(x[1:-1])), dtype=float) < 1.0
-        j = np.argmin(np.concatenate(([True], below, [False])))
-        x = x[j - 1:j + 1]
-    return math.exp(0.5 * (x[0] + x[1]))
+    """First sampled up-crossing of 1 in [w_lo, w_hi] (see _multisection)."""
+    x = _multisection(fun, [w_lo], [w_hi], peak=False)[0]
+    return math.exp(0.5 * (x[0, 0] + x[0, 1]))
 
 
 def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
@@ -348,7 +339,12 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
 
     `fun` maps an array of w magnitudes to bound values (inf allowed); every
     probe is one call on an array.  Refinement starts after the full base
-    pass.  Returns (samples, max_phi, argmax_w, threshold).
+    pass: the peak candidates and then the threshold's crossing bracket are
+    narrowed by the same multisection (_SECTIONS log-spaced points per
+    bracket and round).  argmax_w is the best sample of the first run of
+    samples within 1e-6 of the max, so equal humps report the first one and
+    a plateau its first sample.  Returns (samples, max_phi, argmax_w,
+    threshold).
     """
     if not (0.0 < w_min < w_max):
         raise ValueError("need 0 < w_min < w_max")
@@ -370,11 +366,12 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
     idx = idx[np.lexsort((-idx, -finite[idx]))][:64]
     w_all, phi_all = grid, phi
     if idx.size:
-        probes = _golden_refine(fun, grid[np.maximum(idx - 1, 0)],
-                                grid[np.minimum(idx + 1, n_base - 1)])
-        w_all = np.concatenate((grid, probes[0]))
+        _, probe_w, probe_phi = _multisection(
+            fun, grid[np.maximum(idx - 1, 0)],
+            grid[np.minimum(idx + 1, n_base - 1)], peak=True)
+        w_all = np.concatenate((grid, probe_w))
         order = np.argsort(w_all, kind="stable")
-        w_all, phi_all = w_all[order], np.concatenate((phi, probes[1]))[order]
+        w_all, phi_all = w_all[order], np.concatenate((phi, probe_phi))[order]
     arr = np.column_stack((w_all, phi_all))
 
     unbounded = bool(np.any(~np.isfinite(phi_all)) or np.any(phi_all > 1e6))
@@ -406,8 +403,11 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
         argmax_w = INFINITY if (end_bad or not len(bad)) \
             else float(w_all[bad[0]])
     else:
-        attained = np.where(phi_all >= max_phi * (1.0 - 1e-6))[0]
-        argmax_w = float(w_all[attained[0]])
+        # the best sample of the first run of samples within 1e-6 of the max
+        near = np.append(phi_all >= max_phi * (1.0 - 1e-6), False)
+        first = int(np.argmax(near))
+        last = first + int(np.argmin(near[first:]))
+        argmax_w = float(w_all[first + np.argmax(phi_all[first:last])])
 
     over = np.where(~(phi_all < 1.0))[0]  # inf counts as over
     if len(over) == 0:

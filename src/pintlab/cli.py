@@ -64,17 +64,6 @@ def _parse_float_list(text: str):
         raise ConfigError(f"bad float list {text!r}: {exc}") from None
 
 
-def _parse_nc_list(text: str):
-    out = []
-    for part in text.split(","):
-        part = part.strip().lower()
-        if part in ("inf", "infinity"):
-            out.append(INFINITY)
-        elif part:
-            out.append(float(part))
-    return out or [INFINITY]
-
-
 def _apply_config_file(args: argparse.Namespace,
                        parser: argparse.ArgumentParser) -> None:
     """key = value lines override flags; each value is parsed and checked
@@ -142,7 +131,7 @@ def cmd_bounds(args) -> int:
     fine = get_scheme(args.fine)
     coarse = get_scheme(args.coarse)
     ks = _parse_int_list(args.k)
-    ncs = _parse_nc_list(args.nc)
+    ncs = _parse_float_list(args.nc) or [INFINITY]
     axis = IMAG_AXIS if args.axis.startswith("imag") else REAL_AXIS
     if args.kind is None:
         # the simple bound has no well-defined small-w limit on the
@@ -355,23 +344,26 @@ def cmd_simulate(args) -> int:
     theta = (tuple(_parse_float_list(args.theta_schedule))
              if args.theta_schedule else None)
     inject_w = _parse_float_list(args.inject_w) if args.inject_w else []
+    if args.spectrum and inject_w:
+        raise ConfigError("--inject-w adds modes to the generated spectrum; "
+                          "it cannot be used with --spectrum")
 
     keys = ("fine", "coarse", "k", "relax", "levels", "nt", "ht", "ximax",
             "nmodes", "inject_w", "spectrum", "seed", "seeds", "tol",
             "max_iters", "theta_schedule")
     header = _provenance(args, keys)
 
+    spectrum = None
+    if args.spectrum:
+        with open(args.spectrum) as fh:
+            spectrum = eigenvalues_from_csv(fh)
     # every combination is checked before the first run starts
     runs = []
     for k in ks:
         for ht in hts:
-            if args.spectrum:
-                with open(args.spectrum) as fh:
-                    problem = eigenvalues_from_csv(fh)
-            else:
-                problem = make_spd_interval(
-                    args.ximax, args.nmodes,
-                    include=[w / ht for w in inject_w])
+            problem = spectrum if spectrum is not None else \
+                make_spd_interval(args.ximax, args.nmodes,
+                                  include=[w / ht for w in inject_w])
             runs += [MgritRun(TimeHierarchy(args.nt, ht, k, lv, fine, coarse),
                               problem, args.relax.upper(), theta,
                               seed=args.seed, tol=args.tol,

@@ -29,6 +29,7 @@ that state without copying or writing it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -144,6 +145,16 @@ class MgritRun:
             raise ValueError(f"unknown path {self.path!r}")
         if self.path == "matrix" and self.problem.matrix is None:
             raise ValueError("matrix path requires a matrix realization")
+        spec = self.initial_error
+        if isinstance(spec, tuple) and spec[:1] == ("worst_mode",):
+            if not (len(spec) == 2 and isinstance(spec[1], numbers.Real)
+                    and math.isfinite(spec[1])):
+                raise ValueError(f"malformed initial_error {spec!r}: expected "
+                                 "('worst_mode', finite w)")
+            if self.path != "diagonal":
+                raise ValueError("worst_mode seeding is diagonal-path only")
+        elif not (isinstance(spec, str) and spec == "random_seeded"):
+            raise ValueError(f"unknown initial_error {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +378,13 @@ class _Engine:
         # the time-zero value is the known initial condition, not an unknown;
         # error is seeded on t >= 1 (exactness counts assume this)
         u[0] = 0.0
-        spec = run.initial_error
-        if isinstance(spec, tuple) and spec and spec[0] == "worst_mode":
-            if run.path != "diagonal":
-                raise ValueError("worst_mode seeding is diagonal-path only")
-            w_star = float(spec[1])
+        if run.initial_error != "random_seeded":
+            w_star = float(run.initial_error[1])
             mags = np.abs(run.hierarchy.h_t * run.problem.eigenvalues)
             j = int(np.argmin(np.abs(mags - w_star)))
             mask = np.zeros(self.width)
             mask[j] = 1.0
             u *= mask
-        elif spec != "random_seeded":
-            raise ValueError(f"unknown initial_error {spec!r}")
         return u
 
 

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pintlab.bounds import (INFINITY, BoundQuery, PropagatorSpec,
+from pintlab.bounds import (_SECTIONS, INFINITY, BoundQuery, PropagatorSpec,
                             StabilityError, bound_values, coarse_eigenvalue,
                             fine_interval_eigenvalue, max_over_k,
                             pointwise_bound, spectrum_max, sweep,
@@ -346,8 +346,8 @@ def _bump(w, centre, height):
 def _counted_sweep(curve):
     """sweep_function on [1e-8, 1e8] plus the size of every call of `fun`.
 
-    The first refinement call probes two points per refined candidate, so
-    sizes[1] // 2 is the number of candidates.
+    The first refinement call probes _SECTIONS points per refined
+    candidate, so sizes[1] // _SECTIONS is the number of candidates.
     """
     sizes = []
 
@@ -362,16 +362,48 @@ def _counted_sweep(curve):
 def test_sweep_probes_whole_arrays():
     (_, max_phi, _, threshold), sizes = _counted_sweep(
         lambda w: _humps(w, 50, 0.8))
-    assert sizes[1] // 2 == 50
+    assert sizes[1] // _SECTIONS == 50
     assert len(sizes) <= 32, len(sizes)
     assert max_phi == pytest.approx(0.8, rel=1e-6)
     assert threshold == INFINITY
 
 
+def test_sweep_refines_one_peak_in_few_calls():
+    # the base pass, the multisection rounds down to log-width 1e-4 and the
+    # tail probe
+    (_, max_phi, _, _), sizes = _counted_sweep(lambda w: _bump(w, 0.0, 0.5))
+    assert len(sizes) <= 8, sizes
+    assert max_phi == pytest.approx(0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("relax", ["F", "FCF"])
+@pytest.mark.parametrize("k", [2, 4, 16])
+def test_sweep_argmax_matches_exact(k, relax):
+    # bwe/bwe on the real axis has one interior peak; its exact argmax is
+    # the root of dphi/dw (w = 1 for F and 1/3 for FCF at k = 2)
+    q = query(BWE, BWE, k, relax)
+    curve = sweep(q)
+
+    def phi(w):
+        lamk, mu = 1 / (1 + w) ** k, 1 / (1 + k * w)
+        out = (mu - lamk) / (1 - mu)
+        return lamk * out if relax == "FCF" else out
+
+    with mpmath.workdps(50):
+        exact = float(mpmath.findroot(
+            lambda w: mpmath.diff(phi, w),
+            (curve.argmax_w / 2, curve.argmax_w * 2), solver="illinois"))
+    if k == 2:
+        assert exact == pytest.approx(1.0 if relax == "F" else 1.0 / 3.0,
+                                      rel=1e-12)
+    assert abs(curve.argmax_w - exact) <= 1e-4 * exact, (curve.argmax_w,
+                                                         exact)
+
+
 def test_sweep_plateau_refines_once_from_its_start():
     (_, max_phi, argmax_w, _), sizes = _counted_sweep(
         lambda w: np.minimum(_bump(w, 0.0, 1.0), 0.5))
-    assert sizes[1] // 2 == 1
+    assert sizes[1] // _SECTIONS == 1
     assert max_phi == 0.5
     start = 10.0 ** (-0.5 * np.sqrt(np.log(2.0)))  # where the bump hits 0.5
     step = 1e16 ** (1.0 / 511)
@@ -383,16 +415,16 @@ def test_sweep_prunes_humps_below_three_tenths_of_peak():
     (_, ref_max, ref_arg, _), ref_sizes = _counted_sweep(main)
     (_, max_phi, argmax_w, _), sizes = _counted_sweep(
         lambda w: np.maximum(main(w), _bump(w, -4.0, 0.29)))
-    assert ref_sizes[1] // 2 == sizes[1] // 2 == 1
+    assert ref_sizes[1] // _SECTIONS == sizes[1] // _SECTIONS == 1
     assert (max_phi, argmax_w) == (ref_max, ref_arg)
     _, sizes = _counted_sweep(
         lambda w: np.maximum(main(w), _bump(w, -4.0, 0.31)))
-    assert sizes[1] // 2 == 2
+    assert sizes[1] // _SECTIONS == 2
 
 
 def test_sweep_caps_candidates_without_moving_max():
     (_, max_phi, _, _), sizes = _counted_sweep(lambda w: _humps(w, 80, 0.8))
-    assert sizes[1] // 2 == 64
+    assert sizes[1] // _SECTIONS == 64
     assert max_phi == pytest.approx(0.8, rel=1e-6)
 
 

@@ -413,6 +413,35 @@ def test_simulate_custom_spectrum_csv(tmp_path):
     assert "# converged = true" in read(tmp_path / "run_history.csv")
 
 
+def test_simulate_reads_spectrum_once(tmp_path, monkeypatch):
+    spec_csv = tmp_path / "eigs.csv"
+    spec_csv.write_text("re,im\n0.5,0.0\n1.0,0.0\n2.0,0.0\n")
+    reads = []
+    real = cli.eigenvalues_from_csv
+    monkeypatch.setattr(cli, "eigenvalues_from_csv",
+                        lambda fh: reads.append(1) or real(fh))
+    rc = main(["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2,4",
+               "--ht", "0.5,1", "--nt", "32", "--spectrum", str(spec_csv),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(reads) == 1
+
+
+def test_simulate_spectrum_with_inject_w_exits_2(tmp_path, capsys):
+    # --inject-w adds modes to the generated spectrum only
+    spec_csv = tmp_path / "eigs.csv"
+    spec_csv.write_text("re,im\n0.5,0.0\n1.0,0.0\n")
+    rc = main(["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2",
+               "--nt", "32", "--spectrum", str(spec_csv), "--inject-w", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --inject-w adds modes to the generated "
+                            "spectrum; it cannot be used with --spectrum\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_version_flag(capsys):
     import pytest as _pytest
     with _pytest.raises(SystemExit) as exc:
@@ -441,8 +470,10 @@ def test_help_flag_exits_0(capsys):
      "the following arguments are required: --fine"),
     (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
      "'bounds', 'table', 'simulate', 'singularity')"),
+    (["bounds", "--fine", "bwe", "--coarse", "bwe", "--nc", "abc"],
+     "bad float list 'abc': could not convert string to float: 'abc'"),
 ], ids=["simulate_relax_fc", "bounds_relax_fc", "seeds_abc", "missing_fine",
-        "unknown_command"])
+        "unknown_command", "nc_abc"])
 def test_parse_error_is_one_line_exit_2(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

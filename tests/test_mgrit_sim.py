@@ -711,6 +711,23 @@ def test_measure_rho_worst_mode_runs_draw_their_own_state():
     assert results[0] == results[2] != results[1]
 
 
+@pytest.mark.parametrize("spec, path, message", [
+    ("bogus", "diagonal", "unknown initial_error 'bogus'"),
+    (("worst_mode",), "diagonal", "malformed initial_error ('worst_mode',)"),
+    (("worst_mode", "1.0"), "diagonal", "malformed initial_error"),
+    (("worst_mode", math.inf), "diagonal", "malformed initial_error"),
+    (("worst_mode", 1.0, 2.0), "diagonal", "malformed initial_error"),
+    (("worst_mode", 1.0), "matrix", "worst_mode seeding is diagonal-path only"),
+], ids=["unknown", "no_w", "w_str", "w_inf", "extra", "matrix"])
+def test_bad_initial_error_fails_at_construction(spec, path, message):
+    # checked before any run of a measure_rho list starts
+    hier = TimeHierarchy(16, 1.0, 2, 2, BWE, BWE)
+    with pytest.raises(ValueError) as exc:
+        MgritRun(hier, make_fd_diffusion(9), "F", initial_error=spec,
+                 path=path)
+    assert str(exc.value).startswith(message)
+
+
 @pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
 def test_iterate_reads_u0_without_writing_or_returning_it(zero):
     # a real u0 on a real spectrum needs no conversion, so iterate works on
