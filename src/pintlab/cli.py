@@ -348,9 +348,11 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--inject-w adds modes to the generated spectrum; "
                           "it cannot be used with --spectrum")
 
-    keys = ("fine", "coarse", "k", "relax", "levels", "nt", "ht", "ximax",
-            "nmodes", "inject_w", "spectrum", "seed", "seeds", "tol",
-            "max_iters", "theta_schedule")
+    # a spectrum file replaces the generated spectrum and its settings
+    keys = ("fine", "coarse", "k", "relax", "levels", "nt", "ht", "inject_w",
+            "spectrum", "seed", "seeds", "tol", "max_iters", "theta_schedule")
+    if not args.spectrum:
+        keys += ("ximax", "nmodes")
     header = _provenance(args, keys)
 
     spectrum = None
@@ -495,7 +497,10 @@ def main(argv=None) -> int:
         _apply_config_file(args, commands[args.command])
         return args.func(args)
     except (ConfigError, KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = (exc.args[0] if isinstance(exc, KeyError) and exc.args
+                   else exc)
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -88,14 +88,19 @@ def singularity_roots(tab: ButcherTableau, k: int, w_max: float):
 
     p is the degree s*k polynomial (in w) whose zeros are exactly the w at
     which the coarse propagator reproduces an eigenvalue of the k-fold fine
-    propagator.  Roots are found by companion-matrix eigenvalues of the
-    deflated polynomial plus one Newton polish step; the origin root (always
+    propagator.  Roots are the companion-matrix eigenvalues of the deflated
+    polynomial, each polished by one Newton step on p (skipped where p'
+    vanishes); the whole root array is polished, filtered and classified at
+    once, with two stability evaluations in all.  The origin root (always
     present) is reported once with its multiplicity.  Roots lying in the
     doubly-stable region {w real > 0 : |lam(w)| < 1 and |mu(w)| < 1} are
-    flagged; purely imaginary stable roots are marked separately.
+    flagged; purely imaginary stable roots are marked separately.  w_max
+    must be positive (inf keeps every root).
     """
     if k < 2:
         raise ValueError(f"coarsening factor k must be >= 2, got {k}")
+    if not w_max > 0:
+        raise ValueError(f"w_max must be positive, got {w_max}")
     if not tab.explicit_flag:
         raise ValueError(f"{tab.name} is not explicit")
     if tab.order != tab.s or tab.s > 4:
@@ -113,28 +118,65 @@ def singularity_roots(tab: ButcherTableau, k: int, w_max: float):
 
     records = [RootRecord(0.0 + 0.0j, multiplicity=m0)]
     if len(q) > 1:
-        roots = np.roots(q[::-1])
-        dp = np.polynomial.polynomial.polyder(p)
-        for r in roots:
-            pr = np.polynomial.polynomial.polyval(r, p)
-            dpr = np.polynomial.polynomial.polyval(r, dp)
-            if dpr != 0:
-                r = r - pr / dpr
-            if abs(r) > w_max:
-                continue
-            records.append(_classify_root(tab, k, complex(r)))
+        w = _newton_step(p, np.roots(q[::-1]))
+        w = w[np.abs(w) <= w_max]
+        if w.size:
+            lam = np.abs(stability_eval_batch(tab, w))
+            mu = np.abs(stability_eval_batch(tab, k * w))
+            both = (lam < 1.0) & (mu < 1.0)
+            tol = 1e-9 * np.maximum(1.0, np.abs(w))
+            real = both & (np.abs(w.imag) <= tol) & (w.real > 1e-12)
+            imag = both & (np.abs(w.real) <= tol) & (np.abs(w.imag) > 1e-12)
+            records += [RootRecord(complex(r), 1, bool(a), bool(b))
+                        for r, a, b in zip(w, real, imag)]
     records.sort(key=lambda rec: (abs(rec.w), rec.w.real, rec.w.imag))
     return records
 
 
-def _classify_root(tab: ButcherTableau, k: int, r: complex) -> RootRecord:
-    tol = 1e-9 * max(1.0, abs(r))
-    lam = stability_eval_batch(tab, np.asarray([r], complex))[0]
-    mu = stability_eval_batch(tab, np.asarray([k * r], complex))[0]
-    both_stable = abs(lam) < 1.0 and abs(mu) < 1.0
-    real_stable = abs(r.imag) <= tol and r.real > 1e-12 and both_stable
-    imag_stable = (abs(r.real) <= tol and abs(r.imag) > 1e-12 and both_stable)
-    return RootRecord(r, 1, real_stable, imag_stable)
+def _newton_step(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w - p(w)/p'(w) for every w, left as w where p'(w) = 0.
+
+    p and p' run through one Horner pass with real and imaginary parts in
+    separate real arrays, and the quotient is Smith's: each root rounds as
+    it would through numpy's scalar complex arithmetic, whatever its place
+    in the array (the complex array loops fuse multiply-adds).  A real w,
+    which np.roots returns when every root is real, is divided in real
+    arithmetic, as a real scalar would be.
+    """
+    dp = np.polynomial.polynomial.polyder(p)
+    # v[part, poly, root]: real and imaginary parts of p and p' at each
+    # root; coefficients and w are tiled to v's shape, so every ufunc call
+    # of the loop runs on whole contiguous arrays
+    v = np.zeros((2, 2, len(w)))
+    coef = np.zeros((len(p),) + v.shape[1:])
+    coef[:, 0] = p[:, None]
+    coef[:-1, 1] = dp[:, None]
+    xr = np.broadcast_to(w.real, v.shape).copy()
+    xi = np.broadcast_to(w.imag, v.shape).copy()
+    re, im = v
+    re[...] = coef[-1]
+    re_xr, im_xr = v_xr = np.empty_like(v)
+    re_xi, im_xi = v_xi = np.empty_like(v)
+    for a in coef[-2::-1]:
+        np.multiply(v, xr, out=v_xr)
+        np.multiply(v, xi, out=v_xi)
+        np.subtract(re_xr, im_xi, out=re)
+        re += a
+        np.add(re_xi, im_xr, out=im)
+    (pr, dr), (pi, di) = re, im
+    w, step = w.copy(), (dr != 0) | (di != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if np.isrealobj(w):  # np.roots found real roots only
+            w[step] -= (pr / dr)[step]
+            return w
+        wide = np.abs(dr) >= np.abs(di)
+        rat = np.where(wide, di / dr, dr / di)
+        scl = 1.0 / np.where(wide, dr + di * rat, di + dr * rat)
+        qr = np.where(wide, pr + pi * rat, pr * rat + pi) * scl
+        qi = np.where(wide, pi - pr * rat, pi * rat - pr) * scl
+    w.real[step] -= qr[step]
+    w.imag[step] -= qi[step]
+    return w
 
 
 def roots_to_csv(records, fileobj, header_lines=()) -> None:

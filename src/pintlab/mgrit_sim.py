@@ -16,7 +16,8 @@ Every level runs its V-cycle on its C-points: an F-relaxed F-point is its
 C-point stepped forward with the right-hand side added on the way, so the
 F sweeps disappear from the cycle.  One F sweep rebuilds a full grid where
 one is needed: the coarse correction a level returns to the level above,
-and the state `iterate` returns.  F- and FCF-relaxation are supported.
+and the state `iterate` returns (`measure_rho`, which reads only the
+residual histories, skips it).  F- and FCF-relaxation are supported.
 
 Level 0 runs its cycles in two buffers that `iterate` allocates once, the
 interval products t and the residual r, and the coarsest level solves in
@@ -407,10 +408,19 @@ def iterate(run: MgritRun, u0=None, engine: _Engine | None = None):
     theta_schedule entries apply per iteration, cyclically.
     """
     eng = engine if engine is not None else _Engine(run)
-    if u0 is None:
-        u = eng.initial_state(run.seed)
-    else:
-        u = np.asarray(u0, np.result_type(eng.dtype, np.asarray(u0)))
+    history, c = _cycles(run, eng, u0 if u0 is not None
+                         else eng.initial_state(run.seed))
+    if history[0] == 0.0:
+        return history, c
+    with np.errstate(over="ignore", invalid="ignore"):
+        return history, eng.f_sweep(c, 0)
+
+
+def _cycles(run: MgritRun, eng: _Engine, u0):
+    """`iterate`'s residual history, and its final state: the full grid's
+    copy when r0 = 0, else the C-points only (no closing F sweep)."""
+    u = np.asarray(u0, np.result_type(eng.dtype, np.asarray(u0)))
+    del u0
     # the initial state is unrelaxed, so its residual is taken on every point;
     # an F sweep overwrites every F-point, so the cycles keep the C-points.
     # Every cycle writes its interval products into t and its residual into
@@ -445,8 +455,7 @@ def iterate(run: MgritRun, u0=None, engine: _Engine | None = None):
                 break
             if rn <= run.tol * r0:
                 break
-        del t, r
-        return history, eng.f_sweep(c, 0)
+        return history, c
 
 
 def _rho_from_history(history, n_exact) -> float:
@@ -491,7 +500,7 @@ def measure_rho(runs, seeds: int = 1) -> list:
             if draw is None or draw != drawn:
                 u0 = eng.initial_state(run.seed + i)
             drawn = draw
-            history = iterate(run, u0=u0, engine=eng)[0]
+            history = _cycles(run, eng, u0)[0]
             nc1 = run.hierarchy.points(1)
             n_exact = nc1 if run.relaxation == RELAX_F else (nc1 + 1) // 2
             rho = _rho_from_history(history, n_exact)

@@ -58,6 +58,19 @@ def test_bounds_unknown_scheme_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--fine", "nosuch", "--coarse", "bwe"],
+    ["bounds", "--fine", "bwe", "--coarse", "nosuch"],
+    ["singularity", "--scheme", "nosuch"],
+], ids=["simulate", "bounds", "singularity"])
+def test_unknown_scheme_is_one_line_exit_2(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown scheme 'nosuch'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k = 8\nn = 64\n")
@@ -413,6 +426,24 @@ def test_simulate_custom_spectrum_csv(tmp_path):
     assert "# converged = true" in read(tmp_path / "run_history.csv")
 
 
+def test_simulate_spectrum_provenance_omits_generated_spectrum(tmp_path):
+    # ximax and nmodes shape the generated spectrum only
+    spec_csv = tmp_path / "eigs.csv"
+    spec_csv.write_text("re,im\n0.5,0.0\n1.0,0.0\n")
+    argv = ["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2",
+            "--nt", "32", "--ximax", "50", "--nmodes", "7"]
+    assert main(argv + ["--spectrum", str(spec_csv),
+                        "--out", str(tmp_path / "file")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "generated")]) == 0
+    config = [line for line in read(tmp_path / "file" / "run_history.csv")
+              .splitlines() if line.startswith("# config:")]
+    assert len(config) == 1
+    assert "ximax" not in config[0] and "nmodes" not in config[0]
+    assert f"spectrum={spec_csv}" in config[0]
+    text = read(tmp_path / "generated" / "run_history.csv")
+    assert "nmodes=7 " in text and "ximax=50.0" in text
+
+
 def test_simulate_reads_spectrum_once(tmp_path, monkeypatch):
     spec_csv = tmp_path / "eigs.csv"
     spec_csv.write_text("re,im\n0.5,0.0\n1.0,0.0\n2.0,0.0\n")
@@ -472,8 +503,12 @@ def test_help_flag_exits_0(capsys):
      "'bounds', 'table', 'simulate', 'singularity')"),
     (["bounds", "--fine", "bwe", "--coarse", "bwe", "--nc", "abc"],
      "bad float list 'abc': could not convert string to float: 'abc'"),
+    (["singularity", "--scheme", "erk2", "--wmax", "nan"],
+     "w_max must be positive, got nan"),
+    (["singularity", "--scheme", "erk2", "--wmax", "-1"],
+     "w_max must be positive, got -1.0"),
 ], ids=["simulate_relax_fc", "bounds_relax_fc", "seeds_abc", "missing_fine",
-        "unknown_command", "nc_abc"])
+        "unknown_command", "nc_abc", "wmax_nan", "wmax_negative"])
 def test_parse_error_is_one_line_exit_2(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -8,9 +8,11 @@ import pytest
 from numpy.polynomial import polynomial as poly
 
 from mp_reference import mp_det_q, mp_stage_form
-from pintlab.butcher import ButcherTableau, get_scheme, scheme_names
+from pintlab import explicit_analysis
+from pintlab.butcher import (ButcherTableau, get_scheme, scheme_names,
+                             stability_eval)
 from pintlab.explicit_analysis import (NotTruncatedExponential,
-                                       check_taylor_optimality,
+                                       _newton_step, check_taylor_optimality,
                                        gap_polynomial, roots_to_csv,
                                        singularity_roots)
 
@@ -218,6 +220,124 @@ def test_erk4_k16_finds_every_root():
     assert len(got) == 59
     for w in got:
         assert min(abs(w - r) / abs(r) for r in ref) <= 1e-6, w
+
+
+@pytest.mark.parametrize("tab", [FWE, ERK2, ERK3, ERK4], ids=lambda t: t.name)
+def test_newton_step_equals_per_root_scalar_loop(tab):
+    # oracle: one Newton step per root on numpy scalars, the loop the array
+    # step replaces; the same arithmetic, so the same bits
+    for k in range(2, 41):
+        p = gap_polynomial(tab, k)
+        dp = poly.polyder(p)
+        roots = np.roots(p[tab.s + 1:][::-1])
+        expected = []
+        for r in roots:
+            pr, dpr = poly.polyval(r, p), poly.polyval(r, dp)
+            expected.append(r - pr / dpr if dpr != 0 else r)
+        got = _newton_step(p, roots)
+        assert got.dtype == roots.dtype
+        assert [(z.real, z.imag) for z in got] == \
+            [(z.real, z.imag) for z in expected], (tab.name, k)
+
+
+def test_newton_step_skips_roots_where_the_derivative_vanishes():
+    # p = (w - 1)^2 has p'(1) = 0: that root stays, the other moves
+    p = np.array([1.0, -2.0, 1.0])
+    got = _newton_step(p, np.array([1.0 + 0j, 2.0 + 0.5j]))
+    assert got[0] == 1.0
+    with np.errstate(all="raise"):
+        step = complex(poly.polyval(2.0 + 0.5j, p)
+                       / poly.polyval(2.0 + 0.5j, poly.polyder(p)))
+    assert got[1] == (2.0 + 0.5j) - step
+
+
+# the cases whose float64 root count is right: every nonzero root is found
+_COUNT_CORRECT = ([(ERK2, k) for k in range(3, 17)]
+                  + [(ERK3, k) for k in range(3, 13)]
+                  + [(ERK4, k) for k in range(3, 9)])
+
+
+@pytest.mark.parametrize("tab,k", _COUNT_CORRECT,
+                         ids=[f"{t.name}-k{k}" for t, k in _COUNT_CORRECT])
+def test_polished_roots_match_mp_reference(tab, k):
+    # erk2 k = 2 has a single nonzero root, which _mp_gap_roots cannot
+    # separate from another: it is not in the list
+    ref = _mp_gap_roots(tab, k)
+    got = [r.w for r in singularity_roots(tab, k, math.inf)
+           if not r.is_origin]
+    assert len(got) == len(ref)
+    nearest = [min(range(len(ref)), key=lambda i: abs(w - ref[i]))
+               for w in got]
+    assert sorted(nearest) == list(range(len(ref)))
+    for w, i in zip(got, nearest):
+        assert abs(w - ref[i]) <= 1e-8 * abs(ref[i]), w
+
+
+def _expected_flags(tab, k, w):
+    """(in_stable_region, imag_axis_stable) from scalar evaluations."""
+    both = (abs(stability_eval(tab, w)) < 1.0
+            and abs(stability_eval(tab, k * w)) < 1.0)
+    tol = 1e-9 * max(1.0, abs(w))
+    return (both and abs(w.imag) <= tol and w.real > 1e-12,
+            both and abs(w.real) <= tol and abs(w.imag) > 1e-12)
+
+
+@pytest.mark.parametrize("w_max", [100.0, 1e6])
+@pytest.mark.parametrize("tab", [FWE, ERK2, ERK3, ERK4],
+                         ids=lambda t: t.name)
+def test_root_flags_match_scalar_evaluation(tab, w_max):
+    for k in range(2, 17):
+        origin, *records = singularity_roots(tab, k, w_max)
+        assert origin.is_origin
+        for rec in records:
+            assert 0 < abs(rec.w) <= w_max
+            assert (rec.in_stable_region, rec.imag_axis_stable) == \
+                _expected_flags(tab, k, rec.w), (tab.name, k, rec.w)
+
+
+def test_root_flags_follow_geometry_where_both_propagators_are_stable(
+        monkeypatch):
+    # with lam = mu = 0 everywhere the flags read the root's place alone:
+    # erk2's k = 2 root w = 4 is real and positive
+    monkeypatch.setattr(explicit_analysis, "stability_eval_batch",
+                        lambda tab, w: np.zeros_like(w))
+    flagged = 0
+    for tab in (FWE, ERK2, ERK3, ERK4):
+        for k in range(2, 17):
+            for rec in singularity_roots(tab, k, 1e6)[1:]:
+                w = rec.w
+                tol = 1e-9 * max(1.0, abs(w))
+                assert rec.in_stable_region == (abs(w.imag) <= tol
+                                                and w.real > 1e-12)
+                assert rec.imag_axis_stable == (abs(w.real) <= tol
+                                                and abs(w.imag) > 1e-12)
+                flagged += rec.in_stable_region
+    assert singularity_roots(ERK2, 2, 10.0)[1].in_stable_region
+    assert flagged > 0
+
+
+def test_two_stability_evaluations_per_scheme_and_k(monkeypatch):
+    calls = []
+    real = explicit_analysis.stability_eval_batch
+    monkeypatch.setattr(explicit_analysis, "stability_eval_batch",
+                        lambda tab, w: calls.append(np.size(w)) or real(tab, w))
+    for tab in (FWE, ERK2, ERK3, ERK4):
+        for k in range(2, 17):
+            calls.clear()
+            n = len(singularity_roots(tab, k, 100.0)) - 1
+            assert calls == ([n, n] if n else []), (tab.name, k)
+
+
+@pytest.mark.parametrize("w_max", [math.nan, -1.0, 0.0, -math.inf])
+def test_singularity_roots_rejects_nonpositive_w_max(w_max):
+    with pytest.raises(ValueError, match="w_max must be positive"):
+        singularity_roots(ERK2, 4, w_max)
+
+
+def test_infinite_w_max_keeps_every_root():
+    # the origin, of multiplicity s + 1 = 3, and the other s*k - 3 roots
+    records = singularity_roots(ERK2, 4, math.inf)
+    assert records[0].multiplicity == 3 and len(records) == 1 + 2 * 4 - 3
 
 
 def test_roots_csv_format():

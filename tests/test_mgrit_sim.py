@@ -377,6 +377,10 @@ def test_divergent_run_overflows_without_warnings():
     history, _ = iterate(MgritRun(hier, spd(3.0, 20), "F"))
     assert history[-1] == math.inf
     assert measure_rho([MgritRun(hier, spd(3.0, 20), "F")])[0].rho == math.inf
+    # here the C-points keep finite entries, which the F sweep at return
+    # overflows
+    history, _ = iterate(MgritRun(hier, spd(3.0, 40, include=[1.0]), "F"))
+    assert history[-1] == math.inf
 
 
 def test_worst_mode_seeding():
@@ -668,6 +672,26 @@ def test_measure_rho_of_several_runs_equals_each_run_alone(relax_kind, path):
         assert res.rho == alone.rho
         assert res.history == alone.history
         assert res.converged == alone.converged
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
+@pytest.mark.parametrize("path", ["diagonal", "matrix"])
+def test_measure_rho_skips_the_closing_f_sweep(relax_kind, path, monkeypatch):
+    # the histories are iterate's; only the full grid at return is not built
+    runs = _k_sweep(relax_kind, path)
+    expected = [tuple(iterate(run)[0]) for run in runs]
+    levels = []
+    f_sweep = _Engine.f_sweep
+
+    def counted(eng, c, level, *args, **kwargs):
+        levels.append(level)
+        return f_sweep(eng, c, level, *args, **kwargs)
+
+    monkeypatch.setattr(_Engine, "f_sweep", counted)
+    assert [res.history for res in measure_rho(runs)] == expected
+    assert 0 not in levels
+    iterate(runs[0])
+    assert levels[-1] == 0
 
 
 def test_measure_rho_draws_each_seed_once_per_grid(monkeypatch):
