@@ -430,10 +430,7 @@ def sweep(q: BoundQuery, w_min: float = 1e-8, w_max: float = 1e8,
     return BoundCurve(q, samples, max_phi, argmax_w, threshold)
 
 
-def max_over_k(fine: str, coarse: str, relaxation: str, k_set,
-               bound_kind: str = SIMPLE, Nc: float = INFINITY,
-               axis: str = REAL_AXIS, w_min: float = 1e-8,
-               w_max: float = 1e8, n_base: int = 512) -> float:
+def max_over_k(fine: str, coarse: str, relaxation: str, k_set) -> float:
     """Max over coarsening factors of the sweep maximum; INFINITY dominates."""
     k_list = list(k_set)
     if not k_list:
@@ -442,25 +439,21 @@ def max_over_k(fine: str, coarse: str, relaxation: str, k_set,
     coarse_tab = get_scheme(coarse)
     worst = 0.0
     for k in k_list:
-        q = BoundQuery(PropagatorSpec.uniform(fine_tab, k), coarse_tab, int(k),
-                       relaxation, Nc, bound_kind, axis=axis)
-        curve = sweep(q, w_min, w_max, n_base)
-        worst = max(worst, curve.max_phi)
+        worst = max(worst, sweep(BoundQuery(fine_tab, coarse_tab, int(k),
+                                            relaxation)).max_phi)
         if math.isinf(worst):
             break
     return worst
 
 
-def two_iteration_product(q1: BoundQuery, q2: BoundQuery,
-                          w_min: float = 1e-8, w_max: float = 1e8,
-                          n_base: int = 512) -> BoundCurve:
-    """Worst case of two successive iterations: pointwise product of bounds."""
+def two_iteration_product(q1: BoundQuery, q2: BoundQuery) -> BoundCurve:
+    """Worst case of two successive iterations: pointwise product of bounds,
+    swept over sweep's default range of w."""
     if (q1.fine is not q2.fine and q1.fine != q2.fine) or \
             q1.coarse is not q2.coarse or q1.k != q2.k or q1.axis != q2.axis:
         raise ValueError("queries must share fine/coarse/k/axis")
     fun = lambda w: bound_values(q1, w) * bound_values(q2, w)
-    samples, max_phi, argmax_w, threshold = sweep_function(
-        fun, w_min, w_max, n_base)
+    samples, max_phi, argmax_w, threshold = sweep_function(fun, 1e-8, 1e8)
     return BoundCurve(q1, samples, max_phi, argmax_w, threshold)
 
 

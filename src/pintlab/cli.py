@@ -15,9 +15,9 @@ import numpy as np
 
 from . import __version__, golden
 from ._csv import write_csv
-from .bounds import (INFINITY, RELAXATIONS, SIMPLE, LOWER_TIGHT, UPPER_TIGHT,
-                     REAL_AXIS, IMAG_AXIS, BoundQuery, PropagatorSpec,
-                     max_over_k, sweep)
+from .bounds import (INFINITY, RELAX_F, RELAX_FCF, RELAXATIONS, SIMPLE,
+                     LOWER_TIGHT, UPPER_TIGHT, REAL_AXIS, IMAG_AXIS,
+                     BoundQuery, max_over_k, sweep)
 from .butcher import get_scheme, scheme_names
 from .explicit_analysis import roots_to_csv, singularity_roots
 from .mgrit_sim import (EXACT_COARSE, MgritRun, TimeHierarchy, measure_rho,
@@ -143,8 +143,7 @@ def cmd_bounds(args) -> int:
             "omega", "wmin", "wmax", "n")
     header = _provenance(args, keys)
     # every query is checked before the first curve is written
-    queries = [BoundQuery(PropagatorSpec.uniform(fine, k), coarse, k,
-                          args.relax.upper(), nc, kind,
+    queries = [BoundQuery(fine, coarse, k, args.relax.upper(), nc, kind,
                           theta=args.theta, omega=args.omega, axis=axis)
                for k in ks for nc in ncs]
     for q in queries:
@@ -175,30 +174,6 @@ def _fmt_value(v):
     if isinstance(v, float) and math.isinf(v):
         return "inf"
     return f"{v:.4g}"
-
-
-def _check_cell(cell, computed, base_abs=None, rel=None):
-    """Returns (ok, gated); ungated cells never fail."""
-    if cell is None:
-        return True, False
-    if cell.skip:
-        return True, False
-    val = cell.value
-    if val is None:
-        return True, False
-    if val == golden.GT1:
-        return bool(1.0 < computed < math.inf), True
-    if isinstance(val, float) and math.isinf(val):
-        return bool(math.isinf(computed)), True
-    tol = golden.cell_tolerance(cell, base_abs, rel)
-    return bool(abs(computed - val) <= tol), True
-
-
-def _table2_tolerance_abs(cell):
-    if isinstance(cell.value, float) and not math.isinf(cell.value) \
-            and cell.value < 0.05:
-        return 0.005
-    return 0.01
 
 
 def cmd_table(args) -> int:
@@ -233,8 +208,8 @@ def _run_table2(args, rows):
         for i, k in enumerate(golden.K_VALUES):
             line = [f"  k={k:<3d}"]
             computed = {}
-            for j, relax in enumerate(("F", "FCF")):
-                q = BoundQuery(PropagatorSpec.uniform(tab, k), tab, k, relax)
+            for j, relax in enumerate(RELAXATIONS):
+                q = BoundQuery(tab, tab, k, relax)
                 curve = sweep(q)
                 computed[relax] = curve
                 for quantity, got in (("max", curve.max_phi),
@@ -243,12 +218,12 @@ def _run_table2(args, rows):
                     cell = ref[quantity][i][j]
                     if cell is None:
                         continue
-                    base = (_table2_tolerance_abs(cell)
+                    base = (golden.table2_tolerance_abs(cell)
                             if quantity in ("max", "argmax") else None)
                     rel = 0.01 if quantity == "threshold" else None
-                    ok, gated = _check_cell(cell, got, base, rel)
+                    ok = golden.check_cell(cell, got, base, rel)
                     mark = "" if ok else " <-- MISMATCH"
-                    if not ok and gated:
+                    if not ok:
                         failures.append(
                             f"{scheme} k={k} {relax} {quantity}: computed "
                             f"{_fmt_value(got)} vs reference "
@@ -258,9 +233,9 @@ def _run_table2(args, rows):
             print(" ".join(line))
             csv_rows.append(
                 (scheme, k,
-                 computed["F"].max_phi, computed["F"].argmax_w,
-                 computed["F"].threshold, computed["FCF"].max_phi,
-                 computed["FCF"].argmax_w, computed["FCF"].threshold))
+                 computed[RELAX_F].max_phi, computed[RELAX_F].argmax_w,
+                 computed[RELAX_F].threshold, computed[RELAX_FCF].max_phi,
+                 computed[RELAX_FCF].argmax_w, computed[RELAX_FCF].threshold))
     if args.out:
         path = _outpath(args, "table2.csv")
         with open(path, "w") as fh:
@@ -278,9 +253,9 @@ def _run_table1(args):
         if label == "gauss4":
             value = _gauss4_capped_max(entry["kset"])
         else:
-            value = max_over_k(scheme, "bwe", "F", entry["kset"])
-        ok = abs(value - entry["value"]) <= 0.005 if math.isfinite(value) \
-            else False
+            value = max_over_k(scheme, "bwe", RELAX_F, entry["kset"])
+        ok = (math.isfinite(value) and abs(value - entry["value"])
+              <= golden.TABLE1_TOLERANCE_ABS)
         note = entry.get("note", "")
         mark = "" if ok else " <-- MISMATCH"
         print(f"{label:13s} computed {value:.4f}  reference "
@@ -311,7 +286,7 @@ def _gauss4_capped_max(kset) -> float:
     bwe = get_scheme("bwe")
     worst = 0.0
     for k in kset:
-        q = BoundQuery(PropagatorSpec.uniform(tab, k), bwe, k, "F")
+        q = BoundQuery(tab, bwe, k, RELAX_F)
         w, phi = sweep(q).samples.T
         over = np.nonzero(phi > 0.5)[0]
         if len(over):
@@ -401,10 +376,11 @@ def cmd_singularity(args) -> int:
     if not tab.explicit_flag:
         raise ConfigError(f"{args.scheme} is implicit; the coarse-minus-"
                           "fine-power analysis applies to explicit schemes")
-    ks = _parse_int_list(args.k)
     header = _provenance(args, ("scheme", "k", "wmax"))
-    for k in ks:
-        records = singularity_roots(tab, k, args.wmax)
+    # every k is checked before the first report is written
+    results = [(k, singularity_roots(tab, k, args.wmax))
+               for k in _parse_int_list(args.k)]
+    for k, records in results:
         stable = [r for r in records if r.in_stable_region]
         imag_stable = [r for r in records if r.imag_axis_stable]
         path = _outpath(args, f"roots_{_file_tag(args.scheme)}_k{k}.csv")

@@ -1,4 +1,5 @@
-"""Golden reference values for the `table` command.
+"""Golden reference values for the `table` command, and the gate that
+compares computed values against them.
 
 Published two-grid worst-case numbers used as regression targets.  Values
 are stored exactly as printed at the source's precision, so comparisons
@@ -151,6 +152,8 @@ TABLE2_ROW_ORDER = ("bwe", "midpoint", "trapezoid", "sdirk22", "sdirk23",
 # for the supremum to stabilize within tolerance.
 TABLE1_KSET = tuple(range(2, 65)) + (96, 128, 192, 256, 384, 512)
 
+TABLE1_TOLERANCE_ABS = 0.005
+
 TABLE1 = {
     "bwe": {"kset": TABLE1_KSET, "value": 0.298},
     "midpoint": {"kset": (2, 4, 8), "value": 1.0,
@@ -180,3 +183,25 @@ def cell_tolerance(cell: Cell, base_abs=None, rel=None) -> float:
     if rel is not None:
         parts.append(rel * abs(val))
     return max(parts)
+
+
+def check_cell(cell: Cell, computed, base_abs=None, rel=None) -> bool:
+    """Whether `computed` passes the cell's gate; a skipped cell or one with
+    no reference value is not gated and always passes."""
+    val = cell.value
+    if cell.skip or val is None:
+        return True
+    if val == GT1:
+        return bool(1.0 < computed < math.inf)
+    if isinstance(val, float) and math.isinf(val):
+        return bool(math.isinf(computed))
+    return bool(abs(computed - val) <= cell_tolerance(cell, base_abs, rel))
+
+
+def table2_tolerance_abs(cell: Cell) -> float:
+    """Table 2's base tolerance for max and argmax cells: tighter below
+    0.05."""
+    if isinstance(cell.value, float) and not math.isinf(cell.value) \
+            and cell.value < 0.05:
+        return 0.005
+    return 0.01

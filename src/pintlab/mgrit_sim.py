@@ -19,6 +19,11 @@ one is needed: the coarse correction a level returns to the level above,
 and the state `iterate` returns (`measure_rho`, which reads only the
 residual histories, skips it).  F- and FCF-relaxation are supported.
 
+A level is nothing more than its list of k step factors.  The
+theta-Parareal weight rescales the coarse propagator (G -> theta G), so it
+is folded into every coarse factor (theta a), once per distinct theta; the
+cycle itself applies no weight.
+
 Level 0 runs its cycles in two buffers that `iterate` allocates once, the
 interval products t and the residual r, and the coarsest level solves in
 place on the residual it is given.  `measure_rho` measures a list of runs
@@ -208,8 +213,8 @@ def step(tab: ButcherTableau, problem: ModelProblem, dt: float, u,
 _LOOP_ROWS = 32     # grids this short solve faster row by row
 
 
-def _scan(u, a, theta=1.0, buf=None):
-    """Solve u_n += theta a u_{n-1}, n >= 1, in place by odd-even reduction.
+def _scan(u, a, buf=None):
+    """Solve u_n += a u_{n-1}, n >= 1, in place by odd-even reduction.
 
     The even rows' steps are added to the odd rows, which then satisfy the
     same recurrence with factor a∘a; once they are solved, the odd rows are
@@ -218,15 +223,13 @@ def _scan(u, a, theta=1.0, buf=None):
     """
     if len(u) <= _LOOP_ROWS:
         for prev, cur in zip(u, u[1:]):
-            cur += _apply(a, prev) if theta == 1.0 else theta * _apply(a, prev)
+            cur += _apply(a, prev)
         return u
-    if theta != 1.0:
-        a = theta * a
     odd = u[1::2]
     if buf is None:
         buf = np.empty_like(odd)
     odd += _apply(a, u[:-1:2], buf[:len(odd)])
-    _scan(odd, _apply(a, a), buf=buf)
+    _scan(odd, _apply(a, a), buf)
     u[2::2] += _apply(a, u[1:-1:2], buf[:(len(u) - 1) // 2])
     return u
 
@@ -236,19 +239,20 @@ def _scan(u, a, theta=1.0, buf=None):
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """Per-level step factors plus the MGRIT cycle machinery.
+    """The MGRIT cycle machinery over levels that are lists of k step
+    factors: `ops(theta)` lists them from the finest level down, and the
+    cycle takes that list from its own level down.
 
     Every level runs its cycle on its C-points (`cycle`); an F sweep
-    (`f_sweep`) rebuilds a full grid only where one is returned.
+    (`f_sweep`) rebuilds a full grid only where one is returned.  Grid
+    sizes come from the arrays.
     """
 
     def __init__(self, run: MgritRun):
         self.run = run
         hier = run.hierarchy
         self.k = hier.k
-        self.levels = hier.levels
-        self.n_points = [hier.points(l) for l in range(hier.levels)]
-        if self.n_points[-1] < 1:
+        if hier.points(hier.levels - 1) < 1:
             raise ValueError("coarsest level has no intervals")
         if run.path == "diagonal":
             self.width = run.problem.eigenvalues.size
@@ -261,49 +265,48 @@ class _Engine:
                 raise SolveError("exact coarse propagator is diagonal-path only")
         fine = [_factor(tab, run.problem, frac * hier.h_t, run.path)
                 for tab, frac in hier.fine.steps]
-        self.factors = [fine]
+        factors = [fine]
         for l in range(1, hier.levels):
             coarse = (np.prod(fine, axis=0) if hier.coarse == EXACT_COARSE
                       else _factor(hier.coarse, run.problem, hier.dt(l),
                                    run.path))
-            self.factors.append([coarse] * self.k)
+            factors.append([coarse] * self.k)
+        self._ops = {1.0: factors}
+
+    def ops(self, theta):
+        """Every level's factor list, theta folded into each coarse factor
+        (theta a); built once per distinct theta, and theta = 1 is the
+        unscaled factors themselves."""
+        if theta not in self._ops:
+            fine, *coarse = self._ops[1.0]
+            self._ops[theta] = [fine] + [[theta * level[0]] * self.k
+                                         for level in coarse]
+        return self._ops[theta]
 
     # -- grid operations ----------------------------------------------------
 
-    def zeros(self, level):
-        return np.zeros((self.n_points[level] + 1, self.width), self.dtype)
-
-    def _advance(self, u, level, j, theta, out=None):
-        """Scaled step from points j-1::k to j::k (theta on coarse levels)."""
-        nc = self.n_points[level] // self.k
-        out = _apply(self.factors[level][j - 1], u[j - 1::self.k][:nc], out)
-        if level and theta != 1.0:
-            out *= theta
-        return out
-
-    def f_sweep(self, c, level, g=None, theta=1.0):
-        """The full grid of `level` whose C-points are c and whose F-points
-        are F-relaxed: u_j = theta a u_{j-1} + g_j, strides 1..k-1."""
+    def f_sweep(self, c, factors, g=None):
+        """The full grid with C-points c whose F-points are F-relaxed by the
+        level's factors: u_j = a_j u_{j-1} + g_j, strides 1..k-1."""
         k = self.k
-        u = np.empty((self.n_points[level] + 1, self.width), c.dtype)
+        nc = len(c) - 1
+        u = np.empty((nc * k + 1,) + c.shape[1:], c.dtype)
         u[::k] = c
-        for j in range(1, k):
-            self._advance(u, level, j, theta, out=u[j::k])
+        for j, op in enumerate(factors[:-1], 1):
+            _apply(op, u[j - 1::k][:nc], u[j::k])
             if g is not None:
                 u[j::k] += g[j::k]
         return u
 
-    def interval_step(self, c, level, g=None, theta=1.0, out=None):
-        """C-points 0..Nc-1 of `level` stepped across their coarse intervals
-        through the k factors in order, with each F-point's g added on the
+    def interval_step(self, c, factors, g=None, out=None):
+        """C-points 0..Nc-1 stepped across their coarse intervals through
+        the level's factors in order, with each F-point's g added on the
         way: the products the F sweep and the residual make.  Written into
         `out` when given."""
         k = self.k
         x = c[:-1]
-        for j, op in enumerate(self.factors[level], 1):
+        for j, op in enumerate(factors, 1):
             x = _apply(op, x, out if j == 1 else x)
-            if level and theta != 1.0:
-                x *= theta
             if g is not None and j < k:
                 x += g[j::k]
         return x
@@ -325,32 +328,26 @@ class _Engine:
             np.subtract(t, r[1:], out=r[1:])
         return r
 
-    def seq_solve(self, g, level, theta=1.0):
-        """Exact solve of u_n = theta a u_{n-1} + g_n (the coarsest level),
-        in place: returns g overwritten by u.
-
-        Every coarse step has the same factor a; see `_scan`.  The
-        right-hand side is always a residual its caller never reads again.
-        """
-        return _scan(g, self.factors[level][0], theta)
-
-    def correction(self, g, level, theta=1.0):
-        """Coarse-grid error on `level`'s full grid for right-hand side g:
-        the exact solve on the coarsest level, one cycle from zero above
-        it."""
-        if level == self.levels - 1:
-            return self.seq_solve(g, level, theta)
+    def correction(self, g, ops):
+        """Coarse-grid error on a level's full grid for right-hand side g,
+        ops the factor lists from that level down: the exact solve of
+        u_n = a u_{n-1} + g_n on the coarsest level, in place (g is always
+        a residual its caller never reads again; see `_scan`), one cycle
+        from zero above it."""
+        if len(ops) == 1:
+            return _scan(g, ops[0][0])
         c = np.zeros_like(g[::self.k])
-        t = self.interval_step(c, level, g, theta)
+        t = self.interval_step(c, ops[0], g)
         r = self.residual(c, t, g) if self.run.relaxation == RELAX_F else None
-        self.cycle(c, t, r, level, g, theta)
-        return self.f_sweep(c, level, g, theta)
+        self.cycle(c, t, r, ops, g)
+        return self.f_sweep(c, ops[0], g)
 
-    def cycle(self, c, t, r, level, g=None, theta=1.0):
-        """One V-cycle on the C-points c of `level`, in place.
+    def cycle(self, c, t, r, ops, g=None):
+        """One V-cycle on the C-points c of the level whose factor lists
+        from there down are ops, in place.
 
         The F-points are implied F-relaxed from c, so the leading F sweep
-        has nothing to do: t = interval_step(c, level, g, theta) and, under
+        has nothing to do: t = interval_step(c, ops[0], g) and, under
         F-relaxation, r = residual(c, t, g).  Under FCF the C sweep moves c
         and its residual is taken afresh, so r is not read; t and r (when
         given) are overwritten.  Either way r is consumed: the coarsest
@@ -363,16 +360,16 @@ class _Engine:
             else:
                 np.add(t, g[self.k::self.k], out=c[1:])
             # reusing t and r keeps the live temporaries per level at c, t, r
-            t = self.interval_step(c, level, g, theta, out=t)
+            t = self.interval_step(c, ops[0], g, out=t)
             r = self.residual(c, t, g, out=r)
-        c += self.correction(r, level + 1, theta)
+        c += self.correction(r, ops[1:])
 
     # -- initial error ------------------------------------------------------
 
     def initial_state(self, seed):
         run = self.run
         rng = np.random.default_rng(seed)
-        shape = (self.n_points[0] + 1, self.width)
+        shape = (run.hierarchy.N + 1, self.width)
         u = rng.standard_normal(shape)
         if self.dtype is complex:
             u = u + 1j * rng.standard_normal(shape)
@@ -399,7 +396,7 @@ class RhoResult(NamedTuple):
     converged: bool
 
 
-def iterate(run: MgritRun, u0=None, engine: _Engine | None = None):
+def iterate(run: MgritRun, u0=None):
     """Drive V-cycles on the homogeneous problem; returns residual history.
 
     Starts from u0 when given (read only, never written or returned) and
@@ -407,13 +404,13 @@ def iterate(run: MgritRun, u0=None, engine: _Engine | None = None):
     drops below tol * ||r0|| or grows past 1e6 * ||r0|| (divergence).
     theta_schedule entries apply per iteration, cyclically.
     """
-    eng = engine if engine is not None else _Engine(run)
+    eng = _Engine(run)
     history, c = _cycles(run, eng, u0 if u0 is not None
                          else eng.initial_state(run.seed))
     if history[0] == 0.0:
         return history, c
     with np.errstate(over="ignore", invalid="ignore"):
-        return history, eng.f_sweep(c, 0)
+        return history, eng.f_sweep(c, eng.ops(1.0)[0])
 
 
 def _cycles(run: MgritRun, eng: _Engine, u0):
@@ -426,28 +423,28 @@ def _cycles(run: MgritRun, eng: _Engine, u0):
     # Every cycle writes its interval products into t and its residual into
     # r.  A divergent run overflows; the history check below reports it.
     k = eng.k
+    fine = eng.ops(1.0)[0]
     r = np.empty(u[::k].shape, u.dtype)
     t = np.empty_like(r[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         c_norm = np.linalg.norm(eng.residual(
-            u[::k], eng._advance(u, 0, k, 1.0, out=t), out=r))
-        f_norms = []
-        for j in range(1, k):
-            np.subtract(eng._advance(u, 0, j, 1.0, out=t), u[j::k], out=t)
-            f_norms.append(np.linalg.norm(t))
+            u[::k], _apply(fine[-1], u[k - 1::k], t), out=r))
+        f_norms = [np.linalg.norm(np.subtract(
+            _apply(op, u[j - 1::k][:len(t)], t), u[j::k], out=t))
+            for j, op in enumerate(fine[:-1], 1)]
         r0 = math.hypot(c_norm, *f_norms)
         history = [r0]
         if r0 == 0.0:
             return history, u.copy()
         c = u[::k].copy()
         del u
-        eng.interval_step(c, 0, out=t)
+        eng.interval_step(c, fine, out=t)
         eng.residual(c, t, out=r)
         for it in range(run.max_iters):
             theta = (1.0 if run.theta_schedule is None
                      else run.theta_schedule[it % len(run.theta_schedule)])
-            eng.cycle(c, t, r, 0, theta=theta)
-            eng.interval_step(c, 0, out=t)
+            eng.cycle(c, t, r, eng.ops(theta))
+            eng.interval_step(c, fine, out=t)
             eng.residual(c, t, out=r)
             rn = float(np.linalg.norm(r))
             history.append(rn)
@@ -495,7 +492,7 @@ def measure_rho(runs, seeds: int = 1) -> list:
     for i in range(seeds):
         drawn = u0 = None
         for j, (run, eng) in enumerate(zip(runs, engines)):
-            draw = ((eng.n_points[0], eng.width, eng.dtype, run.seed + i)
+            draw = ((run.hierarchy.N, eng.width, eng.dtype, run.seed + i)
                     if run.initial_error == "random_seeded" else None)
             if draw is None or draw != drawn:
                 u0 = eng.initial_state(run.seed + i)
@@ -529,11 +526,12 @@ def error_propagation_matrices(run: MgritRun):
     nc = run.hierarchy.points(1)
     m = eng.width
     E = np.zeros((m, nc, nc), eng.dtype)
+    ops = eng.ops(1.0)
     for c in range(1, nc + 1):
-        x = eng.zeros(1)
+        x = np.zeros((nc + 1, m), eng.dtype)
         x[c, :] = 1.0
-        t = eng.interval_step(x, 0)
-        eng.cycle(x, t, eng.residual(x, t), 0)
+        t = eng.interval_step(x, ops[0])
+        eng.cycle(x, t, eng.residual(x, t), ops)
         E[:, :, c - 1] = x[1:].T
     return [E[j] for j in range(m)]
 

@@ -94,6 +94,10 @@ def _cases():
         hier = TimeHierarchy(256, 0.5, 2, lv, s("sdirk33"), s("bwe"))
         out.append((f"theta (1,0,0.5) L={lv}",
                     MgritRun(hier, spd, "F", (1.0, 0.0, 0.5))))
+        # a weight other than 0, 0.5 or 1 scales inexactly, so where it
+        # is applied (to the factor or to each step) may move a rounding
+        out.append((f"theta (1,0.3) L={lv}",
+                    MgritRun(hier, spd, "F", (1.0, 0.3))))
     for relax in ("F", "FCF"):
         for lv in (2, 3):
             hier = TimeHierarchy(256, 0.5, 2, lv, s("trapezoid"),

@@ -300,6 +300,17 @@ def test_singularity_k_below_2_exits_2(k, tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+def test_singularity_checks_every_k_before_the_first_report(tmp_path,
+                                                             capsys):
+    rc = main(["singularity", "--scheme", "erk2", "--k", "2,1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coarsening factor k must be >= 2, got 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("ht", ["0", "-1"])
 def test_simulate_nonpositive_ht_exits_2(ht, capsys):
     rc = main(["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2",

@@ -8,7 +8,7 @@ from pintlab.bounds import (BoundQuery, PropagatorSpec, bound_values,
                             pointwise_bound, spectrum_max)
 from pintlab.butcher import get_scheme, stability_eval_batch
 from pintlab.mgrit_sim import (EXACT_COARSE, MgritRun, RhoResult, SolveError,
-                               TimeHierarchy, _Engine,
+                               TimeHierarchy, _apply, _Engine,
                                error_propagation_matrices,
                                error_propagation_norm, iterate, measure_rho,
                                run_to_csv, step)
@@ -68,13 +68,23 @@ def test_step_gauss4_matrix_path_unsupported():
 
 # --- full-grid reference cycle -------------------------------------------------
 
+def _advance(eng, u, level, j, theta=1.0, out=None):
+    """The points j-1::k of `level`'s full grid u stepped to j::k by the
+    unscaled factor, then weighted on coarse levels: theta (a x)."""
+    k = eng.k
+    out = _apply(eng.ops(1.0)[level][j - 1], u[j - 1::k][:len(u) // k], out)
+    if level and theta != 1.0:
+        out *= theta
+    return out
+
+
 def _relax(eng, u, g, level, kind, theta=1.0):
     """Relax the full grid u in place; an F sweep runs strides 1..k-1, a C
     sweep k."""
     k = eng.k
     for sweep in kind:
         for j in range(1, k) if sweep == "F" else (k,):
-            eng._advance(u, level, j, theta, out=u[j::k])
+            _advance(eng, u, level, j, theta, out=u[j::k])
             if g is not None:
                 u[j::k] += g[j::k]
             if j == k:
@@ -87,7 +97,7 @@ def _residual(eng, u, g, level, theta=1.0):
     k = eng.k
     r = np.empty_like(u[::k])
     r[0] = -u[0] if g is None else g[0] - u[0]
-    eng._advance(u, level, k, theta, out=r[1:])
+    _advance(eng, u, level, k, theta, out=r[1:])
     r[1:] -= u[k::k] if g is None else u[k::k] - g[k::k]
     return r
 
@@ -97,8 +107,8 @@ def _vcycle(eng, u, g, level, theta=1.0):
     recursion from zero, correction, closing F sweep."""
     u = _relax(eng, u, g, level, eng.run.relaxation, theta)
     gc = _residual(eng, u, g, level, theta)
-    if level + 1 == eng.levels - 1:
-        e = eng.seq_solve(gc, level + 1, theta)
+    if level + 1 == eng.run.hierarchy.levels - 1:
+        e = eng.correction(gc, eng.ops(theta)[level + 1:])
     else:
         e = _vcycle(eng, np.zeros_like(gc), gc, level + 1, theta)
     u[::eng.k] += e
@@ -111,7 +121,8 @@ def test_f_relax_is_fixed_point_on_exact_solution():
     run = simple_run(N=32, k=4)
     # the exact homogeneous solution (zero) is untouched
     u = np.zeros((33, run.problem.n_modes), complex)
-    out = _Engine(run).f_sweep(u[::4], 0, np.zeros_like(u))
+    eng = _Engine(run)
+    out = eng.f_sweep(u[::4], eng.ops(1.0)[0], np.zeros_like(u))
     assert np.all(out == 0)
 
 
@@ -121,7 +132,8 @@ def test_f_relax_zeroes_f_point_residual():
     m = run.problem.n_modes
     u = rng.standard_normal((33, m)).astype(complex)
     rhs = rng.standard_normal((33, m)).astype(complex)
-    out = _Engine(run).f_sweep(u[::4], 0, rhs)
+    eng = _Engine(run)
+    out = eng.f_sweep(u[::4], eng.ops(1.0)[0], rhs)
     # full residual r_n = g_n - u_n + lam u_{n-1}, lam = 1/(1 + xi) for bwe
     lam = 1.0 / (1.0 + run.problem.eigenvalues)
     r = rhs - out
@@ -139,18 +151,19 @@ def test_vcycle_leaves_f_point_residual_exactly_zero(relax_kind, levels):
     hier = TimeHierarchy(32, 1.0, 4, levels, SDIRK33, BWE)
     run = MgritRun(hier, spd(3.0, 20), relax_kind)
     eng = _Engine(run)
-    g = eng.zeros(0)
+    ops = eng.ops(1.0)
+    g = np.zeros((33, 20))
     c = eng.initial_state(0)[::4].copy()
-    t = eng.interval_step(c, 0, g)
-    eng.cycle(c, t, eng.residual(c, t, g), 0, g)
-    u = eng.f_sweep(c, 0, g)
+    t = eng.interval_step(c, ops[0], g)
+    eng.cycle(c, t, eng.residual(c, t, g), ops, g)
+    u = eng.f_sweep(c, ops[0], g)
     r = g - u
     r[1:] += step(SDIRK33, run.problem, 1.0, u[:-1])
     f_mask = np.ones(33, bool)
     f_mask[::4] = False
     assert np.all(r[f_mask] == 0)
     assert np.linalg.norm(r[~f_mask]) > 0
-    assert np.array_equal(eng.residual(c, eng.interval_step(c, 0, g), g),
+    assert np.array_equal(eng.residual(c, eng.interval_step(c, ops[0], g), g),
                           r[::4])
 
 
@@ -171,7 +184,7 @@ def test_fcf_reduces_error_to_interval_propagated_form():
             assert np.allclose(out[c * k + j], lam ** j * out[c * k],
                                rtol=1e-12, atol=1e-14)
     # so the C-points carry the whole state, as the engine's cycle assumes
-    assert np.array_equal(eng.f_sweep(out[::k], 0), out)
+    assert np.array_equal(eng.f_sweep(out[::k], eng.ops(1.0)[0]), out)
 
 
 # --- V-cycle ------------------------------------------------------------------
@@ -323,7 +336,7 @@ def test_seq_solve_equals_reference_recurrence(theta, problem):
     g = np.random.default_rng(6).standard_normal((13, problem.n_modes))
     g = g.astype(eng.dtype)
     g_before = g.copy()
-    u = eng.seq_solve(g, 1, theta)
+    u = eng.correction(g, eng.ops(theta)[1:])
     # u_n = theta * mu u_{n-1} + g_n in complex arithmetic, one row at a time
     mu = stability_eval_batch(BWE, hier.dt(1) * problem.eigenvalues)
     ref = g_before.astype(complex)
@@ -436,7 +449,8 @@ def test_mixed_fine_propagator_steps():
     run = MgritRun(hier, problem, "F")
     c = np.zeros((3, 1), complex)
     c[1] = 1.0
-    out = _Engine(run).f_sweep(c, 0)
+    eng = _Engine(run)
+    out = eng.f_sweep(c, eng.ops(1.0)[0])
     f1 = stability_eval(SDIRK22, 2.0)
     f3 = stability_eval(TRAP, 2.0)
     assert out[5, 0] == pytest.approx(f1)
@@ -473,9 +487,8 @@ def _reference_iterate(run):
     eng = _Engine(run)
     k = eng.k
     u = eng.initial_state(run.seed)
-    g = eng.zeros(0)
-    r_f = [g[j::k] - u[j::k] + eng._advance(u, 0, j, 1.0)
-           for j in range(1, k)]
+    g = np.zeros_like(u)
+    r_f = [g[j::k] - u[j::k] + _advance(eng, u, 0, j) for j in range(1, k)]
     r0 = math.hypot(np.linalg.norm(_residual(eng, u, g, 0)),
                     *map(np.linalg.norm, r_f))
     history = [r0]
@@ -518,6 +531,24 @@ def test_iterate_is_bit_identical_to_full_cycles_theta(levels):
     hier = TimeHierarchy(64, 1.0, 2, levels, SDIRK33, BWE)
     _assert_iterate_bit_identical(MgritRun(hier, spd(3.0, 20), "F",
                                            (1.0, 0.0, 0.5), max_iters=30))
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_iterate_matches_full_cycles_at_an_inexact_theta(levels):
+    # iterate steps with theta folded into the coarse factors, (theta a) x,
+    # and the reference weights each step, theta (a x): at a theta other
+    # than 0, 0.5 or 1 the two may differ by a rounding per step, so the
+    # histories are held to the history guard's rule
+    hier = TimeHierarchy(64, 1.0, 2, levels, SDIRK33, BWE)
+    run = MgritRun(hier, spd(3.0, 20), "F", (1.0, 0.3), max_iters=30)
+    history, u = iterate(run)
+    ref_history, ref_u = _reference_iterate(run)
+    assert len(history) == len(ref_history) > 3
+    h0 = ref_history[0]
+    for a, b in zip(ref_history, history):
+        assert abs(b - a) <= 1e-13 * abs(a) + 1e-16 * h0, (a, b)
+    assert np.max(np.abs(u - ref_u)) <= 1e-13 * np.max(np.abs(ref_u)) \
+        + 1e-16 * h0
 
 
 @pytest.mark.parametrize("relax_kind", ["F", "FCF"])
@@ -591,7 +622,7 @@ def test_coarse_correction_is_bit_identical_to_full_grid_vcycle(
     g = np.random.default_rng(7).standard_normal((33, 20))
     g_before = g.copy()
     ref = _vcycle(eng, np.zeros_like(g), g_before, 1, theta)
-    assert np.array_equal(eng.correction(g, 1, theta), ref)
+    assert np.array_equal(eng.correction(g, eng.ops(theta)[1:]), ref)
     assert np.array_equal(g, g_before)
 
 
@@ -599,10 +630,10 @@ def _full_grid_probe(run):
     """`error_propagation_matrices` by the full-grid level-0 V-cycle: a unit
     error at one C-point, every F-point zero, full pre-relaxation."""
     eng = _Engine(run)
-    k, nc = eng.k, eng.n_points[1]
+    k, nc = eng.k, run.hierarchy.points(1)
     E = np.zeros((eng.width, nc, nc), eng.dtype)
     for c in range(1, nc + 1):
-        u = eng.zeros(0)
+        u = np.zeros((run.hierarchy.N + 1, eng.width), eng.dtype)
         u[c * k] = 1.0
         E[:, :, c - 1] = _vcycle(eng, u, None, 0)[k::k].T
     return list(E)
@@ -683,9 +714,10 @@ def test_measure_rho_skips_the_closing_f_sweep(relax_kind, path, monkeypatch):
     levels = []
     f_sweep = _Engine.f_sweep
 
-    def counted(eng, c, level, *args, **kwargs):
-        levels.append(level)
-        return f_sweep(eng, c, level, *args, **kwargs)
+    def counted(eng, c, factors, *args, **kwargs):
+        levels.append(next(level for level, ops in enumerate(eng.ops(1.0))
+                           if ops is factors))
+        return f_sweep(eng, c, factors, *args, **kwargs)
 
     monkeypatch.setattr(_Engine, "f_sweep", counted)
     assert [res.history for res in measure_rho(runs)] == expected
@@ -699,7 +731,7 @@ def test_measure_rho_draws_each_seed_once_per_grid(monkeypatch):
     initial_state = _Engine.initial_state
 
     def counted(eng, seed):
-        draws.append((eng.n_points[0], eng.width, eng.dtype, seed))
+        draws.append((eng.run.hierarchy.N, eng.width, eng.dtype, seed))
         return initial_state(eng, seed)
 
     monkeypatch.setattr(_Engine, "initial_state", counted)
@@ -788,7 +820,7 @@ def test_seq_solve_reduction_matches_extended_recurrence(rows, theta, coarse,
     g = np.random.default_rng(rows).standard_normal((rows, problem.n_modes))
     g = g.astype(eng.dtype)
     g_before = g.copy()
-    u = eng.seq_solve(g, 1, theta)
+    u = eng.correction(g, eng.ops(theta)[1:])
     # u_n = theta * mu u_{n-1} + g_n in extended precision, row by row
     mu = stability_eval_batch(coarse, hier.dt(1) * problem.eigenvalues)
     mu = theta * mu.astype(np.clongdouble)
@@ -809,7 +841,7 @@ def test_seq_solve_reduction_matrix_path(rows, theta):
     eng = _Engine(MgritRun(hier, problem, "F", path="matrix"))
     g = np.random.default_rng(rows).standard_normal((rows, 9))
     g_before = g.copy()
-    u = eng.seq_solve(g, 1, theta)
+    u = eng.correction(g, eng.ops(theta)[1:])
     # the rows of eye @ S^T are the step of each unit state
     st = step(SDIRK22, problem, hier.dt(1), np.eye(9), path="matrix")
     st = theta * st.astype(np.longdouble)
