@@ -11,13 +11,24 @@ sqrt((1-|mu|)^2 + pi^2 |mu| / (C*Nc^2)) with C = 1 (lower) / C = 6 (upper);
 under FCF the tight kinds take Nc - 1 in place of Nc.
 A scalar weight theta rescales the coarse propagator (mu -> theta*mu); a
 scalar weight omega blends the correction with the identity.
+
+`bound_values` evaluates first and applies the formula second: lam^k and mu
+at every point, each distinct stability function once per block of points,
+then the formula above with each point's kind, Nc, theta, omega and
+relaxation.  One
+call may serve many queries, point by point.  `sweep` takes one query or a
+list of them and refines all of them in lockstep through the one sweep
+engine: each probe round (base grid, multisection round, tail probe,
+threshold round) is one `bound_values` call over every query still
+refining, and each curve is the one its query swept alone gives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +69,9 @@ _DEN_EPS = 1e-13
 # Tight kinds tolerate |theta*mu| = 1 (marginally stable coarse propagator,
 # e.g. trapezoid on the imaginary axis); beyond this they are unstable too.
 _TIGHT_SLACK = 1e-12
+# bound_values evaluates at most this many points at once, so a lockstep
+# round over many queries needs no more scratch memory than a few sweeps
+_BLOCK = 1024
 
 
 class StabilityError(RuntimeError):
@@ -75,6 +89,9 @@ class PropagatorSpec:
     """
 
     steps: tuple
+    # each distinct (tableau, fraction) step and its multiplicity, in order
+    # of first appearance
+    distinct: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         steps = tuple((tab, float(frac)) for tab, frac in self.steps)
@@ -84,6 +101,7 @@ class PropagatorSpec:
             if frac <= 0:
                 raise ValueError("step fractions must be positive")
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "distinct", tuple(Counter(steps).items()))
 
     @classmethod
     def uniform(cls, tab: ButcherTableau, k: int) -> "PropagatorSpec":
@@ -169,71 +187,166 @@ def coarse_eigenvalue(coarse: ButcherTableau, k: int, w: complex) -> complex:
 
 def fine_interval_eigenvalue(fine: PropagatorSpec, w: complex) -> complex:
     """Product of per-step factors across one coarse interval."""
-    return complex(_fine_interval_batch(fine, np.asarray([w], complex))[0])
+    owner = np.zeros(1, dtype=np.intp)
+    return complex(_fine_factors([fine], owner, np.asarray([w], complex))[0])
 
 
-def _fine_interval_batch(fine: PropagatorSpec, w, dtype=complex):
-    # each distinct (tableau, fraction) step is evaluated once and raised to
-    # its multiplicity, so a uniform k-step factor costs one evaluation
-    w = np.asarray(w, dtype)
-    out = np.ones_like(w)
-    for (tab, frac), n in Counter(fine.steps).items():
-        out = out * stability_eval_batch(tab, frac * w, dtype=dtype) ** n
+def _int_power(v, n):
+    """v ** n for an integer array n, each element rounded as v ** int(n)
+    rounds it: numpy computes x ** 2 by its square shortcut, which rounds
+    differently from the general integer power."""
+    p = v ** n
+    two = n == 2
+    if two.any():
+        p[two] = v[two] ** 2
+    return p
+
+
+def _fine_factors(specs, owner, pts):
+    """lam^k at pts[i] for the fine propagator specs[owner[i]].
+
+    Each distinct (tableau, fraction) step is evaluated once over every point
+    whose propagator has it and raised to its multiplicity there, so a
+    uniform k-step factor costs one evaluation.  A propagator's distinct
+    steps multiply in its own order: step j of every propagator is applied
+    in round j.
+    """
+    out = np.ones_like(pts)
+    rounds = {}
+    for i, spec in enumerate(specs):
+        for j, (step, n) in enumerate(spec.distinct):
+            rounds.setdefault((j, *step), {})[i] = n
+    for (_, tab, frac), mult in rounds.items():
+        power = np.zeros(len(specs), dtype=int)
+        power[list(mult)] = list(mult.values())
+        n = power[owner]
+        if n.all():
+            out = out * _int_power(stability_eval_batch(tab, frac * pts,
+                                                        dtype=pts.dtype), n)
+        elif n.any():
+            sel = n > 0
+            out[sel] = out[sel] * _int_power(stability_eval_batch(
+                tab, frac * pts[sel], dtype=pts.dtype), n[sel])
     return out
 
 
-def _eigen_parts(q: BoundQuery, pts, dtype=complex):
-    """lam^k, |theta*mu - lam^k|, theta*|mu|, 1 - theta*|mu| at the points."""
-    lamk = _fine_interval_batch(q.fine, pts.astype(dtype), dtype)
-    mu = q.theta * stability_eval_batch(q.coarse, q.k * pts.astype(dtype),
-                                        dtype=dtype)
-    num = np.abs(mu - lamk).astype(float)
-    amu = np.abs(mu).astype(float)
-    one_minus = (1.0 - np.abs(mu)).astype(float)
-    return lamk.astype(complex), num, amu, one_minus
+def _eigen_parts(queries, owner, pts, dtype):
+    """lam^k, |theta*mu - lam^k|, theta*|mu|, 1 - theta*|mu| at the points,
+    point i under queries[owner[i]], evaluated in `dtype`.
+
+    Each coarse tableau is evaluated once, at k*w, over every point whose
+    query has it as its coarse propagator.
+    """
+    pts = pts.astype(dtype)
+    lamk = _fine_factors([q.fine for q in queries], owner, pts)
+    k = np.array([q.k for q in queries])[owner]
+    theta = np.array([q.theta for q in queries])[owner]
+    tabs = list(dict.fromkeys(q.coarse for q in queries))
+    if len(tabs) == 1:
+        mu = theta * stability_eval_batch(tabs[0], k * pts, dtype=dtype)
+    else:
+        which = np.array([tabs.index(q.coarse) for q in queries])[owner]
+        mu = np.empty_like(pts)
+        for c, tab in enumerate(tabs):
+            sel = which == c
+            mu[sel] = theta[sel] * stability_eval_batch(
+                tab, k[sel] * pts[sel], dtype=dtype)
+    amu = np.abs(mu)
+    return (lamk.astype(complex), np.abs(mu - lamk).astype(float),
+            amu.astype(float), (1.0 - amu).astype(float))
+
+
+def _tight_scale(q: BoundQuery) -> float:
+    """C * Nc^2 of the tight denominators: C = 1 (lower) or 6 (upper), and
+    the FCF propagator is Toeplitz on Nc - 1 C-points (its first
+    sub-diagonal is 0), so FCF takes Nc - 1."""
+    C = 1.0 if q.bound_kind == LOWER_TIGHT else 6.0
+    nc = q.Nc - 1 if q.relaxation == RELAX_FCF else q.Nc
+    return C * nc ** 2
+
+
+def _per_point(queries, owner, value):
+    """value(query) for the query of every point."""
+    return np.array([value(q) for q in queries])[owner]
+
+
+def _apply_formula(queries, owner, lamk, num, amu, one_minus):
+    """The bound at every point from its evaluated parts (see _eigen_parts),
+    with the kind, Nc, axis, relaxation and omega of point i's query
+    queries[owner[i]]."""
+    simple = _per_point(queries, owner, lambda q: q.bound_kind == SIMPLE)
+    phi = np.empty(num.shape)
+    if simple.any():
+        # a vanished denominator: a 0/0 limit on the real axis reads 0
+        real = _per_point(queries, owner, lambda q: q.axis == REAL_AXIS)
+        tiny = one_minus < _DEN_EPS
+        phi = np.where(tiny, np.where(real & (num < _DEN_EPS), 0.0, np.inf),
+                       num / one_minus)
+    if not simple.all():
+        scale = _per_point(queries, owner, _tight_scale)
+        extra = np.where(np.isinf(scale), 0.0, (np.pi ** 2) * amu / scale)
+        tight = num / np.sqrt(one_minus ** 2 + extra)
+        tight = np.where(amu > 1.0 + _TIGHT_SLACK, np.inf, tight)
+        tight = np.where(np.isnan(tight), np.inf, tight)
+        phi = np.where(simple, phi, tight)
+    fcf = _per_point(queries, owner, lambda q: q.relaxation == RELAX_FCF)
+    alamk = np.abs(lamk)
+    if fcf.any():
+        phi = np.where(fcf, alamk * phi, phi)
+    omega = _per_point(queries, owner, lambda q: q.omega)
+    blend = omega != 1.0
+    if blend.any():
+        base = np.where(fcf, alamk, 1.0)
+        phi = np.where(blend, (1.0 - omega) * base + omega * phi, phi)
+    return phi
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def bound_values(q: BoundQuery, w):
+def bound_values(q, w, owner=None):
     """Vectorized bound over magnitudes w on the query's axis.
+
+    `q` is one BoundQuery, or a sequence of them with point i under
+    q[owner[i]].  The points go in blocks of _BLOCK.  In each block the
+    evaluation comes first: lam^k and mu at every point, each distinct
+    fine step and coarse tableau once over all the points that use it
+    (_eigen_parts).  Then the formula is applied with each point's query
+    parameters (_apply_formula).  A point's value does not depend on the
+    other points of the call.
 
     Unstable and unbounded samples come back as inf (never raises
     StabilityError), also where an explicit scheme overflows far outside its
     stability region; PoleError still propagates since registry poles cannot
     lie on either sweep axis.  Samples with w < 1e-4 are evaluated in
-    extended precision on both axes: there |mu - lam^k| and, on the
+    extended precision only, on both axes: there |mu - lam^k| and, on the
     imaginary axis, 1 - |mu| are small differences of numbers near 1, and
     double-precision cancellation noise would swamp the signal.
     """
-    pts = _axis_points(w, q.axis)
-    lamk, num, amu, one_minus = _eigen_parts(q, pts)
+    queries = (q,) if isinstance(q, BoundQuery) else tuple(q)
+    w = np.asarray(w, dtype=float)
+    shape, w = w.shape, w.ravel()
+    owner = (np.zeros(w.size, dtype=np.intp) if owner is None
+             else np.asarray(owner, dtype=np.intp).ravel())
+    out = np.empty(w.size)
+    for start in range(0, w.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        out[block] = _bound_block(queries, w[block], owner[block])
+    return out.reshape(shape)
+
+
+def _bound_block(queries, w, owner):
+    """bound_values on one block of points: evaluate, then the formula."""
+    real = _per_point(queries, owner, lambda x: x.axis == REAL_AXIS)
+    pts = np.where(real, w.astype(complex), w * 1j)
+    parts = (np.empty(w.size, dtype=complex), *np.empty((3, w.size)))
     small = np.abs(pts) < 1e-4
-    if np.any(small):
-        lamk[small], num[small], amu[small], one_minus[small] = _eigen_parts(
-            q, pts[small], np.clongdouble)
-    if q.bound_kind == SIMPLE:
-        phi = num / one_minus
-        tiny = one_minus < _DEN_EPS
-        if q.axis == REAL_AXIS:
-            phi = np.where(tiny, np.where(num < _DEN_EPS, 0.0, np.inf), phi)
-        else:
-            phi = np.where(tiny, np.inf, phi)
-    else:
-        C = 1.0 if q.bound_kind == LOWER_TIGHT else 6.0
-        # the FCF propagator is Toeplitz on Nc - 1 C-points: its first
-        # sub-diagonal is 0
-        nc = q.Nc - 1 if q.relaxation == RELAX_FCF else q.Nc
-        extra = (0.0 if nc == INFINITY
-                 else (np.pi ** 2) * amu / (C * nc ** 2))
-        phi = num / np.sqrt(one_minus ** 2 + extra)
-        phi = np.where(amu > 1.0 + _TIGHT_SLACK, np.inf, phi)
-        phi = np.where(np.isnan(phi), np.inf, phi)
-    if q.relaxation == RELAX_FCF:
-        phi = np.abs(lamk) * phi
-    if q.omega != 1.0:
-        base = 1.0 if q.relaxation == RELAX_F else np.abs(lamk)
-        phi = (1.0 - q.omega) * base + q.omega * phi
-    return phi
+    for sel, dtype in ((~small, complex), (small, np.clongdouble)):
+        if sel.all():
+            parts = _eigen_parts(queries, owner, pts, dtype)
+        elif sel.any():
+            for part, value in zip(parts, _eigen_parts(
+                    queries, owner[sel], pts[sel], dtype)):
+                part[sel] = value
+    return _apply_formula(queries, owner, *parts)
 
 
 def pointwise_bound(q: BoundQuery, w: float) -> float:
@@ -297,49 +410,62 @@ _PEAK_TOL = 1e-4
 _CROSSING_TOL = 1e-13
 
 
-def _multisection(fun, w_lo, w_hi, peak):
+def _multisection(w_lo, w_hi, peak):
     """Shrink log-w brackets in lockstep by multisection.
 
-    Each round samples _SECTIONS log-spaced interior points of every bracket
-    in one call of `fun`.  A peak bracket keeps the two intervals around its
-    best sample; a crossing bracket, with fun(w_lo) < 1 <= fun(w_hi), keeps
-    the interval that ends at its first sample not below 1.  Returns the
-    final log-w brackets, shape (n, 2), and every probed w and phi.
+    A generator: each round yields _SECTIONS log-spaced interior points of
+    every bracket as one array and receives their values.  A peak bracket
+    keeps the two intervals around its best sample; a crossing bracket,
+    with phi(w_lo) < 1 <= phi(w_hi), keeps the interval that ends at its
+    first sample not below 1.  Returns the final log-w brackets, shape
+    (n, 2), and every probed w and phi.
     """
     x = np.log(np.column_stack((w_lo, w_hi)))
     tol = _PEAK_TOL if peak else _CROSSING_TOL
     frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
-    rows = np.arange(len(x))
+    rows = np.arange(len(x))[:, None]
+    edge = np.ones((len(x), 1), dtype=bool)
     probes_w, probes_v = [np.empty(0)], [np.empty(0)]
     while np.max(x[:, 1] - x[:, 0]) > tol:
-        x = np.column_stack((x[:, 0], x[:, :1] + (x[:, 1:] - x[:, :1]) * frac,
-                             x[:, 1]))
+        lo, hi = x[:, :1], x[:, 1:]
+        x = np.concatenate((lo, lo + (hi - lo) * frac, hi), axis=1)
         w = np.exp(x[:, 1:-1])
-        v = np.asarray(fun(w.ravel()), dtype=float).reshape(w.shape)
+        v = np.asarray((yield w.ravel()), dtype=float).reshape(w.shape)
         probes_w.append(w.ravel())
         probes_v.append(v.ravel())
         if peak:
-            j = 1 + np.argmax(v, axis=1)
-            x = np.column_stack((x[rows, j - 1], x[rows, j + 1]))
+            # the points on either side of the best sample
+            j = np.argmax(v, axis=1)[:, None] + (0, 2)
         else:
-            edge = np.ones((len(x), 1), dtype=bool)
+            # the last point below 1 and the first not below it
             j = np.argmin(np.hstack((edge, v < 1.0, ~edge)), axis=1)
-            x = np.column_stack((x[rows, j - 1], x[rows, j]))
+            j = j[:, None] + (-1, 0)
+        x = x[rows, j]
     return x, np.concatenate(probes_w), np.concatenate(probes_v)
 
 
-def _first_crossing(fun, w_lo, w_hi):
+def _first_crossing(w_lo, w_hi):
     """First sampled up-crossing of 1 in [w_lo, w_hi] (see _multisection)."""
-    x = _multisection(fun, [w_lo], [w_hi], peak=False)[0]
+    x = (yield from _multisection([w_lo], [w_hi], peak=False))[0]
     return math.exp(0.5 * (x[0, 0] + x[0, 1]))
 
 
-def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
-    """Shared sweep engine: sample fun on a log grid, refine maxima, summarize.
+@functools.lru_cache(maxsize=8)
+def _base_grid(w_min, w_max, n_base):
+    """The log-spaced base grid, shared read-only by every sweep on it."""
+    grid = np.geomspace(w_min, w_max, n_base)
+    grid.flags.writeable = False
+    return grid
 
-    `fun` maps an array of w magnitudes to bound values (inf allowed); every
-    probe is one call on an array.  Refinement starts after the full base
-    pass: the peak candidates and then the threshold's crossing bracket are
+
+def _sweep_rounds(w_min: float, w_max: float, n_base: int):
+    """The sweep engine, as a generator of probe rounds.
+
+    Each round yields one array of w magnitudes and receives the curve's
+    values there (inf allowed): the log-spaced base grid, every
+    multisection round, the tail probe at 10 * w_max and every round of
+    the threshold's search.  Refinement starts after the full base pass:
+    the peak candidates and then the threshold's crossing bracket are
     narrowed by the same multisection (_SECTIONS log-spaced points per
     bracket and round).  argmax_w is the best sample of the first run of
     samples within 1e-6 of the max, so equal humps report the first one and
@@ -350,8 +476,8 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
         raise ValueError("need 0 < w_min < w_max")
     if n_base < 64:
         raise ValueError("n_base must be >= 64")
-    grid = np.geomspace(w_min, w_max, n_base)
-    phi = np.asarray(fun(grid), dtype=float)
+    grid = _base_grid(w_min, w_max, n_base)
+    phi = np.asarray((yield grid), dtype=float)
 
     finite = np.where(np.isfinite(phi), phi, -np.inf)
     pad = np.concatenate(([-np.inf], finite, [-np.inf]))
@@ -366,8 +492,8 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
     idx = idx[np.lexsort((-idx, -finite[idx]))][:64]
     w_all, phi_all = grid, phi
     if idx.size:
-        _, probe_w, probe_phi = _multisection(
-            fun, grid[np.maximum(idx - 1, 0)],
+        _, probe_w, probe_phi = yield from _multisection(
+            grid[np.maximum(idx - 1, 0)],
             grid[np.minimum(idx + 1, n_base - 1)], peak=True)
         w_all = np.concatenate((grid, probe_w))
         order = np.argsort(w_all, kind="stable")
@@ -376,7 +502,7 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
 
     unbounded = bool(np.any(~np.isfinite(phi_all)) or np.any(phi_all > 1e6))
     end_increasing = phi[-1] >= phi[-2] and np.isfinite(phi[-1])
-    tail = float(fun(np.asarray([10.0 * w_max]))[0])
+    tail = float((yield np.asarray([10.0 * w_max]))[0])
     max_phi = float(np.max(np.where(np.isfinite(phi_all), phi_all, np.inf)))
     argmax_at_inf = False
     if unbounded or not math.isfinite(tail) or tail > 1e6:
@@ -412,22 +538,62 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
     over = np.where(~(phi_all < 1.0))[0]  # inf counts as over
     if len(over) == 0:
         threshold = INFINITY if not tail >= 1.0 else \
-            _first_crossing(fun, w_max, 10.0 * w_max)
+            (yield from _first_crossing(w_max, 10.0 * w_max))
     elif over[0] == 0:
         threshold = 0.0
     else:
         i = over[0]
-        threshold = _first_crossing(fun, w_all[i - 1], w_all[i])
+        threshold = yield from _first_crossing(w_all[i - 1], w_all[i])
     return arr, max_phi, argmax_w, threshold
 
 
-def sweep(q: BoundQuery, w_min: float = 1e-8, w_max: float = 1e8,
-          n_base: int = 512) -> BoundCurve:
-    """Sample the bound on [w_min, w_max] and summarize max/argmax/threshold."""
-    fun = lambda w: bound_values(q, w)
-    samples, max_phi, argmax_w, threshold = sweep_function(
-        fun, w_min, w_max, n_base)
-    return BoundCurve(q, samples, max_phi, argmax_w, threshold)
+def _lockstep(rounds, evaluate):
+    """Run probe generators in lockstep; return each one's result.
+
+    Each round concatenates the pending probes of every generator still
+    running and makes one call evaluate(w, owner), where owner[i] is the
+    index of the generator that probed w[i].
+    """
+    pending = {i: next(r) for i, r in enumerate(rounds)}
+    results = [None] * len(rounds)
+    while pending:
+        live = list(pending)
+        sizes = [pending[i].size for i in live]
+        values = np.asarray(evaluate(
+            np.concatenate([pending[i] for i in live]),
+            np.repeat(live, sizes)))
+        for i, v in zip(live, np.split(values, np.cumsum(sizes)[:-1])):
+            try:
+                pending[i] = rounds[i].send(v)
+            except StopIteration as stop:
+                del pending[i]
+                results[i] = stop.value
+    return results
+
+
+def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
+    """Shared sweep engine on one curve: `fun` maps an array of w magnitudes
+    to values (inf allowed) and is called once per probe round.  Returns
+    (samples, max_phi, argmax_w, threshold); see _sweep_rounds."""
+    return _lockstep([_sweep_rounds(w_min, w_max, n_base)],
+                     lambda w, owner: fun(w))[0]
+
+
+def sweep(q, w_min: float = 1e-8, w_max: float = 1e8, n_base: int = 512):
+    """Sample the bound on [w_min, w_max] and summarize max/argmax/threshold.
+
+    `q` is one BoundQuery, which gives one BoundCurve, or a sequence of
+    them, which gives a list.  The queries' sweeps run in lockstep: each
+    probe round is one bound_values call over the probes of every query
+    still refining.  Each curve is the one its query swept alone gives.
+    """
+    single = isinstance(q, BoundQuery)
+    queries = (q,) if single else tuple(q)
+    results = _lockstep(
+        [_sweep_rounds(w_min, w_max, n_base) for _ in queries],
+        lambda w, owner: bound_values(queries, w, owner))
+    curves = [BoundCurve(x, *r) for x, r in zip(queries, results)]
+    return curves[0] if single else curves
 
 
 def max_over_k(fine: str, coarse: str, relaxation: str, k_set) -> float:
@@ -437,13 +603,9 @@ def max_over_k(fine: str, coarse: str, relaxation: str, k_set) -> float:
         raise ValueError("k_set must be nonempty")
     fine_tab = get_scheme(fine)
     coarse_tab = get_scheme(coarse)
-    worst = 0.0
-    for k in k_list:
-        worst = max(worst, sweep(BoundQuery(fine_tab, coarse_tab, int(k),
-                                            relaxation)).max_phi)
-        if math.isinf(worst):
-            break
-    return worst
+    curves = sweep([BoundQuery(fine_tab, coarse_tab, int(k), relaxation)
+                    for k in k_list])
+    return max(0.0, *(c.max_phi for c in curves))
 
 
 def two_iteration_product(q1: BoundQuery, q2: BoundQuery) -> BoundCurve:
@@ -458,6 +620,13 @@ def two_iteration_product(q1: BoundQuery, q2: BoundQuery) -> BoundCurve:
 
 
 def spectrum_max(q: BoundQuery, w_values) -> float:
-    """Sup of the bound over a prescribed set of w magnitudes (a model spectrum)."""
-    vals = bound_values(q, np.asarray(w_values, dtype=float))
-    return float(np.max(vals))
+    """Sup of the bound over a prescribed set of w magnitudes (a model
+    spectrum).  The query's axis places them; complex values are accepted
+    only with zero imaginary parts."""
+    w = np.asarray(w_values)
+    if np.iscomplexobj(w):
+        if np.any(w.imag != 0):
+            raise ValueError("spectrum_max takes real w magnitudes; put "
+                             "the axis in the query, not in w")
+        w = w.real
+    return float(np.max(bound_values(q, w)))

@@ -1,7 +1,8 @@
 """Command-line front end: bound sweeps, golden-table regression, MGRIT runs,
 and explicit-scheme singularity reports, all emitted as provenance-stamped CSV.
 
-Exit codes: 0 success, 1 golden-table mismatch, 2 configuration error.
+Exit codes: 0 success, 1 golden-table mismatch, 2 configuration error,
+141 (128 + SIGPIPE) when the reader of stdout has gone.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ def cmd_bounds(args) -> int:
     queries = [BoundQuery(fine, coarse, k, args.relax.upper(), nc, kind,
                           theta=args.theta, omega=args.omega, axis=axis)
                for k in ks for nc in ncs]
-    for q in queries:
-        curve = sweep(q, args.wmin, args.wmax, args.n)
+    for q, curve in zip(queries, sweep(queries, args.wmin, args.wmax,
+                                       args.n)):
         nc_tag = "inf" if q.Nc == INFINITY else f"{q.Nc:g}"
         name = (f"bounds_{_file_tag(args.fine)}_"
                 f"{_file_tag(args.coarse)}_"
@@ -205,13 +206,15 @@ def _run_table2(args, rows):
         tab = get_scheme(scheme)
         ref = golden.TABLE2[scheme]
         print(f"{scheme} (order {tab.order}, {tab.stability_class})")
+        # the whole row, every k and relaxation, in one lockstep sweep
+        curves = iter(sweep([BoundQuery(tab, tab, k, relax)
+                             for k in golden.K_VALUES
+                             for relax in RELAXATIONS]))
         for i, k in enumerate(golden.K_VALUES):
             line = [f"  k={k:<3d}"]
             computed = {}
             for j, relax in enumerate(RELAXATIONS):
-                q = BoundQuery(tab, tab, k, relax)
-                curve = sweep(q)
-                computed[relax] = curve
+                curve = computed[relax] = next(curves)
                 for quantity, got in (("max", curve.max_phi),
                                       ("argmax", curve.argmax_w),
                                       ("threshold", curve.threshold)):
@@ -285,9 +288,9 @@ def _gauss4_capped_max(kset) -> float:
     tab = get_scheme("gauss4")
     bwe = get_scheme("bwe")
     worst = 0.0
-    for k in kset:
-        q = BoundQuery(tab, bwe, k, RELAX_F)
-        w, phi = sweep(q).samples.T
+    curves = sweep([BoundQuery(tab, bwe, k, RELAX_F) for k in kset])
+    for k, curve in zip(kset, curves):
+        w, phi = curve.samples.T
         over = np.nonzero(phi > 0.5)[0]
         if len(over):
             j = over[0]
@@ -471,7 +474,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config_file(args, commands[args.command])
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (`pintlab ... | head -1`): exit with
+        # the code of a process killed by SIGPIPE (128 + 13), and keep the
+        # final flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         # str() of a KeyError is the repr of its message
         message = (exc.args[0] if isinstance(exc, KeyError) and exc.args

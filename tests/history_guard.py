@@ -12,7 +12,11 @@ k = 2..16 with w_max = 100: each root's w, multiplicity and flags.  And it
 runs a few k sweeps through the CLI (`simulate --k 2,4,8 --seeds 3`) and
 writes each `run_sweep.csv` row's k, rho, converged and iteration count;
 the CLI call is the same on every checkout, whatever `measure_rho` takes.
-`compare` checks B against A:
+It also runs `table table1`, `table table2` and `bounds` over k = 2, 4, 8,
+16, 32, 64 (sdirk33/bwe on the real axis, and on the imaginary axis with
+`--nc 256`) with `--out` in a temporary directory, and writes each CSV
+file's rows: the column row, the data rows and the footers, without the
+provenance header.  `compare` checks B against A:
 
 - the same cases, history lengths and `converged` flags;
 - every history value within |B - A| <= 1e-13 |A| + 1e-16 h0, where h0 is
@@ -21,7 +25,8 @@ the CLI call is the same on every checkout, whatever `measure_rho` takes.
   for the cases and the sweep rows alike;
 - the state norm within 1e-12 |A| + 1e-16 h0, or the same non-finite value;
 - the same sweep rows' k, `converged` and iteration counts;
-- the same singularity roots, compared with ==.
+- the same singularity roots, compared with ==;
+- the same CSV rows of the table and bounds runs, compared with ==.
 
 The absolute terms match the history's: a run that converges in one cycle
 (an exact coarse propagator) has rho = h1/h0 and a final state at rounding
@@ -62,6 +67,17 @@ SWEEPS = {  # name: simulate arguments besides --k 2,4,8 --seeds 3
     "esdirk33/esdirk33 F ximax 1.5 (k=8 diverges)": (
         "--fine", "esdirk33", "--coarse", "esdirk33", "--nt", "1920",
         "--ximax", "1.5", "--relax", "f"),
+}
+
+BOUNDS_K = ("--k", "2,4,8,16,32,64")
+CSV_RUNS = {  # name: CLI arguments besides --out
+    "table table1": ("table", "table1"),
+    "table table2": ("table", "table2"),
+    "bounds sdirk33/bwe real": ("bounds", "--fine", "sdirk33", "--coarse",
+                                "bwe", *BOUNDS_K),
+    "bounds sdirk33/bwe imag Nc=256": ("bounds", "--fine", "sdirk33",
+                                       "--coarse", "bwe", *BOUNDS_K,
+                                       "--axis", "imag", "--nc", "256"),
 }
 
 
@@ -183,6 +199,24 @@ def _sweeps():
     return out
 
 
+def _csv_rows():
+    """{run name/file name: every line after the header comments} of each
+    CSV file a CLI run writes, plus {run name: exit code}."""
+    from pintlab.cli import main
+    rows, codes = {}, {}
+    for name, args in CSV_RUNS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes[name] = main([*args, "--out", tmp])
+            for fname in sorted(os.listdir(tmp)):
+                with open(os.path.join(tmp, fname)) as fh:
+                    lines = fh.read().splitlines()
+                start = next(i for i, line in enumerate(lines)
+                             if not line.startswith("#"))
+                rows[f"{name}/{fname}"] = lines[start:]
+    return rows, codes
+
+
 def dump(path):
     from pintlab.mgrit_sim import (error_propagation_norm, iterate,
                                    measure_rho)
@@ -204,11 +238,12 @@ def dump(path):
                          "state": _checksum(u)}
     roots = _roots()
     sweeps = _sweeps()
+    csv_rows, codes = _csv_rows()
     with open(path, "w") as fh:
-        json.dump({"runs": records, "roots": roots, "sweeps": sweeps}, fh,
-                  indent=1)
-    print(f"wrote {len(records)} runs, {len(roots)} root sets and "
-          f"{len(sweeps)} CLI sweeps to {path}")
+        json.dump({"runs": records, "roots": roots, "sweeps": sweeps,
+                   "csv": csv_rows, "csv_exit_codes": codes}, fh, indent=1)
+    print(f"wrote {len(records)} runs, {len(roots)} root sets, "
+          f"{len(sweeps)} CLI sweeps and {len(csv_rows)} CSV files to {path}")
 
 
 def _ratio(a, b, rel, floor):
@@ -224,12 +259,13 @@ def _ratio(a, b, rel, floor):
 def _load(path):
     with open(path) as fh:
         record = json.load(fh)
-    return record["runs"], record["roots"], record["sweeps"]
+    return (record["runs"], record["roots"], record["sweeps"],
+            record.get("csv", {}), record.get("csv_exit_codes", {}))
 
 
 def compare(path_a, path_b):
-    (A, roots_a, sweeps_a), (B, roots_b, sweeps_b) = map(_load,
-                                                          (path_a, path_b))
+    ((A, roots_a, sweeps_a, csv_a, codes_a),
+     (B, roots_b, sweeps_b, csv_b, codes_b)) = map(_load, (path_a, path_b))
     failures = []
     if A.keys() != B.keys():
         failures.append(f"case sets differ: {sorted(A.keys() ^ B.keys())}")
@@ -283,6 +319,20 @@ def compare(path_a, path_b):
         if roots_a.get(name) != roots_b.get(name):
             failures.append(f"roots {name}: {roots_a.get(name)} -> "
                             f"{roots_b.get(name)}")
+    for name in sorted(codes_a.keys() | codes_b.keys()):
+        if codes_a.get(name) != codes_b.get(name):
+            failures.append(f"{name}: exit code {codes_a.get(name)} -> "
+                            f"{codes_b.get(name)}")
+    for name in sorted(csv_a.keys() | csv_b.keys()):
+        rows_a, rows_b = csv_a.get(name), csv_b.get(name)
+        if rows_a is None or rows_b is None or len(rows_a) != len(rows_b):
+            failures.append(f"{name}: {len(rows_a or ())} -> "
+                            f"{len(rows_b or ())} rows")
+            continue
+        moved = [(a, b) for a, b in zip(rows_a, rows_b) if a != b]
+        if moved:
+            failures.append(f"{name}: {len(moved)} row(s) differ, first "
+                            f"{moved[0][0]!r} -> {moved[0][1]!r}")
     for kind, (ratio, name) in worst.items():
         print(f"worst {kind}: {ratio:.3g} of its tolerance ({name})")
     print(f"{len(A)} runs, {same_bytes} of {states} returned states "
@@ -290,6 +340,8 @@ def compare(path_a, path_b):
     print(f"{len(roots_a)} root sets, compared with ==")
     print(f"{sum(map(len, sweeps_a.values()))} CLI sweep rows in "
           f"{len(sweeps_a)} sweeps")
+    print(f"{sum(map(len, csv_a.values()))} CSV rows in {len(csv_a)} files "
+          f"of {len(codes_a)} table and bounds runs, compared with ==")
     for line in failures:
         print(f"FAIL {line}")
     print("PASS" if not failures else f"{len(failures)} failure(s)")

@@ -9,7 +9,7 @@ from pintlab.bounds import (_SECTIONS, INFINITY, BoundQuery, PropagatorSpec,
                             fine_interval_eigenvalue, max_over_k,
                             pointwise_bound, spectrum_max, sweep,
                             sweep_function, two_iteration_product)
-from pintlab.butcher import REGISTRY, get_scheme
+from pintlab.butcher import REGISTRY, get_scheme, stability_eval_batch
 from pintlab.golden import K_VALUES
 
 from mp_reference import mp_stage_form
@@ -461,6 +461,93 @@ def test_sweep_flat_window_decided_by_tail_probe(tail, max_phi_expected):
         assert threshold == INFINITY
 
 
+def _lockstep_batch():
+    """Every registry self-pair x K_VALUES x {F, FCF}, each on the real axis
+    and under the imaginary-axis upper bound at Nc = inf and 256, plus mixed
+    fine propagators (whose distinct steps come in different orders, one
+    with half steps), theta = 0.5 and omega = 0.8."""
+    out = []
+    for name in REGISTRY.names():
+        tab = get_scheme(name)
+        for k in K_VALUES:
+            for relax in ("F", "FCF"):
+                out.append(query(tab, tab, k, relax))
+                out += [query(tab, tab, k, relax, Nc=nc, axis="imaginary",
+                              bound_kind="upper_tight")
+                        for nc in (INFINITY, 256.0)]
+    for steps in (((SDIRK22, 1.0), (SDIRK22, 1.0), (TRAP, 1.0), (TRAP, 1.0)),
+                  ((SDIRK22, 1.0), (TRAP, 1.0), (BWE, 1.0), (SDIRK22, 1.0)),
+                  ((BWE, 1.0), (TRAP, 1.0), (SDIRK22, 1.0), (SDIRK22, 1.0)),
+                  ((BWE, 0.5), (BWE, 0.5), (SDIRK33, 1.0), (TRAP, 2.0))):
+        out += [BoundQuery(PropagatorSpec(steps), SDIRK22, 4, relax)
+                for relax in ("F", "FCF")]
+    out.append(query(ESDIRK33, ESDIRK33, 4, theta=0.5))
+    out += [query(SDIRK22, BWE, 4, relax, omega=0.8)
+            for relax in ("F", "FCF")]
+    return out
+
+
+def test_lockstep_sweep_matches_solo_sweeps():
+    queries = _lockstep_batch()
+    curves = sweep(queries)
+    assert len(curves) == len(queries)
+    # explicit schemes under FCF read nan far outside their stability
+    # region (|lam^k| = inf times phi = 0), in both routes alike
+    for q, curve in zip(queries, curves):
+        solo = sweep(q)
+        assert curve.query is q
+        assert np.array_equal(curve.samples, solo.samples, equal_nan=True), \
+            q.describe()
+        assert curve.max_phi == solo.max_phi, q.describe()
+        assert curve.argmax_w == solo.argmax_w, q.describe()
+        assert curve.threshold == solo.threshold, q.describe()
+
+
+def test_lockstep_bound_values_match_one_query_calls():
+    # one call over every query's points gives each point the value a call
+    # of its query alone gives
+    queries = _lockstep_batch()
+    w = np.geomspace(1e-9, 1e9, 97)
+    owner = np.repeat(np.arange(len(queries)), w.size)
+    batch = bound_values(queries, np.tile(w, len(queries)), owner)
+    for i, q in enumerate(queries):
+        assert np.array_equal(batch[owner == i], bound_values(q, w),
+                              equal_nan=True), q.describe()
+
+
+@pytest.mark.parametrize("axis", ["real_positive", "imaginary"])
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def test_bound_values_round_as_the_direct_formula(axis):
+    # one query's simple bound, written out: lam^k as the product over the
+    # interval's steps, from 1, of one stability evaluation to the power k
+    # (a Python int, so k = 2 takes numpy's square), mu at k*w, extended
+    # precision below w = 1e-4, and a vanished denominator read as 0/0 = 0
+    # on the real axis and as inf on the imaginary one
+    w = np.geomspace(1e-8, 1e8, 301)
+    pts = w * 1j if axis == "imaginary" else w.astype(complex)
+    for tab in (BWE, SDIRK33, TRAP, get_scheme("erk2")):
+        for k in K_VALUES:
+            for relax in ("F", "FCF"):
+                ref = np.empty_like(w)
+                for sel, dtype in ((w >= 1e-4, complex),
+                                   (w < 1e-4, np.clongdouble)):
+                    z = pts[sel].astype(dtype)
+                    lamk = np.ones_like(z) * stability_eval_batch(
+                        tab, z, dtype=dtype) ** k
+                    mu = stability_eval_batch(tab, k * z, dtype=dtype)
+                    num = np.abs(mu - lamk).astype(float)
+                    den = (1.0 - np.abs(mu)).astype(float)
+                    zero = (num < 1e-13) & (axis == "real_positive")
+                    phi = np.where(den < 1e-13, np.where(zero, 0.0, np.inf),
+                                   num / den)
+                    if relax == "FCF":
+                        phi = np.abs(lamk.astype(complex)) * phi
+                    ref[sel] = phi
+                got = bound_values(query(tab, tab, k, relax, axis=axis), w)
+                assert np.array_equal(got, ref, equal_nan=True), \
+                    (tab.name, k, relax)
+
+
 def test_sweep_rejects_bad_window():
     with pytest.raises(ValueError):
         sweep(query(BWE, BWE, 2), w_min=1.0, w_max=0.5)
@@ -554,3 +641,22 @@ def test_spectrum_max():
     # the discrete sup at the argmax eigenvalue matches the pointwise value
     assert spectrum_max(q, [0.5, 1.0, 1.5]) == pytest.approx(
         pointwise_bound(q, 1.0))
+
+
+def test_spectrum_max_rejects_complex_w():
+    # eigenvalues of a skew operator are imaginary; their magnitudes go in
+    # w and the axis in the query
+    from pintlab.model_problems import make_skew_advection
+    lam = make_skew_advection(8, 1.0).eigenvalues
+    q = query(BWE, BWE, 2, Nc=16.0, bound_kind="upper_tight",
+              axis="imaginary")
+    with pytest.raises(ValueError, match="real w magnitudes"):
+        spectrum_max(q, lam)
+    assert spectrum_max(q, np.abs(lam)) == pytest.approx(0.451, abs=1e-3)
+
+
+def test_spectrum_max_accepts_complex_w_on_the_real_line():
+    q = query(BWE, BWE, 2)
+    w = np.array([0.5, 1.0, 1.5])
+    # pytest turns a ComplexWarning into an error
+    assert spectrum_max(q, w + 0j) == spectrum_max(q, w)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from pintlab import cli
+from pintlab import bounds, cli
 from pintlab.bounds import BoundQuery, PropagatorSpec, bound_values, sweep
 from pintlab.butcher import get_scheme, stability_eval_batch
 from pintlab.cli import main
@@ -182,13 +182,29 @@ def _gauss4_dense_cap(k):
     return float(np.max(bound_values(q, w[:z])))
 
 
+def test_table2_row_sweeps_in_lockstep(monkeypatch, capsys):
+    # a row's 12 sweeps (6 k x F/FCF) share every probe round: one
+    # bound_values call per round, not one per sweep and round
+    calls = []
+    original = bounds.bound_values
+
+    def counted(q, w, owner=None):
+        calls.append(np.size(w))
+        return original(q, w, owner)
+
+    monkeypatch.setattr(bounds, "bound_values", counted)
+    assert main(["table", "table2", "--rows", "sdirk33"]) == 0
+    assert 0 < len(calls) <= 24, calls
+
+
 def test_gauss4_cap_matches_dense_reference(monkeypatch, capsys):
     kset = (2, 4, 8, 16)
     cap = cli._gauss4_capped_max(kset)
     assert abs(cap - 0.2984) <= 1e-3
     assert abs(cap - max(_gauss4_dense_cap(k) for k in kset)) <= 1e-3
     # the cutoff rule does not depend on where the sweep's samples land
-    monkeypatch.setattr(cli, "sweep", lambda q: sweep(q, n_base=2048))
+    monkeypatch.setattr(cli, "sweep",
+                        lambda queries: sweep(queries, n_base=2048))
     assert abs(cli._gauss4_capped_max(kset) - cap) <= 1e-3
 
 
@@ -259,6 +275,25 @@ def test_simulate_divergent_run_is_silent(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "rho=inf converged=False" in proc.stdout
+
+
+def test_closed_stdout_pipe_exits_141_without_an_error_line(tmp_path):
+    # stdout is a pipe whose reader has gone, as in `pintlab simulate ... |
+    # head -1` once head has exited
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pintlab.cli", "simulate", "--fine", "bwe",
+             "--coarse", "bwe", "--nt", "64", "--nmodes", "4", "--out",
+             str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_simulate_bad_divisibility_exits_2(capsys):
