@@ -17,10 +17,11 @@ at every point, each distinct stability function once per block of points,
 then the formula above with each point's kind, Nc, theta, omega and
 relaxation.  One
 call may serve many queries, point by point.  `sweep` takes one query or a
-list of them and refines all of them in lockstep through the one sweep
-engine: each probe round (base grid, multisection round, tail probe,
-threshold round) is one `bound_values` call over every query still
-refining, and each curve is the one its query swept alone gives.
+list of them and refines all of them through the one array sweep engine,
+`_sweep_many`: one `bound_values` call for every curve's base grid and
+tail probe, one per multisection round over the peak brackets of every
+curve, and one per round over the threshold's crossing brackets.  Each
+curve is the one its query swept alone gives.
 """
 
 from __future__ import annotations
@@ -287,7 +288,6 @@ def _apply_formula(queries, owner, lamk, num, amu, one_minus):
         extra = np.where(np.isinf(scale), 0.0, (np.pi ** 2) * amu / scale)
         tight = num / np.sqrt(one_minus ** 2 + extra)
         tight = np.where(amu > 1.0 + _TIGHT_SLACK, np.inf, tight)
-        tight = np.where(np.isnan(tight), np.inf, tight)
         phi = np.where(simple, phi, tight)
     fcf = _per_point(queries, owner, lambda q: q.relaxation == RELAX_FCF)
     alamk = np.abs(lamk)
@@ -298,7 +298,9 @@ def _apply_formula(queries, owner, lamk, num, amu, one_minus):
     if blend.any():
         base = np.where(fcf, alamk, 1.0)
         phi = np.where(blend, (1.0 - omega) * base + omega * phi, phi)
-    return phi
+    # an overflow far outside an explicit scheme's stability region (inf
+    # times 0, or a complex product with inf parts) is unbounded too
+    return np.where(np.isnan(phi), np.inf, phi)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -410,44 +412,46 @@ _PEAK_TOL = 1e-4
 _CROSSING_TOL = 1e-13
 
 
-def _multisection(w_lo, w_hi, peak):
-    """Shrink log-w brackets in lockstep by multisection.
-
-    A generator: each round yields _SECTIONS log-spaced interior points of
-    every bracket as one array and receives their values.  A peak bracket
+def _multisection(w_lo, w_hi, owner, n, peak, evaluate):
+    """Shrink the log-w brackets [w_lo[i], w_hi[i]] of curves owner[i] < n
+    by multisection: each round is one call evaluate(w, owner) over
+    _SECTIONS log-spaced interior points of every bracket of every curve
+    whose widest bracket is still above the tolerance.  A peak bracket
     keeps the two intervals around its best sample; a crossing bracket,
     with phi(w_lo) < 1 <= phi(w_hi), keeps the interval that ends at its
     first sample not below 1.  Returns the final log-w brackets, shape
-    (n, 2), and every probed w and phi.
+    (m, 2), and per curve the probed w and values in probe order.
     """
     x = np.log(np.column_stack((w_lo, w_hi)))
+    owner = np.asarray(owner, dtype=np.intp)
     tol = _PEAK_TOL if peak else _CROSSING_TOL
     frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
-    rows = np.arange(len(x))[:, None]
-    edge = np.ones((len(x), 1), dtype=bool)
-    probes_w, probes_v = [np.empty(0)], [np.empty(0)]
-    while np.max(x[:, 1] - x[:, 0]) > tol:
-        lo, hi = x[:, :1], x[:, 1:]
-        x = np.concatenate((lo, lo + (hi - lo) * frac, hi), axis=1)
-        w = np.exp(x[:, 1:-1])
-        v = np.asarray((yield w.ravel()), dtype=float).reshape(w.shape)
-        probes_w.append(w.ravel())
-        probes_v.append(v.ravel())
+    probes = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))]
+    while True:
+        widest = np.full(n, -np.inf)
+        np.maximum.at(widest, owner, x[:, 1] - x[:, 0])
+        act = np.flatnonzero(widest[owner] > tol)
+        if not act.size:
+            break
+        lo, hi = x[act, :1], x[act, 1:]
+        xs = np.concatenate((lo, lo + (hi - lo) * frac, hi), axis=1)
+        w = np.exp(xs[:, 1:-1])
+        who = np.repeat(owner[act], _SECTIONS)
+        v = np.asarray(evaluate(w.ravel(), who), dtype=float).reshape(w.shape)
+        probes.append((w.ravel(), v.ravel(), who))
         if peak:
             # the points on either side of the best sample
             j = np.argmax(v, axis=1)[:, None] + (0, 2)
         else:
             # the last point below 1 and the first not below it
+            edge = np.ones((act.size, 1), dtype=bool)
             j = np.argmin(np.hstack((edge, v < 1.0, ~edge)), axis=1)
             j = j[:, None] + (-1, 0)
-        x = x[rows, j]
-    return x, np.concatenate(probes_w), np.concatenate(probes_v)
-
-
-def _first_crossing(w_lo, w_hi):
-    """First sampled up-crossing of 1 in [w_lo, w_hi] (see _multisection)."""
-    x = (yield from _multisection([w_lo], [w_hi], peak=False))[0]
-    return math.exp(0.5 * (x[0, 0] + x[0, 1]))
+        x[act] = xs[np.arange(act.size)[:, None], j]
+    w, v, who = map(np.concatenate, zip(*probes))
+    order = np.argsort(who, kind="stable")
+    cuts = np.cumsum(np.bincount(who, minlength=n))[:-1]
+    return x, np.split(w[order], cuts), np.split(v[order], cuts)
 
 
 @functools.lru_cache(maxsize=8)
@@ -458,51 +462,42 @@ def _base_grid(w_min, w_max, n_base):
     return grid
 
 
-def _sweep_rounds(w_min: float, w_max: float, n_base: int):
-    """The sweep engine, as a generator of probe rounds.
-
-    Each round yields one array of w magnitudes and receives the curve's
-    values there (inf allowed): the log-spaced base grid, every
-    multisection round, the tail probe at 10 * w_max and every round of
-    the threshold's search.  Refinement starts after the full base pass:
-    the peak candidates and then the threshold's crossing bracket are
-    narrowed by the same multisection (_SECTIONS log-spaced points per
-    bracket and round).  argmax_w is the best sample of the first run of
-    samples within 1e-6 of the max, so equal humps report the first one and
-    a plateau its first sample.  Returns (samples, max_phi, argmax_w,
-    threshold).
-    """
-    if not (0.0 < w_min < w_max):
-        raise ValueError("need 0 < w_min < w_max")
-    if n_base < 64:
-        raise ValueError("n_base must be >= 64")
-    grid = _base_grid(w_min, w_max, n_base)
-    phi = np.asarray((yield grid), dtype=float)
-
+def _peak_brackets(grid, phi):
+    """Bracket ends and curves of the peak candidates of every curve's base
+    pass phi (shape (n, n_base)): its finite local maxima, at most 64, the
+    highest (then the latest) first.  Each plateau is refined once, from
+    its first sample, and humps below 0.3 of the curve's peak are skipped:
+    neither can move the max/argmax summary."""
     finite = np.where(np.isfinite(phi), phi, -np.inf)
-    pad = np.concatenate(([-np.inf], finite, [-np.inf]))
-    is_max = np.isfinite(finite) & (finite >= pad[:-2]) & (finite >= pad[2:])
-    # refine each plateau once, from its first sample, and skip humps far
-    # below the global peak: neither can move the max/argmax summary
-    keep = is_max & ~np.concatenate(([False], is_max[:-1]))
-    peak = np.max(finite)
-    if peak > 0:
-        keep &= finite >= 0.3 * peak
-    idx = np.flatnonzero(keep)
-    idx = idx[np.lexsort((-idx, -finite[idx]))][:64]
-    w_all, phi_all = grid, phi
-    if idx.size:
-        _, probe_w, probe_phi = yield from _multisection(
-            grid[np.maximum(idx - 1, 0)],
-            grid[np.minimum(idx + 1, n_base - 1)], peak=True)
-        w_all = np.concatenate((grid, probe_w))
-        order = np.argsort(w_all, kind="stable")
-        w_all, phi_all = w_all[order], np.concatenate((phi, probe_phi))[order]
-    arr = np.column_stack((w_all, phi_all))
+    pad = np.pad(finite, ((0, 0), (1, 1)), constant_values=-np.inf)
+    is_max = np.isfinite(finite) & (finite >= pad[:, :-2]) & \
+        (finite >= pad[:, 2:])
+    keep = is_max.copy()
+    keep[:, 1:] &= ~is_max[:, :-1]
+    top = np.max(finite, axis=1, keepdims=True)
+    keep &= (top <= 0) | (finite >= 0.3 * top)
+    rows, cols = np.nonzero(keep)
+    order = np.lexsort((-cols, -finite[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    best = np.arange(rows.size) - np.searchsorted(rows, rows) < 64
+    rows, cols = rows[best], cols[best]
+    return (grid[np.maximum(cols - 1, 0)],
+            grid[np.minimum(cols + 1, len(grid) - 1)], rows)
+
+
+def _summarize(grid, phi, tail, probe_w, probe_v, w_max):
+    """One curve's [samples, max_phi, argmax_w, threshold] from its base
+    pass phi, its tail probe at 10 * w_max and its peak probes, where the
+    threshold may still be the (w_lo, w_hi) bracket of its first
+    up-crossing of 1.  argmax_w is the best sample of the first run of
+    samples within 1e-6 of the max, so equal humps report the first one
+    and a plateau its first sample."""
+    w_all = np.concatenate((grid, probe_w))
+    order = np.argsort(w_all, kind="stable")
+    w_all, phi_all = w_all[order], np.concatenate((phi, probe_v))[order]
 
     unbounded = bool(np.any(~np.isfinite(phi_all)) or np.any(phi_all > 1e6))
     end_increasing = phi[-1] >= phi[-2] and np.isfinite(phi[-1])
-    tail = float((yield np.asarray([10.0 * w_max]))[0])
     max_phi = float(np.max(np.where(np.isfinite(phi_all), phi_all, np.inf)))
     argmax_at_inf = False
     if unbounded or not math.isfinite(tail) or tail > 1e6:
@@ -515,7 +510,7 @@ def _sweep_rounds(w_min: float, w_max: float, n_base: int):
         argmax_at_inf = True
     elif max_phi > 0 and tail >= max_phi * (1.0 - 1e-6):
         # supremum approached asymptotically: report the far-tail estimate
-        max_phi = max(max_phi, float(tail))
+        max_phi = max(max_phi, tail)
         argmax_at_inf = True
 
     if argmax_at_inf:
@@ -529,7 +524,6 @@ def _sweep_rounds(w_min: float, w_max: float, n_base: int):
         argmax_w = INFINITY if (end_bad or not len(bad)) \
             else float(w_all[bad[0]])
     else:
-        # the best sample of the first run of samples within 1e-6 of the max
         near = np.append(phi_all >= max_phi * (1.0 - 1e-6), False)
         first = int(np.argmax(near))
         last = first + int(np.argmin(near[first:]))
@@ -537,61 +531,66 @@ def _sweep_rounds(w_min: float, w_max: float, n_base: int):
 
     over = np.where(~(phi_all < 1.0))[0]  # inf counts as over
     if len(over) == 0:
-        threshold = INFINITY if not tail >= 1.0 else \
-            (yield from _first_crossing(w_max, 10.0 * w_max))
+        threshold = INFINITY if not tail >= 1.0 else (w_max, 10.0 * w_max)
     elif over[0] == 0:
         threshold = 0.0
     else:
-        i = over[0]
-        threshold = yield from _first_crossing(w_all[i - 1], w_all[i])
-    return arr, max_phi, argmax_w, threshold
+        threshold = (w_all[over[0] - 1], w_all[over[0]])
+    return [np.column_stack((w_all, phi_all)), max_phi, argmax_w, threshold]
 
 
-def _lockstep(rounds, evaluate):
-    """Run probe generators in lockstep; return each one's result.
+def _sweep_many(n, evaluate, w_min, w_max, n_base):
+    """The sweep engine: n curves on one log-spaced window, where
+    evaluate(w, owner) gives curve owner[i]'s values at w[i] (inf allowed).
 
-    Each round concatenates the pending probes of every generator still
-    running and makes one call evaluate(w, owner), where owner[i] is the
-    index of the generator that probed w[i].
+    One evaluate call covers every curve's base grid and its tail probe at
+    10 * w_max.  One call per round then refines every curve's peak
+    candidates by multisection; max, argmax and the tail rules are decided
+    curve by curve; and one call per round narrows every curve's threshold
+    bracket.  Each curve gets the rounds, probes and bits it gets alone.
+    Returns one (samples, max_phi, argmax_w, threshold) per curve.
     """
-    pending = {i: next(r) for i, r in enumerate(rounds)}
-    results = [None] * len(rounds)
-    while pending:
-        live = list(pending)
-        sizes = [pending[i].size for i in live]
-        values = np.asarray(evaluate(
-            np.concatenate([pending[i] for i in live]),
-            np.repeat(live, sizes)))
-        for i, v in zip(live, np.split(values, np.cumsum(sizes)[:-1])):
-            try:
-                pending[i] = rounds[i].send(v)
-            except StopIteration as stop:
-                del pending[i]
-                results[i] = stop.value
-    return results
+    if not (0.0 < w_min < w_max):
+        raise ValueError("need 0 < w_min < w_max")
+    if n_base < 64:
+        raise ValueError("n_base must be >= 64")
+    grid = _base_grid(w_min, w_max, n_base)
+    values = np.asarray(evaluate(np.tile(np.append(grid, 10.0 * w_max), n),
+                                 np.repeat(np.arange(n), n_base + 1)),
+                        dtype=float).reshape(n, n_base + 1)
+    _, probe_w, probe_v = _multisection(*_peak_brackets(grid, values[:, :-1]),
+                                        n, True, evaluate)
+    results = [_summarize(grid, values[c, :-1], float(values[c, -1]),
+                          probe_w[c], probe_v[c], w_max) for c in range(n)]
+    crossing = [c for c, r in enumerate(results) if isinstance(r[3], tuple)]
+    ends = np.array([results[c][3] for c in crossing]).reshape(-1, 2)
+    x, _, _ = _multisection(ends[:, 0], ends[:, 1], crossing, n, False,
+                            evaluate)
+    for c, (lo, hi) in zip(crossing, x):
+        results[c][3] = math.exp(0.5 * (lo + hi))
+    return [tuple(r) for r in results]
 
 
 def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
-    """Shared sweep engine on one curve: `fun` maps an array of w magnitudes
-    to values (inf allowed) and is called once per probe round.  Returns
-    (samples, max_phi, argmax_w, threshold); see _sweep_rounds."""
-    return _lockstep([_sweep_rounds(w_min, w_max, n_base)],
-                     lambda w, owner: fun(w))[0]
+    """The sweep engine on one curve: `fun` maps an array of w magnitudes
+    to values (inf allowed), once per probe round (see _sweep_many).
+    Returns (samples, max_phi, argmax_w, threshold)."""
+    return _sweep_many(1, lambda w, owner: fun(w), w_min, w_max, n_base)[0]
 
 
 def sweep(q, w_min: float = 1e-8, w_max: float = 1e8, n_base: int = 512):
     """Sample the bound on [w_min, w_max] and summarize max/argmax/threshold.
 
     `q` is one BoundQuery, which gives one BoundCurve, or a sequence of
-    them, which gives a list.  The queries' sweeps run in lockstep: each
-    probe round is one bound_values call over the probes of every query
-    still refining.  Each curve is the one its query swept alone gives.
+    them, which gives a list.  The array engine (_sweep_many) sweeps them
+    together, one bound_values call per probe round, and each curve is the
+    one its query swept alone gives.
     """
     single = isinstance(q, BoundQuery)
     queries = (q,) if single else tuple(q)
-    results = _lockstep(
-        [_sweep_rounds(w_min, w_max, n_base) for _ in queries],
-        lambda w, owner: bound_values(queries, w, owner))
+    results = _sweep_many(len(queries),
+                          lambda w, owner: bound_values(queries, w, owner),
+                          w_min, w_max, n_base)
     curves = [BoundCurve(x, *r) for x, r in zip(queries, results)]
     return curves[0] if single else curves
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 golden-table mismatch, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -402,7 +403,10 @@ def cmd_singularity(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The parser and its subcommand parsers, built once per process:
+    parsing and a --config file change the namespace, never the parser."""
     p = _Parser(
         prog="pintlab",
         description="Parareal/MGRIT two-grid convergence laboratory")

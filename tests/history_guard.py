@@ -13,8 +13,10 @@ runs a few k sweeps through the CLI (`simulate --k 2,4,8 --seeds 3`) and
 writes each `run_sweep.csv` row's k, rho, converged and iteration count;
 the CLI call is the same on every checkout, whatever `measure_rho` takes.
 It also runs `table table1`, `table table2` and `bounds` over k = 2, 4, 8,
-16, 32, 64 (sdirk33/bwe on the real axis, and on the imaginary axis with
-`--nc 256`) with `--out` in a temporary directory, and writes each CSV
+16, 32, 64 (sdirk33/bwe on the real axis, on the imaginary axis with
+`--nc 256`, and gauss4/bwe under FCF, whose supremum is approached as
+w -> infinity), and `bounds` for the unbounded trapezoid/trapezoid pair at
+k = 2, 4, 8, with `--out` in a temporary directory, and writes each CSV
 file's rows: the column row, the data rows and the footers, without the
 provenance header.  `compare` checks B against A:
 
@@ -78,6 +80,10 @@ CSV_RUNS = {  # name: CLI arguments besides --out
     "bounds sdirk33/bwe imag Nc=256": ("bounds", "--fine", "sdirk33",
                                        "--coarse", "bwe", *BOUNDS_K,
                                        "--axis", "imag", "--nc", "256"),
+    "bounds gauss4/bwe FCF": ("bounds", "--fine", "gauss4", "--coarse", "bwe",
+                              *BOUNDS_K, "--relax", "fcf"),
+    "bounds trapezoid/trapezoid": ("bounds", "--fine", "trapezoid",
+                                   "--coarse", "trapezoid", "--k", "2,4,8"),
 }
 
 
