@@ -323,6 +323,10 @@ def cmd_simulate(args) -> int:
     theta = (tuple(_parse_float_list(args.theta_schedule))
              if args.theta_schedule else None)
     inject_w = _parse_float_list(args.inject_w) if args.inject_w else []
+    bad = [w for w in inject_w if not 0.0 < w < math.inf]
+    if bad:
+        raise ConfigError(f"--inject-w must be finite and positive, "
+                          f"got {bad[0]!r}")
     if args.spectrum and inject_w:
         raise ConfigError("--inject-w adds modes to the generated spectrum; "
                           "it cannot be used with --spectrum")

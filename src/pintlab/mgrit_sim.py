@@ -24,18 +24,28 @@ theta-Parareal weight rescales the coarse propagator (G -> theta G), so it
 is folded into every coarse factor (theta a), once per distinct theta; the
 cycle itself applies no weight.
 
-Level 0 runs its cycles in two buffers that `iterate` allocates once, the
-interval products t and the residual r, and the coarsest level solves in
-place on the residual it is given.  `measure_rho` measures a list of runs
-seed by seed and draws each seed's initial error once for consecutive runs
-on the same grid, so a sweep over k draws once per seed; `iterate` reads
-that state without copying or writing it.
+Level 0 cycles in a workspace of two C-point grids and a quarter: the
+C-points c, one buffer b whose rows 1.. hold the interval products until an
+F-relaxation residual is written over them (elementwise, so the bits are
+those of a separate residual), and the coarsest solve's scratch, which the
+in-place odd-even reduction steps through a block at a time.  Under FCF the
+cycle reads the products instead, and `measure_rho`, which never reads the
+final state, writes the residual over the C-points that the C sweep
+replaces.  `measure_rho` measures a list of runs seed by seed, draws each
+seed's initial error once per distinct grid (so a sweep over k draws once
+per seed), and, when a CPU is spare beside the BLAS threads, runs the runs
+whose coarse grid has at most half the C-points of the largest on a worker
+thread, in a second workspace, while the calling thread runs the others;
+`iterate` reads the drawn state without copying or writing it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -218,20 +228,29 @@ def _scan(u, a, buf=None):
 
     The even rows' steps are added to the odd rows, which then satisfy the
     same recurrence with factor a∘a; once they are solved, the odd rows are
-    stepped into the even ones.  `buf` is half-length scratch that every
-    level reuses.  Grids of at most _LOOP_ROWS rows are stepped row by row.
+    stepped into the even ones.  `buf` is scratch that every level reuses,
+    allocated here when not given; the steps go through it len(buf) rows at
+    a time, so it may be shorter than the len(u) // 2 rows of one pass
+    without changing a bit.  Grids of at most _LOOP_ROWS rows are stepped
+    row by row.
     """
     if len(u) <= _LOOP_ROWS:
         for prev, cur in zip(u, u[1:]):
             cur += _apply(a, prev)
         return u
-    odd = u[1::2]
     if buf is None:
-        buf = np.empty_like(odd)
-    odd += _apply(a, u[:-1:2], buf[:len(odd)])
-    _scan(odd, _apply(a, a), buf)
-    u[2::2] += _apply(a, u[1:-1:2], buf[:(len(u) - 1) // 2])
+        buf = np.empty_like(u[1::2])
+    _add_steps(u[1::2], a, u[:-1:2], buf)
+    _scan(u[1::2], _apply(a, a), buf)
+    _add_steps(u[2::2], a, u[1:-1:2], buf)
     return u
+
+
+def _add_steps(x, a, y, buf):
+    """x += (y stepped by a), row for row, len(buf) rows at a time."""
+    n = len(buf)
+    for i in range(0, len(x), n):
+        x[i:i + n] += _apply(a, y[i:i + n], buf[:len(y[i:i + n])])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +333,10 @@ class _Engine:
     def residual(self, c, t, g=None, out=None):
         """Residual g - A u on the C-points c, index 0 included, with the
         F-points F-relaxed and t = interval_step(c, ...).  Written into
-        `out` when given, which must not share memory with c, t or g.
+        `out` when given, which must not share memory with c, t or g; but
+        with g None every row is written from the same rows of c and t, so
+        out may be c itself, or out[1:] may be t itself (level 0 keeps its
+        products and its residual in one buffer).
 
         This is the coarse right-hand side.  F-relaxation zeroes the F-point
         residual, so it is the full residual.
@@ -328,23 +350,24 @@ class _Engine:
             np.subtract(t, r[1:], out=r[1:])
         return r
 
-    def correction(self, g, ops):
+    def correction(self, g, ops, buf=None):
         """Coarse-grid error on a level's full grid for right-hand side g,
         ops the factor lists from that level down: the exact solve of
         u_n = a u_{n-1} + g_n on the coarsest level, in place (g is always
-        a residual its caller never reads again; see `_scan`), one cycle
-        from zero above it."""
+        a residual its caller never reads again; see `_scan`, which takes
+        `buf` as its scratch), one cycle from zero above it."""
         if len(ops) == 1:
-            return _scan(g, ops[0][0])
+            return _scan(g, ops[0][0], buf)
         c = np.zeros_like(g[::self.k])
         t = self.interval_step(c, ops[0], g)
         r = self.residual(c, t, g) if self.run.relaxation == RELAX_F else None
-        self.cycle(c, t, r, ops, g)
+        self.cycle(c, t, r, ops, g, buf)
         return self.f_sweep(c, ops[0], g)
 
-    def cycle(self, c, t, r, ops, g=None):
+    def cycle(self, c, t, r, ops, g=None, buf=None):
         """One V-cycle on the C-points c of the level whose factor lists
-        from there down are ops, in place.
+        from there down are ops, in place; `buf` is the coarsest solve's
+        scratch (see `correction`).
 
         The F-points are implied F-relaxed from c, so the leading F sweep
         has nothing to do: t = interval_step(c, ops[0], g) and, under
@@ -362,7 +385,7 @@ class _Engine:
             # reusing t and r keeps the live temporaries per level at c, t, r
             t = self.interval_step(c, ops[0], g, out=t)
             r = self.residual(c, t, g, out=r)
-        c += self.correction(r, ops[1:])
+        c += self.correction(r, ops[1:], buf)
 
     # -- initial error ------------------------------------------------------
 
@@ -413,46 +436,85 @@ def iterate(run: MgritRun, u0=None):
         return history, eng.f_sweep(c, eng.ops(1.0)[0])
 
 
-def _cycles(run: MgritRun, eng: _Engine, u0):
-    """`iterate`'s residual history, and its final state: the full grid's
-    copy when r0 = 0, else the C-points only (no closing F sweep)."""
+def _cycles(run: MgritRun, eng: _Engine, u0, work=None):
+    """`iterate`'s residual history and final state: the full grid's copy
+    when r0 = 0, else the C-points only (no closing F sweep).
+
+    Given `work`, a `_workspace` that fits the run, the cycles run in its
+    buffers and the history alone is returned (the state is None): under
+    FCF the last residual is written over the state, which the C sweep
+    would overwrite anyway.
+    """
     u = np.asarray(u0, np.result_type(eng.dtype, np.asarray(u0)))
     del u0
     # the initial state is unrelaxed, so its residual is taken on every point;
     # an F sweep overwrites every F-point, so the cycles keep the C-points.
-    # Every cycle writes its interval products into t and its residual into
-    # r.  A divergent run overflows; the history check below reports it.
+    # Every cycle writes its interval products into t = b[1:]; the cycle
+    # reads them only under FCF and the residual only under F, so an F
+    # residual overwrites them in b and an FCF residual goes to r.  s is
+    # the coarsest solve's scratch.  A divergent run overflows; the
+    # history check below reports it.
     k = eng.k
     fine = eng.ops(1.0)[0]
-    r = np.empty(u[::k].shape, u.dtype)
-    t = np.empty_like(r[1:])
+    grid = (u[::k].shape, u.dtype)
+    c, b, s = _views(_workspace([grid]) if work is None else work, *grid)
+    t = b[1:]
+    fcf = run.relaxation == RELAX_FCF
+    if not fcf:
+        r = b
+    elif work is None:
+        r = np.empty_like(c)        # the state is returned
+    else:
+        r = c                       # the next C sweep replaces it
     with np.errstate(over="ignore", invalid="ignore"):
         c_norm = np.linalg.norm(eng.residual(
-            u[::k], _apply(fine[-1], u[k - 1::k], t), out=r))
+            u[::k], _apply(fine[-1], u[k - 1::k], t), out=b))
         f_norms = [np.linalg.norm(np.subtract(
             _apply(op, u[j - 1::k][:len(t)], t), u[j::k], out=t))
             for j, op in enumerate(fine[:-1], 1)]
         r0 = math.hypot(c_norm, *f_norms)
         history = [r0]
         if r0 == 0.0:
-            return history, u.copy()
-        c = u[::k].copy()
+            return history, u.copy() if work is None else None
+        np.copyto(c, u[::k])
         del u
         eng.interval_step(c, fine, out=t)
-        eng.residual(c, t, out=r)
+        if not fcf:
+            eng.residual(c, t, out=b)
         for it in range(run.max_iters):
             theta = (1.0 if run.theta_schedule is None
                      else run.theta_schedule[it % len(run.theta_schedule)])
-            eng.cycle(c, t, r, eng.ops(theta))
+            eng.cycle(c, t, b, eng.ops(theta), buf=s)
             eng.interval_step(c, fine, out=t)
-            eng.residual(c, t, out=r)
-            rn = float(np.linalg.norm(r))
+            rn = float(np.linalg.norm(eng.residual(c, t, out=r)))
             history.append(rn)
             if not math.isfinite(rn) or rn > 1e6 * r0:
                 break
             if rn <= run.tol * r0:
                 break
-        return history, c
+        return history, c if work is None else None
+
+
+def _workspace(grids):
+    """Level 0's buffers for runs whose C-point grids are `grids`, (shape,
+    dtype) pairs, sized for the largest: the C-points c, the interval
+    products and residual b, and the coarsest solve's scratch s of a
+    quarter grid, as flat bytes that `_views` shapes."""
+    nbytes = [[math.prod(part) * np.dtype(dtype).itemsize
+               for part in _parts(shape)] for shape, dtype in grids]
+    return tuple(np.empty(max(col), np.uint8) for col in zip(*nbytes))
+
+
+def _parts(shape):
+    """The shapes of c, b and s for a C-point grid of `shape`."""
+    return shape, shape, (shape[0] // 4,) + shape[1:]
+
+
+def _views(work, shape, dtype):
+    """c, b and s of one run: views of the first bytes of `work`."""
+    dtype = np.dtype(dtype)
+    return tuple(buf[:math.prod(part) * dtype.itemsize].view(dtype)
+                 .reshape(part) for buf, part in zip(work, _parts(shape)))
 
 
 def _rho_from_history(history, n_exact) -> float:
@@ -479,25 +541,43 @@ def measure_rho(runs, seeds: int = 1) -> list:
     With seeds > 1 each run reports the maximum rho over the random initial
     errors of seeds run.seed .. run.seed + seeds - 1 (worst-case factors need
     worst-case error components excited).  The seeds are the outer loop: a
-    seed's initial error is drawn once and shared by consecutive runs whose
-    draw is the same (grid rows, width, dtype and seed), so a sweep over k on
-    one time grid draws once per seed.
+    seed's random initial error is drawn once for all runs whose draw is the
+    same (`_initial_state`), so a sweep over k on one time grid draws once
+    per seed.
+
+    When a CPU is spare beside the BLAS threads (`_spare_cpu`), a seed's
+    runs go in two lanes (`_lanes`): the runs whose coarse grid has at most
+    half the C-points of the largest run's cycle on a worker thread while
+    this thread cycles the others.  Each lane's runs take their level-0
+    buffers from one `_workspace` sized for the lane's largest run; without
+    a spare CPU every run cycles here, in run order, in one workspace.
+    Every run's arithmetic is the same as alone, so the results do not
+    depend on the lanes.  Engines and draws are made on this thread, the
+    worker is joined before the next seed's draws, and the first exception
+    in run order is raised after the join.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     runs = list(runs)
+    if not runs:
+        return []
     engines = [_Engine(run) for run in runs]
+    grids = [((run.hierarchy.points(1) + 1, eng.width), eng.dtype)
+             for run, eng in zip(runs, engines)]
+    main, side = _lanes(runs)
+    if side and _spare_cpu():
+        lanes = [(lane, _workspace([grids[j] for j in lane]))
+                 for lane in (main, side)]
+    else:
+        lanes = [(range(len(runs)), _workspace(grids))]
     best = [None] * len(runs)
     all_converged = [True] * len(runs)
     for i in range(seeds):
-        drawn = u0 = None
-        for j, (run, eng) in enumerate(zip(runs, engines)):
-            draw = ((run.hierarchy.N, eng.width, eng.dtype, run.seed + i)
-                    if run.initial_error == "random_seeded" else None)
-            if draw is None or draw != drawn:
-                u0 = eng.initial_state(run.seed + i)
-            drawn = draw
-            history = _cycles(run, eng, u0)[0]
+        drawn = {}          # this seed's random draws
+        histories = _run_lanes(lanes, runs, engines, lambda j: _initial_state(
+            runs[j], engines[j], runs[j].seed + i, drawn))
+        del drawn
+        for j, (run, history) in enumerate(zip(runs, histories)):
             nc1 = run.hierarchy.points(1)
             n_exact = nc1 if run.relaxation == RELAX_F else (nc1 + 1) // 2
             rho = _rho_from_history(history, n_exact)
@@ -511,6 +591,104 @@ def measure_rho(runs, seeds: int = 1) -> list:
                 best[j] = (rho, tuple(history))
     return [RhoResult(rho, history, converged)
             for (rho, history), converged in zip(best, all_converged)]
+
+
+def _initial_state(run, eng, seed, drawn):
+    """The run's initial error for `seed`.  A random draw is kept in
+    `drawn` for every run that draws the same (grid rows, width, dtype and
+    seed); a worst-mode state is the run's alone and is not kept."""
+    if run.initial_error != "random_seeded":
+        return eng.initial_state(seed)
+    draw = (run.hierarchy.N, eng.width, eng.dtype, seed)
+    if draw not in drawn:
+        drawn[draw] = eng.initial_state(seed)
+    return drawn[draw]
+
+
+def _lanes(runs):
+    """The run indices of the main lane and of the side lane, each in run
+    order: the side lane takes every run whose coarse grid has at most half
+    the C-points of the largest run's (N_c <= N_c,max / 2)."""
+    nc = [run.hierarchy.points(1) for run in runs]
+    top = max(nc, default=0)
+    return ([j for j, n in enumerate(nc) if 2 * n > top],
+            [j for j, n in enumerate(nc) if 2 * n <= top])
+
+
+# where numpy's OpenBLAS reads its thread count, first set first; unset, it
+# takes every CPU
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+
+
+def _spare_cpu() -> bool:
+    """Whether the side lane gets a CPU of its own: this process may use
+    more CPUs than numpy's BLAS is told to use.  A threaded BLAS keeps its
+    workers spinning between calls on the CPUs it took, and a second lane
+    beside them makes a sweep slower, not faster."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    for name in _BLAS_THREAD_VARS:
+        value = os.environ.get(name, "").split(",")[0].strip()
+        if value.isdigit() and int(value) > 0:
+            return cpus > int(value)
+    return False
+
+
+def _run_lanes(lanes, runs, engines, state):
+    """Every run's residual history, run j from its initial error state(j):
+    the first lane's runs in order on this thread and the second lane's,
+    if there is one, in order on a worker thread.
+
+    Only `_cycles` runs on the worker: state() is called on this thread,
+    for the second lane's runs before the worker starts (each is dropped
+    once its run is done) and for the first lane's as they come.  A lane
+    stops at its first failing run; after the join the first exception in
+    run order is raised.
+    """
+    histories = [None] * len(runs)
+    halt = []       # set when this thread is interrupted: the worker stops
+
+    def lane(jobs, work, state):
+        for j in jobs:
+            if halt:
+                return
+            try:
+                histories[j] = _cycles(runs[j], engines[j], state(j),
+                                       work)[0]
+            except Exception as exc:
+                histories[j] = exc
+                return
+
+    def side_lane():
+        # the worker's ufunc buffers come from its own malloc arena, and at
+        # numpy's 8,192 elements they raised the peak RSS by about 0.2 MB;
+        # buffer sizes move no bit
+        np.setbufsize(1024)
+        lane(*side[0], states.pop)
+
+    first, *side = lanes
+    worker = None
+    if side:
+        states = {j: state(j) for j in side[0][0]}
+        # the caller's context (numpy's error state) goes with the worker
+        worker = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(side_lane,))
+        worker.start()
+    try:
+        lane(*first, state)
+    except BaseException:
+        halt.append(True)
+        raise
+    finally:
+        if worker is not None:
+            worker.join()
+    for history in histories:
+        if isinstance(history, Exception):
+            raise history
+    return histories
 
 
 def error_propagation_matrices(run: MgritRun):

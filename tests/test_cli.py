@@ -549,6 +549,40 @@ def test_simulate_spectrum_with_inject_w_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "0.5,-inf"])
+def test_simulate_bad_inject_w_exits_2(value, source, tmp_path, capsys):
+    # make_spd_interval keeps only modes in (0, ximax], so these values
+    # would drop the mode without a word
+    argv = ["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2",
+            "--nt", "32", "--nmodes", "4", "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--inject-w", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"inject_w = {value}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = value.split(",")[-1]
+    assert captured.err == ("error: --inject-w must be finite and positive, "
+                            f"got {float(bad)!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_inject_w_above_the_spectrum_is_dropped(tmp_path, capsys):
+    # a w above ximax * h_t lies outside the generated spectrum: the run is
+    # the run without it, as before
+    argv = ["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2,4",
+            "--nt", "32", "--nmodes", "4", "--ximax", "1", "--ht", "0.5",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--inject-w", "0.75"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_version_flag(capsys):
     import pytest as _pytest
     with _pytest.raises(SystemExit) as exc:

@@ -1,14 +1,19 @@
 import io
 import math
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pintlab import mgrit_sim
 from pintlab.bounds import (BoundQuery, PropagatorSpec, bound_values,
                             pointwise_bound, spectrum_max)
 from pintlab.butcher import get_scheme, stability_eval_batch
 from pintlab.mgrit_sim import (EXACT_COARSE, MgritRun, RhoResult, SolveError,
-                               TimeHierarchy, _apply, _Engine,
+                               TimeHierarchy, _apply, _cycles, _Engine,
+                               _lanes, _rho_from_history,
                                error_propagation_matrices,
                                error_propagation_norm, iterate, measure_rho,
                                run_to_csv, step)
@@ -799,6 +804,222 @@ def test_iterate_reads_u0_without_writing_or_returning_it(zero):
     assert not np.shares_memory(u, u0)
     if zero:
         assert np.array_equal(u, u0)
+
+
+# --- the two lanes of measure_rho ---------------------------------------------
+
+# N_c = N/2 and N/3 stay in the main lane; N/4, N/8 and N/16 are at most half
+# of N/2 and go to the side lane
+KS_BOTH_LANES = (2, 3, 4, 8, 16)
+
+
+def _lane_sweep(case, relax_kind="F"):
+    """Runs over KS_BOTH_LANES that fill both lanes of measure_rho."""
+    fine, coarse = SDIRK33, BWE
+    problem, h_t, path, kw = spd(3.0, 20), 0.5, "diagonal", {}
+    Ns = (192,)
+    if case == "complex":
+        problem = make_skew_advection(16, 1.0)
+        fine, coarse = TRAP, SDIRK22
+    elif case == "divergent":
+        fine, coarse = get_scheme("erk4"), get_scheme("fwe")
+        problem, h_t, kw = spd(1.05, 20), 1.0, dict(max_iters=40)
+    elif case == "worst_mode":
+        problem = spd(2.0, 30, include=[1.0])
+        kw = dict(initial_error=("worst_mode", 0.5))
+    elif case == "two_grids":
+        Ns = (192, 96)
+    elif case == "matrix":
+        problem, h_t, path = make_fd_diffusion(9), 0.002, "matrix"
+    return [MgritRun(TimeHierarchy(N, h_t, k, 2, fine, coarse), problem,
+                     relax_kind, path=path, **kw)
+            for k in KS_BOTH_LANES for N in Ns]
+
+
+def _one_at_a_time(runs, seeds):
+    """measure_rho's results from `_cycles` on one run at a time, each with
+    its own engine, draw and buffers."""
+    out = []
+    for run in runs:
+        best, converged = None, True
+        for i in range(seeds):
+            eng = _Engine(run)
+            history = tuple(_cycles(run, eng,
+                                    eng.initial_state(run.seed + i))[0])
+            nc = run.hierarchy.points(1)
+            rho = _rho_from_history(
+                history, nc if run.relaxation == "F" else (nc + 1) // 2)
+            converged = converged and history[-1] <= run.tol * history[0]
+            if best is None or rho > best[0]:
+                best = (rho, history)
+        out.append(RhoResult(*best, converged))
+    return out
+
+
+LANE_CASES = ["real", "complex", "divergent", "worst_mode", "two_grids",
+              "matrix"]
+
+
+def _cpus(monkeypatch, n, blas_threads=None):
+    """Present n CPUs to this process and a BLAS told to use blas_threads
+    of them (None: told nothing)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    for name in mgrit_sim._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
+
+
+@pytest.fixture
+def side_thread(monkeypatch):
+    """Two CPUs and a one-thread BLAS: the side lane runs on a worker."""
+    _cpus(monkeypatch, 2, 1)
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
+@pytest.mark.parametrize("case", LANE_CASES)
+def test_lanes_are_bit_identical_to_one_run_at_a_time(case, relax_kind,
+                                                      side_thread):
+    runs = _lane_sweep(case, relax_kind)
+    main, side = _lanes(runs)
+    assert main and side
+    assert measure_rho(runs, seeds=2) == _one_at_a_time(runs, seeds=2)
+
+
+def test_lanes_split_at_half_the_largest_coarse_grid():
+    runs = _lane_sweep("two_grids")     # N_c = 96, 48 at k = 2, and so on
+    ncs = [run.hierarchy.points(1) for run in runs]
+    main, side = _lanes(runs)
+    assert [ncs[j] for j in main] == [96, 64]
+    assert [ncs[j] for j in side] == [48, 32, 48, 24, 24, 12, 12, 6]
+    assert sorted(main + side) == list(range(len(runs)))
+    assert _lanes(runs[:1]) == ([0], [])
+
+
+def _thread_log(monkeypatch):
+    """Record the thread of every stability evaluation, draw and
+    `_cycles` call that measure_rho makes."""
+    log = []
+    evaluate, initial_state, cycles = (mgrit_sim.stability_eval_batch,
+                                       _Engine.initial_state,
+                                       mgrit_sim._cycles)
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            log.append((name, threading.current_thread(), args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mgrit_sim, "stability_eval_batch",
+                        logged("eval", evaluate))
+    monkeypatch.setattr(_Engine, "initial_state",
+                        logged("draw", initial_state))
+    monkeypatch.setattr(mgrit_sim, "_cycles", logged("cycles", cycles))
+    return log
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
+def test_only_the_cycles_leave_the_main_thread(relax_kind, monkeypatch,
+                                               side_thread):
+    # perfbench's tracer keeps one span stack: every function it wraps, and
+    # stability_eval_batch in particular, must run on the calling thread
+    runs = _lane_sweep("two_grids", relax_kind)
+    log = _thread_log(monkeypatch)
+    before = threading.active_count(), np.getbufsize()
+    measure_rho(runs, seeds=2)
+    assert (threading.active_count(), np.getbufsize()) == before
+    main_thread = threading.main_thread()
+    off_main = [name for name, thread, _ in log if thread is not main_thread]
+    assert off_main == ["cycles"] * 2 * len(_lanes(runs)[1])
+    assert sum(name == "eval" for name, _, _ in log) > 0
+
+
+@pytest.mark.parametrize("cpus,blas_threads", [(1, 1), (2, None), (2, 2)],
+                         ids=["one_cpu", "blas_unpinned", "blas_on_both"])
+def test_no_spare_cpu_runs_every_run_in_order_on_the_calling_thread(
+        cpus, blas_threads, monkeypatch):
+    runs = _lane_sweep("real")
+    expected = measure_rho(runs, seeds=2)
+    _cpus(monkeypatch, cpus, blas_threads)
+    log = _thread_log(monkeypatch)
+    before = threading.active_count()
+    assert measure_rho(runs, seeds=2) == expected
+    assert threading.active_count() == before
+    assert all(thread is threading.main_thread() for _, thread, _ in log)
+    ks = [args[0].hierarchy.k for name, _, args in log if name == "cycles"]
+    assert ks == 2 * [run.hierarchy.k for run in runs]
+
+
+@pytest.mark.parametrize("order", ["k_up", "k_down"])
+def test_first_failure_in_run_order_reaches_the_caller(order, monkeypatch,
+                                                       side_thread):
+    runs = _lane_sweep("real")
+    if order == "k_down":
+        runs.reverse()
+    main, side = _lanes(runs)
+    ks = [run.hierarchy.k for run in runs]
+    failing = {ks[main[-1]]: "main lane", ks[side[1]]: "side lane"}
+    first = failing[ks[min(main[-1], side[1])]]
+    cycles = mgrit_sim._cycles
+
+    def failing_cycles(run, eng, u0, work=None):
+        if run.hierarchy.k in failing:
+            raise FloatingPointError(failing[run.hierarchy.k])
+        return cycles(run, eng, u0, work)
+
+    monkeypatch.setattr(mgrit_sim, "_cycles", failing_cycles)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=first):
+        measure_rho(runs, seeds=2)
+    assert threading.active_count() == before
+    # a side-lane failure alone reaches the caller too
+    del failing[ks[main[-1]]]
+    with pytest.raises(FloatingPointError, match="side lane"):
+        measure_rho(runs)
+    assert threading.active_count() == before
+
+
+def test_measure_rho_peak_memory_within_draw_plus_four_grids(side_thread):
+    # numpy reports its allocations to tracemalloc, whichever thread makes
+    # them.  The seed's draw, plus level-0 buffers for both lanes: two grids
+    # and a quarter for the largest run, half that for the side lane.
+    N, modes = 2048, 128
+    problem = spd(1.66, modes)
+    runs = [MgritRun(TimeHierarchy(N, 1.0, k, 2, BWE, BWE), problem, "F")
+            for k in (2, 4, 8, 16)]
+    draw = (N + 1) * modes * 8
+    grid = (N // 2 + 1) * modes * 8
+    np.random.default_rng(0).standard_normal(1)     # numpy's one-time set-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        measure_rho(runs, seeds=2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= draw + 4 * grid
+
+
+@pytest.mark.parametrize("env,cpus,spare", [
+    ({}, 2, False),                                   # BLAS takes every CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 4, True),
+    ({"OMP_NUM_THREADS": "1"}, 2, True),
+    ({"OMP_NUM_THREADS": "1,2"}, 2, True),            # nested OpenMP levels
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2, True),
+])
+def test_spare_cpu_follows_the_blas_thread_count(env, cpus, spare,
+                                                 monkeypatch):
+    _cpus(monkeypatch, cpus)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert mgrit_sim._spare_cpu() is spare
 
 
 # --- the coarsest solve's odd-even reduction ----------------------------------
