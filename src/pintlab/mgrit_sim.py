@@ -14,10 +14,16 @@ that steps grids of at most 32 rows one row at a time.
 
 Every level runs its V-cycle on its C-points: an F-relaxed F-point is its
 C-point stepped forward with the right-hand side added on the way, so the
-F sweeps disappear from the cycle.  One F sweep rebuilds a full grid where
-one is needed: the coarse correction a level returns to the level above,
-and the state `iterate` returns (`measure_rho`, which reads only the
-residual histories, skips it).  F- and FCF-relaxation are supported.
+F sweeps disappear from the cycle.  A coarse level's correction goes
+straight into the C-points of the level above: its closing F sweep adds
+each F-point to them as it is made, and no full grid is built.  Only the
+state `iterate` returns is rebuilt as a full grid (`measure_rho`, which
+reads only the residual histories, skips it).  Every coarse level cycles
+from zero C-points without touching the zeros: its interval products start
+from the right-hand side (plus the first factor's image of a zero row when
+that holds a NaN, an infinite factor times 0), its F residual is their C
+sweep, and its C-points are the correction from below.  F- and FCF-relaxation are
+supported.
 
 A level is nothing more than its list of k step factors.  The
 theta-Parareal weight rescales the coarse propagator (G -> theta G), so it
@@ -36,11 +42,14 @@ seed's initial error once per distinct grid (so a sweep over k draws once
 per seed), and, when a CPU is spare beside the BLAS threads, runs the runs
 whose coarse grid has at most half the C-points of the largest on a worker
 thread, in a second workspace, while the calling thread runs the others;
-`iterate` reads the drawn state without copying or writing it.
+`iterate` reads the drawn state without copying or writing it.  Every
+run's cycles take numpy's ufunc buffers at 1,024 elements, on either
+thread: strided steps and adds run faster than at numpy's 8,192.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 import numbers
@@ -195,7 +204,10 @@ def _factor(tab: ButcherTableau, problem: ModelProblem, dt: float,
     the identity; fully implicit tableaux are unsupported there.
     """
     if path == "diagonal":
-        lam = stability_eval_batch(tab, dt * problem.eigenvalues)
+        # a step far outside the stability region overflows (or divides inf
+        # by inf); the cycles carry the inf or NaN and the history reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = stability_eval_batch(tab, dt * problem.eigenvalues)
         return (lam if np.any(problem.eigenvalues.imag)
                 else np.ascontiguousarray(lam.real))
     if problem.matrix is None:
@@ -221,6 +233,13 @@ def step(tab: ButcherTableau, problem: ModelProblem, dt: float, u,
 
 
 _LOOP_ROWS = 32     # grids this short solve faster row by row
+
+# numpy's ufunc buffer size, in elements, for the MGRIT cycles.  Strided
+# in-place adds such as g[1::2] += x run about twice as fast as at numpy's
+# default 8,192 (1024 x 82 rows: 57-61 us against 111-114 us on a 2-core
+# x86_64 host), and a worker thread's buffers, which come from its own
+# malloc arena, stay small.  Buffer sizes move no bit.
+_BUFSIZE = 1024
 
 
 def _scan(u, a, buf=None):
@@ -263,8 +282,9 @@ class _Engine:
     cycle takes that list from its own level down.
 
     Every level runs its cycle on its C-points (`cycle`); an F sweep
-    (`f_sweep`) rebuilds a full grid only where one is returned.  Grid
-    sizes come from the arrays.
+    (`f_sweep`) adds a coarse correction into the C-points above, or
+    rebuilds the full grid `iterate` returns.  Grid sizes come from the
+    arrays.
     """
 
     def __init__(self, run: MgritRun):
@@ -291,6 +311,7 @@ class _Engine:
                                    run.path))
             factors.append([coarse] * self.k)
         self._ops = {1.0: factors}
+        self._zeros = {}          # (id(op), dtype): `_zero_image`
 
     def ops(self, theta):
         """Every level's factor list, theta folded into each coarse factor
@@ -304,31 +325,72 @@ class _Engine:
 
     # -- grid operations ----------------------------------------------------
 
-    def f_sweep(self, c, factors, g=None):
+    def f_sweep(self, c, factors, g=None, into=None):
         """The full grid with C-points c whose F-points are F-relaxed by the
-        level's factors: u_j = a_j u_{j-1} + g_j, strides 1..k-1."""
+        level's factors: u_j = a_j u_{j-1} + g_j, strides 1..k-1.  Added
+        into `into`, a grid of that shape, when given (a coarse correction
+        goes straight into the C-points above), else a new grid."""
         k = self.k
-        nc = len(c) - 1
-        u = np.empty((nc * k + 1,) + c.shape[1:], c.dtype)
-        u[::k] = c
+        new = into is None
+        if new:
+            into = np.empty(((len(c) - 1) * k + 1,) + c.shape[1:], c.dtype)
+            into[::k] = c
+        else:
+            into[::k] += c
+        x = c[:-1]
         for j, op in enumerate(factors[:-1], 1):
-            _apply(op, u[j - 1::k][:nc], u[j::k])
+            out = into[j::k] if new else (x if j > 1 else None)
+            x = _apply(op, x, out)
             if g is not None:
-                u[j::k] += g[j::k]
-        return u
+                x += g[j::k]
+            if not new:
+                into[j::k] += x
+        return into
 
     def interval_step(self, c, factors, g=None, out=None):
         """C-points 0..Nc-1 stepped across their coarse intervals through
         the level's factors in order, with each F-point's g added on the
         way: the products the F sweep and the residual make.  Written into
-        `out` when given."""
+        `out` when given.
+
+        c None steps zero C-points (g given): a_1 0 + g_1 is g's first
+        F-points plus the first factor's zero image (`_zero_image`).
+        """
         k = self.k
-        x = c[:-1]
-        for j, op in enumerate(factors, 1):
-            x = _apply(op, x, out if j == 1 else x)
+        if c is None:
+            z = self._zero_image(factors[0], g.dtype)
+            x = g[1::k] if z is None else np.add(g[1::k], z, out=out)
+            own, first = z is not None, 2
+        else:
+            x, own, first = c[:-1], False, 1
+        for j, op in enumerate(factors[first - 1:], first):
+            x = _apply(op, x, x if own else out)
+            own = True
             if g is not None and j < k:
                 x += g[j::k]
         return x
+
+    def _zero_image(self, op, dtype):
+        """The factor op applied to a zero row of `dtype`, made once per
+        factor: None when every entry is a zero, since adding a zero changes
+        no value, and else the row, whose NaNs (an infinite factor times 0)
+        a cycle from zero C-points must keep."""
+        key = id(op), np.dtype(dtype)
+        if key not in self._zeros:
+            with np.errstate(invalid="ignore"):
+                z = _apply(op, np.zeros(self.width, dtype))
+            self._zeros[key] = z if np.any(z) else None
+        return self._zeros[key]
+
+    def _c_sweep(self, c, t, g=None):
+        """C-relax the C-points c in place from their interval products t:
+        c_0 = g_0 and c_n = t_{n-1} + g_nk.  t may be c[1:] itself."""
+        c[0] = 0.0 if g is None else g[0]
+        if g is None:
+            c[1:] = t
+        else:
+            np.add(t, g[self.k::self.k], out=c[1:])
+        return c
 
     def residual(self, c, t, g=None, out=None):
         """Residual g - A u on the C-points c, index 0 included, with the
@@ -350,19 +412,36 @@ class _Engine:
             np.subtract(t, r[1:], out=r[1:])
         return r
 
-    def correction(self, g, ops, buf=None):
+    def correction(self, g, ops, buf=None, into=None):
         """Coarse-grid error on a level's full grid for right-hand side g,
-        ops the factor lists from that level down: the exact solve of
+        ops the factor lists from that level down, added into `into` (a
+        grid of g's shape) when given and else returned: the exact solve of
         u_n = a u_{n-1} + g_n on the coarsest level, in place (g is always
         a residual its caller never reads again; see `_scan`, which takes
-        `buf` as its scratch), one cycle from zero above it."""
+        `buf` as its scratch), one cycle from zero above it.
+
+        The cycle from zero does no work on the zeros.  Its interval
+        products are `interval_step(None, ...)`; under F its residual is
+        their C sweep (g_0, t + g_k::k, which rounds as t - (0 - g) does),
+        and its C-points are the correction below; under FCF the C sweep
+        starts the cycle.  The closing F sweep goes into `into`.
+        """
         if len(ops) == 1:
-            return _scan(g, ops[0][0], buf)
-        c = np.zeros_like(g[::self.k])
-        t = self.interval_step(c, ops[0], g)
-        r = self.residual(c, t, g) if self.run.relaxation == RELAX_F else None
-        self.cycle(c, t, r, ops, g, buf)
-        return self.f_sweep(c, ops[0], g)
+            e = _scan(g, ops[0][0], buf)
+            if into is None:
+                return e
+            into += e
+            return into
+        if self.run.relaxation == RELAX_F:
+            r = np.empty_like(g[::self.k])
+            self._c_sweep(r, self.interval_step(None, ops[0], g, out=r[1:]),
+                          g)
+            c = self.correction(r, ops[1:], buf)
+        else:
+            c = np.empty_like(g[::self.k])
+            self.cycle(c, self.interval_step(None, ops[0], g), None, ops, g,
+                       buf)
+        return self.f_sweep(c, ops[0], g, into)
 
     def cycle(self, c, t, r, ops, g=None, buf=None):
         """One V-cycle on the C-points c of the level whose factor lists
@@ -372,20 +451,16 @@ class _Engine:
         The F-points are implied F-relaxed from c, so the leading F sweep
         has nothing to do: t = interval_step(c, ops[0], g) and, under
         F-relaxation, r = residual(c, t, g).  Under FCF the C sweep moves c
-        and its residual is taken afresh, so r is not read; t and r (when
-        given) are overwritten.  Either way r is consumed: the coarsest
-        solve may overwrite it.
+        and its residual is taken afresh, so c and r are not read; t and r
+        (when given) are overwritten.  Either way r is consumed: the
+        coarsest solve may overwrite it.
         """
         if self.run.relaxation == RELAX_FCF:
-            c[0] = 0.0 if g is None else g[0]
-            if g is None:
-                c[1:] = t
-            else:
-                np.add(t, g[self.k::self.k], out=c[1:])
+            self._c_sweep(c, t, g)
             # reusing t and r keeps the live temporaries per level at c, t, r
             t = self.interval_step(c, ops[0], g, out=t)
             r = self.residual(c, t, g, out=r)
-        c += self.correction(r, ops[1:], buf)
+        self.correction(r, ops[1:], buf, into=c)
 
     # -- initial error ------------------------------------------------------
 
@@ -444,6 +519,8 @@ def _cycles(run: MgritRun, eng: _Engine, u0, work=None):
     buffers and the history alone is returned (the state is None): under
     FCF the last residual is written over the state, which the C sweep
     would overwrite anyway.
+
+    The cycles run in `_cycle_numerics` on whichever thread runs them.
     """
     u = np.asarray(u0, np.result_type(eng.dtype, np.asarray(u0)))
     del u0
@@ -466,7 +543,7 @@ def _cycles(run: MgritRun, eng: _Engine, u0, work=None):
         r = np.empty_like(c)        # the state is returned
     else:
         r = c                       # the next C sweep replaces it
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _cycle_numerics():
         c_norm = np.linalg.norm(eng.residual(
             u[::k], _apply(fine[-1], u[k - 1::k], t), out=b))
         f_norms = [np.linalg.norm(np.subtract(
@@ -493,6 +570,20 @@ def _cycles(run: MgritRun, eng: _Engine, u0, work=None):
             if rn <= run.tol * r0:
                 break
         return history, c if work is None else None
+
+
+@contextlib.contextmanager
+def _cycle_numerics():
+    """numpy's state for the MGRIT cycles: overflow and invalid results
+    pass silently (a divergent run overflows, and its history reports it),
+    and ufunc buffers hold _BUFSIZE elements.  The thread's state is
+    restored on exit."""
+    size = np.setbufsize(_BUFSIZE)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    finally:
+        np.setbufsize(size)
 
 
 def _workspace(grids):
@@ -662,20 +753,13 @@ def _run_lanes(lanes, runs, engines, state):
                 histories[j] = exc
                 return
 
-    def side_lane():
-        # the worker's ufunc buffers come from its own malloc arena, and at
-        # numpy's 8,192 elements they raised the peak RSS by about 0.2 MB;
-        # buffer sizes move no bit
-        np.setbufsize(1024)
-        lane(*side[0], states.pop)
-
     first, *side = lanes
     worker = None
     if side:
         states = {j: state(j) for j in side[0][0]}
         # the caller's context (numpy's error state) goes with the worker
         worker = threading.Thread(target=contextvars.copy_context().run,
-                                  args=(side_lane,))
+                                  args=(lane, *side[0], states.pop))
         worker.start()
     try:
         lane(*first, state)

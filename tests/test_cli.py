@@ -307,6 +307,26 @@ def test_simulate_divergent_run_is_silent(tmp_path):
     assert "rho=inf converged=False" in proc.stdout
 
 
+@pytest.mark.parametrize("relax", ["f", "fcf"])
+def test_simulate_overflowing_coarse_factors_are_silent(relax, tmp_path):
+    # erk4 at coarse steps of 2e78 overflows to inf on the larger modes (and
+    # its rational evaluation divides inf by inf); the first cycle reports
+    # NaN, with the history of the previous release, and no numpy warning
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "pintlab.cli", "simulate",
+         "--fine", "bwe", "--coarse", "erk4", "--ht", "1e78", "--levels",
+         "3", "--relax", relax, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "rho=nan converged=False iters=1" in proc.stdout
+    rows = read(tmp_path / "run_history.csv").split("iter,residual_norm\n")[1]
+    assert rows == ("0,350.9641064364146\n1,nan\n# rho = nan\n"
+                    "# converged = false\n# iters = 1\n")
+
+
 def test_closed_stdout_pipe_exits_141_without_an_error_line(tmp_path):
     # stdout is a pipe whose reader has gone, as in `pintlab simulate ... |
     # head -1` once head has exited

@@ -616,19 +616,83 @@ def test_iterate_is_bit_identical_to_full_cycles_divergent(relax_kind,
     _assert_iterate_bit_identical(run, 1)
 
 
-@pytest.mark.parametrize("relax_kind,theta", [("F", 1.0), ("F", 0.5),
-                                              ("FCF", 1.0)])
-@pytest.mark.parametrize("levels", [3, 4])
+def _correction_case(spectrum, k, levels, relax_kind, **hier):
+    """An engine and a random right-hand side on every point of its level-1
+    grid, index 0 included."""
+    problem, path = {"real": (spd(3.0, 20), "diagonal"),
+                     "complex": (make_skew_advection(16, 1.0), "diagonal"),
+                     "matrix": (make_fd_diffusion(9), "matrix")}[spectrum]
+    hier = dict(dict(N=8 * k ** (levels - 1), h_t=0.5, fine=SDIRK33,
+                     coarse=BWE), **hier)
+    eng = _Engine(MgritRun(TimeHierarchy(k=k, levels=levels, **hier),
+                           problem, relax_kind, path=path))
+    rng = np.random.default_rng(7)
+    shape = (hier["N"] // k + 1, eng.width)
+    g = rng.standard_normal(shape)
+    if eng.dtype is complex:
+        g = g + 1j * rng.standard_normal(shape)
+    return eng, g
+
+
+def _assert_correction_matches_full_grid_vcycle(eng, g, theta,
+                                                equal_nan=False):
+    """`correction` from level 1, returned and added into a grid, against
+    the full-grid V-cycle from zero; g is left as it was."""
+    g_before = g.copy()
+    ref = _vcycle(eng, np.zeros_like(g), g_before.copy(), 1, theta)
+    ops = eng.ops(theta)[1:]
+    assert np.array_equal(eng.correction(g, ops), ref, equal_nan=equal_nan)
+    assert np.array_equal(g, g_before)
+    above = np.random.default_rng(8).standard_normal(g.shape)
+    into = above.astype(g.dtype)
+    assert eng.correction(g, ops, into=into) is into
+    assert np.array_equal(into, above + ref, equal_nan=equal_nan)
+    assert np.array_equal(g, g_before)
+
+
+@pytest.mark.parametrize("relax_kind,theta", [
+    ("F", 1.0), ("F", 0.5), ("F", 0.0),
+    ("FCF", 1.0), ("FCF", 0.5), ("FCF", 0.0)])
+@pytest.mark.parametrize("levels", [3, 4, 5])
 def test_coarse_correction_is_bit_identical_to_full_grid_vcycle(
         relax_kind, theta, levels):
-    # a nonzero right-hand side on every point, index 0 included
-    hier = TimeHierarchy(64, 0.5, 2, levels, SDIRK33, BWE)
-    eng = _Engine(MgritRun(hier, spd(3.0, 20), relax_kind))
-    g = np.random.default_rng(7).standard_normal((33, 20))
-    g_before = g.copy()
-    ref = _vcycle(eng, np.zeros_like(g), g_before, 1, theta)
-    assert np.array_equal(eng.correction(g, eng.ops(theta)[1:]), ref)
-    assert np.array_equal(g, g_before)
+    # k > 2 adds g on the F-points inside each interval's products
+    for k in (2, 3, 4):
+        for spectrum in ("real", "complex", "matrix"):
+            eng, g = _correction_case(spectrum, k, levels, relax_kind)
+            _assert_correction_matches_full_grid_vcycle(eng, g, theta)
+
+
+# erk4 at coarse steps of 1e78 and more overflows to inf on the larger
+# modes, and inf times the zero C-points a cycle starts from is NaN
+OVERFLOWING = dict(h_t=1e78, fine=BWE, coarse=get_scheme("erk4"))
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_coarse_correction_keeps_the_nans_of_infinite_factors(relax_kind, k):
+    eng, g = _correction_case("real", k, 3, relax_kind, **OVERFLOWING)
+    assert np.any(np.isinf(eng.ops(1.0)[1][0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _vcycle(eng, np.zeros_like(g), g.copy(), 1)
+        _assert_correction_matches_full_grid_vcycle(eng, g, 1.0,
+                                                    equal_nan=True)
+    # the NaNs are the zero start's, not the whole grid's
+    assert 0 < np.count_nonzero(np.isnan(ref)) < ref.size
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_iterate_keeps_the_nans_of_infinite_factors(relax_kind, k):
+    hier = TimeHierarchy(8 * k ** 2, levels=3, k=k, **OVERFLOWING)
+    run = MgritRun(hier, spd(1.0, 20), relax_kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        history, u = iterate(run)
+        ref_history, ref_u = _reference_iterate(run)
+    assert len(history) == 2 and math.isnan(history[1])
+    assert np.array_equal(history, ref_history, equal_nan=True)
+    assert np.array_equal(u, ref_u, equal_nan=True)
+    assert 0 < np.count_nonzero(np.isnan(u)) < u.size
 
 
 def _full_grid_probe(run):
@@ -999,6 +1063,79 @@ def test_measure_rho_peak_memory_within_draw_plus_four_grids(side_thread):
     finally:
         tracemalloc.stop()
     assert peak <= draw + 4 * grid
+
+
+@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
+def test_level_sweep_peak_memory_within_draw_plus_5_5_grids(
+        relax_kind, side_thread):
+    # every run of a level sweep shares one coarse grid, so all cycle on the
+    # calling thread: the seed's draw, level 0's two grids and a quarter,
+    # and the coarse levels' buffers of half a grid and less
+    N, modes = 2048, 128
+    problem = spd(1.66, modes)
+    runs = [MgritRun(TimeHierarchy(N, 1.0, 2, levels, BWE, BWE), problem,
+                     relax_kind, max_iters=30)
+            for levels in range(3, 10)]
+    draw = (N + 1) * modes * 8
+    grid = (N // 2 + 1) * modes * 8
+    np.random.default_rng(0).standard_normal(1)     # numpy's one-time set-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        measure_rho(runs, seeds=2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= draw + 5.5 * grid
+
+
+@pytest.fixture
+def caller_bufsize():
+    """A ufunc buffer size of the caller's own, not numpy's default, put
+    back after the test."""
+    size = np.setbufsize(4096)
+    yield 4096
+    np.setbufsize(size)
+
+
+def _bufsize_log(monkeypatch):
+    """Record the ufunc buffer size of every V-cycle; the cycles of runs
+    whose k is in the returned set raise."""
+    sizes, fail = [], set()
+    cycle = _Engine.cycle
+
+    def logged(self, *args, **kwargs):
+        sizes.append(np.getbufsize())
+        if self.k in fail:
+            raise FloatingPointError(f"k={self.k}")
+        return cycle(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Engine, "cycle", logged)
+    return sizes, fail
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["lanes", "no_spare_cpu"])
+def test_cycles_run_at_their_buffer_size_and_restore_the_callers(
+        cpus, caller_bufsize, monkeypatch):
+    _cpus(monkeypatch, cpus, 1)
+    runs = _lane_sweep("real")
+    assert bool(_lanes(runs)[1]) and mgrit_sim._spare_cpu() is (cpus == 2)
+    sizes, fail = _bufsize_log(monkeypatch)
+    measure_rho(runs, seeds=2)
+    assert np.getbufsize() == caller_bufsize
+    iterate(runs[0])
+    assert np.getbufsize() == caller_bufsize
+    assert sizes and set(sizes) == {mgrit_sim._BUFSIZE}
+    # a run that raises in its cycles, in either lane or alone
+    for k in (runs[0].hierarchy.k, runs[-1].hierarchy.k):
+        fail.clear()
+        fail.add(k)
+        with pytest.raises(FloatingPointError, match=f"k={k}"):
+            measure_rho(runs)
+        assert np.getbufsize() == caller_bufsize
+        with pytest.raises(FloatingPointError, match=f"k={k}"):
+            iterate(next(run for run in runs if run.hierarchy.k == k))
+        assert np.getbufsize() == caller_bufsize
 
 
 @pytest.mark.parametrize("env,cpus,spare", [
