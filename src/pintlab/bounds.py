@@ -38,13 +38,9 @@ from .butcher import ButcherTableau, get_scheme, stability_eval_batch
 
 __all__ = [
     "INFINITY",
-    "StabilityError",
     "PropagatorSpec",
     "BoundQuery",
     "BoundCurve",
-    "coarse_eigenvalue",
-    "fine_interval_eigenvalue",
-    "pointwise_bound",
     "bound_values",
     "sweep",
     "sweep_function",
@@ -73,10 +69,6 @@ _TIGHT_SLACK = 1e-12
 # bound_values evaluates at most this many points at once, so a lockstep
 # round over many queries needs no more scratch memory than a few sweeps
 _BLOCK = 1024
-
-
-class StabilityError(RuntimeError):
-    """Coarse propagator unstable at w: the bound is undefined there."""
 
 
 @dataclass(frozen=True)
@@ -174,22 +166,6 @@ class BoundQuery:
         if self.omega != 1.0:
             parts.append(f"omega={self.omega}")
         return " ".join(parts)
-
-
-def _axis_points(w, axis):
-    w = np.asarray(w, dtype=float)
-    return w * 1j if axis == IMAG_AXIS else w.astype(complex)
-
-
-def coarse_eigenvalue(coarse: ButcherTableau, k: int, w: complex) -> complex:
-    """Per-interval factor of the coarse propagator, mu(w) = lam_coarse(k*w)."""
-    return complex(stability_eval_batch(coarse, np.asarray([k * w], complex))[0])
-
-
-def fine_interval_eigenvalue(fine: PropagatorSpec, w: complex) -> complex:
-    """Product of per-step factors across one coarse interval."""
-    owner = np.zeros(1, dtype=np.intp)
-    return complex(_fine_factors([fine], owner, np.asarray([w], complex))[0])
 
 
 def _int_power(v, n):
@@ -315,10 +291,9 @@ def bound_values(q, w, owner=None):
     parameters (_apply_formula).  A point's value does not depend on the
     other points of the call.
 
-    Unstable and unbounded samples come back as inf (never raises
-    StabilityError), also where an explicit scheme overflows far outside its
-    stability region; PoleError still propagates since registry poles cannot
-    lie on either sweep axis.  Samples with w < 1e-4 are evaluated in
+    Unstable and unbounded samples come back as inf, also where an explicit
+    scheme overflows far outside its stability region; PoleError still
+    propagates since registry poles cannot lie on either sweep axis.  Samples with w < 1e-4 are evaluated in
     extended precision only, on both axes: there |mu - lam^k| and, on the
     imaginary axis, 1 - |mu| are small differences of numbers near 1, and
     double-precision cancellation noise would swamp the signal.
@@ -349,26 +324,6 @@ def _bound_block(queries, w, owner):
                     queries, owner[sel], pts[sel], dtype)):
                 part[sel] = value
     return _apply_formula(queries, owner, *parts)
-
-
-def pointwise_bound(q: BoundQuery, w: float) -> float:
-    """Scalar bound at magnitude w; raises StabilityError when undefined.
-
-    The simple kind requires theta*|mu| < 1; the tight kinds tolerate a
-    marginally stable coarse propagator (|theta*mu| = 1) since their
-    denominator stays positive for finite Nc.
-    """
-    pt = _axis_points(np.asarray([w]), q.axis)
-    mu = q.theta * stability_eval_batch(q.coarse, q.k * pt)[0]
-    amu = abs(mu)
-    if q.bound_kind == SIMPLE:
-        if amu >= 1.0 and not (q.axis == REAL_AXIS and 1.0 - amu > -_DEN_EPS):
-            raise StabilityError(
-                f"coarse propagator unstable at w={w!r}: theta*|mu|={amu}")
-    elif amu > 1.0 + _TIGHT_SLACK:
-        raise StabilityError(
-            f"coarse propagator unstable at w={w!r}: theta*|mu|={amu}")
-    return float(bound_values(q, np.asarray([w]))[0])
 
 
 @dataclass(frozen=True)

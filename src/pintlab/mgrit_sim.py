@@ -39,12 +39,16 @@ cycle reads the products instead, and `measure_rho`, which never reads the
 final state, writes the residual over the C-points that the C sweep
 replaces.  `measure_rho` measures a list of runs seed by seed, draws each
 seed's initial error once per distinct grid (so a sweep over k draws once
-per seed), and, when a CPU is spare beside the BLAS threads, runs the runs
-whose coarse grid has at most half the C-points of the largest on a worker
+per seed), and, when the process may use a second CPU, runs the runs whose
+coarse grid has at most half the C-points of the largest on a worker
 thread, in a second workspace, while the calling thread runs the others;
 `iterate` reads the drawn state without copying or writing it.  Every
 run's cycles take numpy's ufunc buffers at 1,024 elements, on either
 thread: strided steps and adds run faster than at numpy's 8,192.
+
+The diagonal path's cycles call no BLAS: residual norms sum their squares
+in einsum's own loop (`_norm`), so the histories, and every rho from
+them, have the same bits under any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -544,9 +548,9 @@ def _cycles(run: MgritRun, eng: _Engine, u0, work=None):
     else:
         r = c                       # the next C sweep replaces it
     with _cycle_numerics():
-        c_norm = np.linalg.norm(eng.residual(
+        c_norm = _norm(eng.residual(
             u[::k], _apply(fine[-1], u[k - 1::k], t), out=b))
-        f_norms = [np.linalg.norm(np.subtract(
+        f_norms = [_norm(np.subtract(
             _apply(op, u[j - 1::k][:len(t)], t), u[j::k], out=t))
             for j, op in enumerate(fine[:-1], 1)]
         r0 = math.hypot(c_norm, *f_norms)
@@ -563,13 +567,24 @@ def _cycles(run: MgritRun, eng: _Engine, u0, work=None):
                      else run.theta_schedule[it % len(run.theta_schedule)])
             eng.cycle(c, t, b, eng.ops(theta), buf=s)
             eng.interval_step(c, fine, out=t)
-            rn = float(np.linalg.norm(eng.residual(c, t, out=r)))
+            rn = _norm(eng.residual(c, t, out=r))
             history.append(rn)
             if not math.isfinite(rn) or rn > 1e6 * r0:
                 break
             if rn <= run.tol * r0:
                 break
         return history, c if work is None else None
+
+
+def _norm(r):
+    """The 2-norm of the contiguous grid r, a complex one taken as its
+    float pairs.  einsum sums the squares in its own loop, in one order
+    under any thread count; np.linalg.norm's BLAS dot splits the sum over
+    BLAS's threads."""
+    x = r.reshape(-1)
+    if x.dtype.kind == "c":
+        x = x.view(x.real.dtype)
+    return math.sqrt(np.einsum("i,i->", x, x))
 
 
 @contextlib.contextmanager
@@ -636,16 +651,17 @@ def measure_rho(runs, seeds: int = 1) -> list:
     same (`_initial_state`), so a sweep over k on one time grid draws once
     per seed.
 
-    When a CPU is spare beside the BLAS threads (`_spare_cpu`), a seed's
-    runs go in two lanes (`_lanes`): the runs whose coarse grid has at most
-    half the C-points of the largest run's cycle on a worker thread while
-    this thread cycles the others.  Each lane's runs take their level-0
+    When the process may use a second CPU (`_spare_cpu`), a seed's runs go
+    in two lanes (`_lanes`): the runs whose coarse grid has at most half
+    the C-points of the largest run's cycle on a worker thread while this
+    thread cycles the others.  Each lane's runs take their level-0
     buffers from one `_workspace` sized for the lane's largest run; without
     a spare CPU every run cycles here, in run order, in one workspace.
     Every run's arithmetic is the same as alone, so the results do not
-    depend on the lanes.  Engines and draws are made on this thread, the
-    worker is joined before the next seed's draws, and the first exception
-    in run order is raised after the join.
+    depend on the lanes, nor on BLAS's thread count (`_norm`).  Engines
+    and draws are made on this thread, the worker is joined before the
+    next seed's draws, and the first exception in run order is raised
+    after the join.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
@@ -706,26 +722,14 @@ def _lanes(runs):
             [j for j, n in enumerate(nc) if 2 * n <= top])
 
 
-# where numpy's OpenBLAS reads its thread count, first set first; unset, it
-# takes every CPU
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS")
-
-
 def _spare_cpu() -> bool:
     """Whether the side lane gets a CPU of its own: this process may use
-    more CPUs than numpy's BLAS is told to use.  A threaded BLAS keeps its
-    workers spinning between calls on the CPUs it took, and a second lane
-    beside them makes a sweep slower, not faster."""
+    more than one."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:          # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    for name in _BLAS_THREAD_VARS:
-        value = os.environ.get(name, "").split(",")[0].strip()
-        if value.isdigit() and int(value) > 0:
-            return cpus > int(value)
-    return False
+    return cpus > 1
 
 
 def _run_lanes(lanes, runs, engines, state):

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from pintlab.bounds import (INFINITY, BoundQuery, PropagatorSpec,
-                            bound_values, max_over_k, pointwise_bound,
-                            spectrum_max, sweep)
+                            bound_values, max_over_k, spectrum_max, sweep)
 from pintlab.butcher import get_scheme, stability_eval_batch
 from pintlab.explicit_analysis import check_taylor_optimality
 from pintlab.golden import GT1, K_VALUES, TABLE1, TABLE2, cell_tolerance
@@ -180,14 +179,13 @@ def test_criterion_2_max_over_k():
     curve = sweep(q_of("midpoint", "bwe", 2))
     assert curve.argmax_w == INFINITY
     assert 0.99 <= curve.max_phi <= 1.0 + 1e-6
-    probes = [pointwise_bound(q_of("midpoint", "bwe", 2), w)
-              for w in (1e2, 1e4, 1e6, 1e8)]
+    probes = bound_values(q_of("midpoint", "bwe", 2), [1e2, 1e4, 1e6, 1e8])
     assert all(a < b for a, b in zip(probes, probes[1:]))
     assert probes[-1] < 1.0
 
     # with the Nc-aware bound the value 1 is approached for fixed Nc
-    tight = pointwise_bound(q_of("midpoint", "bwe", 2, Nc=100.0,
-                                 bound_kind="upper_tight"), 1e6)
+    tight = bound_values(q_of("midpoint", "bwe", 2, Nc=100.0,
+                              bound_kind="upper_tight"), [1e6])[0]
     assert 0.9 < tight < 1.0
     print("\n[PASS] criterion 2: max-over-k values 0.298/0.316/0.316/"
           "0.301/0.392 within 0.005; trapezoid-family fine + one-step "
@@ -472,8 +470,8 @@ def test_criterion_7_imaginary_axis():
     # itself Nc-independent to within the stated tolerance
     sups = {}
     for k, target in ((4, 0.75), (8, 0.875), (16, 0.9375)):
-        limit = pointwise_bound(q_of("bwe", "bwe", k, axis="imaginary"),
-                                1e-6)
+        limit = bound_values(q_of("bwe", "bwe", k, axis="imaginary"),
+                             [1e-6])[0]
         assert abs(limit - target) <= 0.01, (k, limit)
         assert abs(limit - (k - 1) / k) <= 1e-3
         for nc in (16.0, 256.0, INFINITY):

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from pintlab.bounds import (_CROSSING_TOL, _PEAK_TOL, _SECTIONS, INFINITY,
-                            BoundQuery, PropagatorSpec, StabilityError,
-                            _sweep_many, bound_values, coarse_eigenvalue,
-                            fine_interval_eigenvalue, max_over_k,
-                            pointwise_bound, spectrum_max, sweep,
+                            BoundQuery, PropagatorSpec, _sweep_many,
+                            bound_values, max_over_k, spectrum_max, sweep,
                             sweep_function, two_iteration_product)
-from pintlab.butcher import REGISTRY, get_scheme, stability_eval_batch
+from pintlab.butcher import (REGISTRY, get_scheme, stability_eval,
+                             stability_eval_batch)
 from pintlab.golden import K_VALUES
 
 from mp_reference import mp_stage_form
@@ -28,19 +27,28 @@ def query(fine, coarse, k, relax="F", **kw):
     return BoundQuery(PropagatorSpec.uniform(fine, k), coarse, k, relax, **kw)
 
 
-# --- eigenvalue helpers ----------------------------------------------------
+def lam_k(fine, w, axis="real_positive"):
+    """|lam^k| over one interval of the fine PropagatorSpec at the
+    magnitudes w, as bound_values evaluates it: a theta = 0 query's coarse
+    factor is 0, so its F bound is |0 - lam^k| / (1 - 0)."""
+    q = BoundQuery(fine, BWE, round(fine.k), theta=0.0, axis=axis)
+    return bound_values(q, np.asarray(w, dtype=float))
+
+
+# --- eigenvalues -----------------------------------------------------------
 
 def test_coarse_eigenvalue_examples():
-    assert coarse_eigenvalue(BWE, 2, 1.0) == pytest.approx(1.0 / 3.0)
-    assert coarse_eigenvalue(BWE, 4, 1j) == pytest.approx(1.0 / (1.0 + 4.0j))
-    assert abs(coarse_eigenvalue(TRAP, 2, 1.0)) < 1e-14
+    # the coarse factor mu(w) is the coarse scheme at k w
+    assert stability_eval(BWE, 2 * 1.0) == pytest.approx(1.0 / 3.0)
+    assert stability_eval(BWE, 4 * 1j) == pytest.approx(1.0 / (1.0 + 4.0j))
+    assert abs(stability_eval(TRAP, 2 * 1.0)) < 1e-14
 
 
 def test_fine_interval_eigenvalue_uniform():
     spec = PropagatorSpec.uniform(BWE, 2)
-    assert fine_interval_eigenvalue(spec, 1.0) == pytest.approx(0.25)
+    assert lam_k(spec, [1.0])[0] == pytest.approx(0.25)
     spec = PropagatorSpec.uniform(get_scheme("erk2"), 2)
-    assert fine_interval_eigenvalue(spec, 0.5) == pytest.approx(0.390625)
+    assert lam_k(spec, [0.5])[0] == pytest.approx(0.390625)
 
 
 def test_fine_interval_eigenvalue_mixed_limit():
@@ -52,26 +60,26 @@ def test_fine_interval_eigenvalue_mixed_limit():
     w = 1e8
     product = 1.0 + 0.0j
     for tab, frac in spec.steps:
-        from pintlab.butcher import stability_eval
         product *= stability_eval(tab, frac * w)
-    got = fine_interval_eigenvalue(spec, w)
-    assert got == pytest.approx(product)
-    assert abs(got) < 1e-6
+    got = lam_k(spec, [w])[0]
+    assert got == pytest.approx(abs(product))
+    assert got < 1e-6
 
 
 @pytest.mark.parametrize("name",
                          ["bwe", "sdirk33", "gauss4", "trapezoid", "erk4"])
 def test_fine_interval_eigenvalue_kth_power(name):
     # a uniform spec raises one evaluation to the k-th power; compare with
-    # the 50-digit lam(w)^k of the same float tableau
+    # the 50-digit |lam(w)^k| of the same float tableau
     tab = get_scheme(name)
     for k in (2, 64, 512):
         spec = PropagatorSpec.uniform(tab, k)
         for w in (1e-3, 0.1, 1.0, 1e-3j, 0.1j, 1j):
-            got = fine_interval_eigenvalue(spec, w)
+            axis = "imaginary" if isinstance(w, complex) else "real_positive"
+            got = lam_k(spec, [abs(w)], axis)[0]
             with mpmath.workdps(50):
-                ref = mp_stage_form(tab, w) ** k
-                err = float(abs(got - ref) / abs(ref))
+                ref = abs(mp_stage_form(tab, w) ** k)
+                err = float(abs(got - ref) / ref)
             assert err <= 1e-15 * k, (k, w, err)
 
 
@@ -88,32 +96,30 @@ def test_propagator_spec_validation():
 
 def test_pointwise_simple_bwe():
     # exact value w/(2(1+w)^2) at w=1 is 1/8
-    v = pointwise_bound(query(BWE, BWE, 2), 1.0)
+    v = bound_values(query(BWE, BWE, 2), [1.0])[0]
     assert v == pytest.approx(0.125)
     assert abs(v - 0.13) <= 0.005 + 1e-9
 
 
 def test_pointwise_vanishes_at_small_w():
-    assert pointwise_bound(query(BWE, BWE, 2), 1e-8) < 1e-6
+    assert bound_values(query(BWE, BWE, 2), [1e-8])[0] < 1e-6
 
 
 def test_pointwise_cn_bwe_tight_near_one():
     q = query(MIDPOINT, BWE, 2, Nc=100.0, bound_kind="upper_tight")
-    v = pointwise_bound(q, 1e6)
+    v = bound_values(q, [1e6])[0]
     assert 0.9 < v < 1.0
 
 
 def test_pointwise_theta_zero_gives_fine_power():
-    v = pointwise_bound(query(BWE, BWE, 2, theta=0.0), 1.0)
+    v = bound_values(query(BWE, BWE, 2, theta=0.0), [1.0])[0]
     assert v == pytest.approx(0.25)
 
 
 def test_stability_error_simple_kind():
-    # explicit coarse scheme beyond its stability window
+    # an explicit coarse scheme beyond its stability window: the bound is
+    # unbounded there
     q = query(get_scheme("fwe"), get_scheme("fwe"), 2)
-    with pytest.raises(StabilityError):
-        pointwise_bound(q, 5.0)
-    # sweeps record the unstable region as unbounded samples instead
     assert bound_values(q, np.array([5.0]))[0] == INFINITY
 
 
@@ -122,7 +128,7 @@ def test_tight_kind_tolerates_marginal_coarse():
     # bound is still defined there
     q = query(TRAP, TRAP, 4, Nc=256.0, bound_kind="upper_tight",
               axis="imaginary")
-    v = pointwise_bound(q, 0.05)
+    v = bound_values(q, [0.05])[0]
     assert 0.0 < v < 1.0
 
 
@@ -155,8 +161,7 @@ def test_fcf_tight_bound_is_f_bound_at_nc_minus_1_times_lam_k(kind):
         fcf = bound_values(query(fine, coarse, k, "FCF", Nc=64.0,
                                  bound_kind=kind), w)
         f = bound_values(query(fine, coarse, k, Nc=63.0, bound_kind=kind), w)
-        lamk = np.array([abs(fine_interval_eigenvalue(
-            PropagatorSpec.uniform(fine, k), x)) for x in w])
+        lamk = lam_k(PropagatorSpec.uniform(fine, k), w)
         np.testing.assert_allclose(fcf, lamk * f, rtol=1e-14, atol=0)
 
 
@@ -228,7 +233,7 @@ def test_l_stable_limits():
         qf = query(ftab, BWE, 2, "F")
         assert bound_values(qf, w)[0] <= 1.0 + 1e-9, f
         qc = query(ftab, BWE, 2, "FCF")
-        lamk = abs(fine_interval_eigenvalue(qc.fine, 1e10))
+        lamk = lam_k(qc.fine, w)[0]
         assert bound_values(qc, w)[0] <= lamk + 1e-9, f
 
 
@@ -236,7 +241,7 @@ def test_fcf_identity():
     w = np.geomspace(1e-4, 1e4, 30)
     qf = query(SDIRK33, BWE, 4, "F")
     qc = query(SDIRK33, BWE, 4, "FCF")
-    lamk = np.abs([fine_interval_eigenvalue(qc.fine, wi) for wi in w])
+    lamk = lam_k(qc.fine, w)
     assert np.array_equal(bound_values(qc, w), lamk * bound_values(qf, w))
 
 
@@ -252,8 +257,8 @@ def test_omega_identities():
 def test_parity_of_k_matters():
     # at large w the odd-power fine factor keeps the FCF bound convergent
     # while the even power does not
-    v2 = pointwise_bound(query(ESDIRK33, ESDIRK33, 2, "FCF"), 1e6)
-    v3 = pointwise_bound(query(ESDIRK33, ESDIRK33, 3, "FCF"), 1e6)
+    v2 = bound_values(query(ESDIRK33, ESDIRK33, 2, "FCF"), [1e6])[0]
+    v3 = bound_values(query(ESDIRK33, ESDIRK33, 3, "FCF"), [1e6])[0]
     assert v2 > 1.0
     assert v3 < 1.0
 
@@ -865,7 +870,7 @@ def test_spectrum_max():
     q = query(BWE, BWE, 2)
     # the discrete sup at the argmax eigenvalue matches the pointwise value
     assert spectrum_max(q, [0.5, 1.0, 1.5]) == pytest.approx(
-        pointwise_bound(q, 1.0))
+        bound_values(q, [1.0])[0])
 
 
 def test_spectrum_max_rejects_complex_w():

@@ -307,24 +307,46 @@ def test_simulate_divergent_run_is_silent(tmp_path):
     assert "rho=inf converged=False" in proc.stdout
 
 
+def _simulate_with_blas_threads(threads, args, out):
+    """`pintlab simulate args --out out` in a fresh interpreter whose BLAS
+    may use `threads` threads, with warnings shown."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "pintlab.cli", "simulate",
+         *args, "--out", str(out)], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("relax", ["f", "fcf"])
 def test_simulate_overflowing_coarse_factors_are_silent(relax, tmp_path):
     # erk4 at coarse steps of 2e78 overflows to inf on the larger modes (and
     # its rational evaluation divides inf by inf); the first cycle reports
-    # NaN, with the history of the previous release, and no numpy warning
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "pintlab.cli", "simulate",
-         "--fine", "bwe", "--coarse", "erk4", "--ht", "1e78", "--levels",
-         "3", "--relax", relax, "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    assert "rho=nan converged=False iters=1" in proc.stdout
-    rows = read(tmp_path / "run_history.csv").split("iter,residual_norm\n")[1]
-    assert rows == ("0,350.9641064364146\n1,nan\n# rho = nan\n"
-                    "# converged = false\n# iters = 1\n")
+    # NaN, and no numpy warning.  r0 reads the same under either BLAS
+    # thread count.
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = _simulate_with_blas_threads(
+            threads, ["--fine", "bwe", "--coarse", "erk4", "--ht", "1e78",
+                      "--levels", "3", "--relax", relax], out)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "rho=nan converged=False iters=1" in proc.stdout
+        rows = read(out / "run_history.csv").split("iter,residual_norm\n")[1]
+        assert rows == ("0,350.9641064364147\n1,nan\n# rho = nan\n"
+                        "# converged = false\n# iters = 1\n"), threads
+
+
+def test_simulate_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 961 C-points of 120 modes per residual: enough for a threaded BLAS
+    # dot to split its sum
+    args = ["--fine", "esdirk33", "--coarse", "esdirk32", "--nt", "1920",
+            "--ximax", "6", "--k", "2,4"]
+    for threads in ("1", "2"):
+        proc = _simulate_with_blas_threads(threads, args, tmp_path / threads)
+        assert proc.returncode == 0 and proc.stderr == ""
+    with open(tmp_path / "1" / "run_sweep.csv", "rb") as one, \
+            open(tmp_path / "2" / "run_sweep.csv", "rb") as two:
+        assert one.read() == two.read()
 
 
 def test_closed_stdout_pipe_exits_141_without_an_error_line(tmp_path):
