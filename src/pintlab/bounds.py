@@ -9,19 +9,19 @@ convergence over a spectrum is a sup over w of
 where D is either the plain 1 - |mu| ("simple") or the N_c-aware
 sqrt((1-|mu|)^2 + pi^2 |mu| / (C*Nc^2)) with C = 1 (lower) / C = 6 (upper);
 under FCF the tight kinds take Nc - 1 in place of Nc.
-A scalar weight theta rescales the coarse propagator (mu -> theta*mu); a
-scalar weight omega blends the correction with the identity.
+A scalar weight theta rescales the coarse propagator (mu -> theta*mu),
+which is theta-Parareal.
 
 `bound_values` evaluates first and applies the formula second: lam^k and mu
 at every point, each distinct stability function once per block of points,
-then the formula above with each point's kind, Nc, theta, omega and
-relaxation.  One
-call may serve many queries, point by point.  `sweep` takes one query or a
-list of them and refines all of them through the one array sweep engine,
-`_sweep_many`: one `bound_values` call for every curve's base grid and
-tail probe, one per multisection round over the peak brackets of every
-curve, and one per round over the threshold's crossing brackets.  Each
-curve is the one its query swept alone gives.
+then the formula above with each point's kind, Nc, theta and relaxation.
+One call may serve many queries, point by point: their parameters become
+per-query arrays once per call, and each point reads its query's entries.
+`sweep` takes one query or a list of them and refines all of them through
+the one array sweep engine, `_sweep_many`: one `bound_values` call for
+every curve's base grid and tail probe, one per multisection round over
+the peak brackets of every curve, and one per round over the threshold's
+crossing brackets.  Each curve is the one its query swept alone gives.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class PropagatorSpec:
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """One bound request: propagator pair, relaxation, kind, weights, axis.
+    """One bound request: propagator pair, relaxation, kind, theta, axis.
 
     `fine` may be given as a bare tableau, which is expanded to the uniform
     k-step propagator.
@@ -125,7 +125,6 @@ class BoundQuery:
     Nc: float = INFINITY
     bound_kind: str = SIMPLE
     theta: float = 1.0
-    omega: float = 1.0
     axis: str = REAL_AXIS
 
     def __post_init__(self):
@@ -145,8 +144,6 @@ class BoundQuery:
             raise ValueError("theta must lie in [0, 1]")
         if self.theta != 1.0 and self.relaxation != RELAX_F:
             raise ValueError("theta-weighting is defined for F-relaxation only")
-        if not 0.0 < self.omega <= 2.0 - 1e-15:
-            raise ValueError("omega must lie in (0, 2)")
         if self.bound_kind in (LOWER_TIGHT, UPPER_TIGHT):
             # FCF's propagator lives on Nc - 1 C-points (see bound_values)
             least = 2 if self.relaxation == RELAX_FCF else 1
@@ -163,8 +160,6 @@ class BoundQuery:
                  f"axis={self.axis}"]
         if self.theta != 1.0:
             parts.append(f"theta={self.theta}")
-        if self.omega != 1.0:
-            parts.append(f"omega={self.omega}")
         return " ".join(parts)
 
 
@@ -179,53 +174,68 @@ def _int_power(v, n):
     return p
 
 
-def _fine_factors(specs, owner, pts):
-    """lam^k at pts[i] for the fine propagator specs[owner[i]].
-
-    Each distinct (tableau, fraction) step is evaluated once over every point
-    whose propagator has it and raised to its multiplicity there, so a
-    uniform k-step factor costs one evaluation.  A propagator's distinct
-    steps multiply in its own order: step j of every propagator is applied
-    in round j.
+class _Batch:
+    """A bound_values call's queries as per-query arrays, read per point
+    through `owner`: k, theta, the tight scale C * Nc^2 (C = 1 lower, 6
+    upper; Nc - 1 under FCF, whose propagator is Toeplitz on Nc - 1
+    C-points), the simple/real-axis/FCF flags, and the index of each
+    query's coarse tableau into `coarse`.  Row j of `power` holds each
+    query's multiplicity of the fine step `steps[j]`.  The rows go by the
+    step's place among its propagator's distinct steps, so each propagator
+    multiplies them in its own order, as in a call of its own.
     """
-    out = np.ones_like(pts)
-    rounds = {}
-    for i, spec in enumerate(specs):
-        for j, (step, n) in enumerate(spec.distinct):
-            rounds.setdefault((j, *step), {})[i] = n
-    for (_, tab, frac), mult in rounds.items():
-        power = np.zeros(len(specs), dtype=int)
-        power[list(mult)] = list(mult.values())
-        n = power[owner]
-        if n.all():
-            out = out * _int_power(stability_eval_batch(tab, frac * pts,
-                                                        dtype=pts.dtype), n)
-        elif n.any():
-            sel = n > 0
-            out[sel] = out[sel] * _int_power(stability_eval_batch(
-                tab, frac * pts[sel], dtype=pts.dtype), n[sel])
-    return out
+
+    def __init__(self, queries):
+        rounds, coarse = {}, {}
+        for i, q in enumerate(queries):
+            for j, (step, n) in enumerate(q.fine.distinct):
+                rounds.setdefault((j, *step), {})[i] = n
+        keys = sorted(rounds, key=lambda key: key[0])
+        self.steps = [key[1:] for key in keys]
+        self.power = np.zeros((len(keys), len(queries)), dtype=int)
+        for row, key in zip(self.power, keys):
+            row[list(rounds[key])] = list(rounds[key].values())
+        self.which = np.array([coarse.setdefault(q.coarse, len(coarse))
+                               for q in queries])
+        self.coarse = list(coarse)
+        self.k = np.array([q.k for q in queries])
+        self.theta = np.array([q.theta for q in queries])
+        self.scale = np.array([
+            (1.0 if q.bound_kind == LOWER_TIGHT else 6.0)
+            * (q.Nc - 1 if q.relaxation == RELAX_FCF else q.Nc) ** 2
+            for q in queries])
+        self.simple = np.array([q.bound_kind == SIMPLE for q in queries])
+        self.real = np.array([q.axis == REAL_AXIS for q in queries])
+        self.fcf = np.array([q.relaxation == RELAX_FCF for q in queries])
 
 
-def _eigen_parts(queries, owner, pts, dtype):
+def _eigen_parts(b, owner, pts, dtype):
     """lam^k, |theta*mu - lam^k|, theta*|mu|, 1 - theta*|mu| at the points,
-    point i under queries[owner[i]], evaluated in `dtype`.
+    point i under query owner[i] of the batch b, evaluated in `dtype`.
 
-    Each coarse tableau is evaluated once, at k*w, over every point whose
-    query has it as its coarse propagator.
+    Each distinct fine step is evaluated once over every point whose
+    propagator has it and raised to its multiplicity there, so a uniform
+    k-step factor costs one evaluation.  Each coarse tableau is evaluated
+    once, at k*w, over every point whose query has it.
     """
     pts = pts.astype(dtype)
-    lamk = _fine_factors([q.fine for q in queries], owner, pts)
-    k = np.array([q.k for q in queries])[owner]
-    theta = np.array([q.theta for q in queries])[owner]
-    tabs = list(dict.fromkeys(q.coarse for q in queries))
-    if len(tabs) == 1:
-        mu = theta * stability_eval_batch(tabs[0], k * pts, dtype=dtype)
-    else:
-        which = np.array([tabs.index(q.coarse) for q in queries])[owner]
-        mu = np.empty_like(pts)
-        for c, tab in enumerate(tabs):
-            sel = which == c
+    lamk = np.ones_like(pts)
+    for (tab, frac), power in zip(b.steps, b.power):
+        n = power[owner]
+        if n.all():
+            lamk = lamk * _int_power(stability_eval_batch(
+                tab, frac * pts, dtype=dtype), n)
+        elif n.any():
+            sel = n > 0
+            lamk[sel] = lamk[sel] * _int_power(stability_eval_batch(
+                tab, frac * pts[sel], dtype=dtype), n[sel])
+    k, theta, which = b.k[owner], b.theta[owner], b.which[owner]
+    mu = np.empty_like(pts)
+    for c, tab in enumerate(b.coarse):
+        sel = which == c
+        if sel.all():
+            mu = theta * stability_eval_batch(tab, k * pts, dtype=dtype)
+        elif sel.any():
             mu[sel] = theta[sel] * stability_eval_batch(
                 tab, k[sel] * pts[sel], dtype=dtype)
     amu = np.abs(mu)
@@ -233,47 +243,25 @@ def _eigen_parts(queries, owner, pts, dtype):
             amu.astype(float), (1.0 - amu).astype(float))
 
 
-def _tight_scale(q: BoundQuery) -> float:
-    """C * Nc^2 of the tight denominators: C = 1 (lower) or 6 (upper), and
-    the FCF propagator is Toeplitz on Nc - 1 C-points (its first
-    sub-diagonal is 0), so FCF takes Nc - 1."""
-    C = 1.0 if q.bound_kind == LOWER_TIGHT else 6.0
-    nc = q.Nc - 1 if q.relaxation == RELAX_FCF else q.Nc
-    return C * nc ** 2
-
-
-def _per_point(queries, owner, value):
-    """value(query) for the query of every point."""
-    return np.array([value(q) for q in queries])[owner]
-
-
-def _apply_formula(queries, owner, lamk, num, amu, one_minus):
+def _apply_formula(b, owner, lamk, num, amu, one_minus):
     """The bound at every point from its evaluated parts (see _eigen_parts),
-    with the kind, Nc, axis, relaxation and omega of point i's query
-    queries[owner[i]]."""
-    simple = _per_point(queries, owner, lambda q: q.bound_kind == SIMPLE)
+    with the kind, Nc, axis and relaxation of point i's query owner[i]."""
+    simple = b.simple[owner]
     phi = np.empty(num.shape)
     if simple.any():
         # a vanished denominator: a 0/0 limit on the real axis reads 0
-        real = _per_point(queries, owner, lambda q: q.axis == REAL_AXIS)
         tiny = one_minus < _DEN_EPS
-        phi = np.where(tiny, np.where(real & (num < _DEN_EPS), 0.0, np.inf),
-                       num / one_minus)
+        phi = np.where(tiny, np.where(b.real[owner] & (num < _DEN_EPS),
+                                      0.0, np.inf), num / one_minus)
     if not simple.all():
-        scale = _per_point(queries, owner, _tight_scale)
+        scale = b.scale[owner]
         extra = np.where(np.isinf(scale), 0.0, (np.pi ** 2) * amu / scale)
         tight = num / np.sqrt(one_minus ** 2 + extra)
         tight = np.where(amu > 1.0 + _TIGHT_SLACK, np.inf, tight)
         phi = np.where(simple, phi, tight)
-    fcf = _per_point(queries, owner, lambda q: q.relaxation == RELAX_FCF)
-    alamk = np.abs(lamk)
+    fcf = b.fcf[owner]
     if fcf.any():
-        phi = np.where(fcf, alamk * phi, phi)
-    omega = _per_point(queries, owner, lambda q: q.omega)
-    blend = omega != 1.0
-    if blend.any():
-        base = np.where(fcf, alamk, 1.0)
-        phi = np.where(blend, (1.0 - omega) * base + omega * phi, phi)
+        phi = np.where(fcf, np.abs(lamk) * phi, phi)
     # an overflow far outside an explicit scheme's stability region (inf
     # times 0, or a complex product with inf parts) is unbounded too
     return np.where(np.isnan(phi), np.inf, phi)
@@ -284,21 +272,23 @@ def bound_values(q, w, owner=None):
     """Vectorized bound over magnitudes w on the query's axis.
 
     `q` is one BoundQuery, or a sequence of them with point i under
-    q[owner[i]].  The points go in blocks of _BLOCK.  In each block the
-    evaluation comes first: lam^k and mu at every point, each distinct
-    fine step and coarse tableau once over all the points that use it
-    (_eigen_parts).  Then the formula is applied with each point's query
-    parameters (_apply_formula).  A point's value does not depend on the
-    other points of the call.
+    q[owner[i]].  The queries become per-query arrays once per call
+    (_Batch), and the points go in blocks of _BLOCK that read them through
+    `owner`.  In each block the evaluation comes first: lam^k and mu at
+    every point, each distinct fine step and coarse tableau once over all
+    the points that use it (_eigen_parts).  Then the formula is applied
+    with each point's query parameters (_apply_formula).  A point's value
+    does not depend on the other points of the call.
 
     Unstable and unbounded samples come back as inf, also where an explicit
     scheme overflows far outside its stability region; PoleError still
-    propagates since registry poles cannot lie on either sweep axis.  Samples with w < 1e-4 are evaluated in
-    extended precision only, on both axes: there |mu - lam^k| and, on the
-    imaginary axis, 1 - |mu| are small differences of numbers near 1, and
-    double-precision cancellation noise would swamp the signal.
+    propagates since registry poles cannot lie on either sweep axis.
+    Samples with w < 1e-4 are evaluated in extended precision only, on
+    both axes: there |mu - lam^k| and, on the imaginary axis, 1 - |mu| are
+    small differences of numbers near 1, and double-precision cancellation
+    noise would swamp the signal.
     """
-    queries = (q,) if isinstance(q, BoundQuery) else tuple(q)
+    b = _Batch((q,) if isinstance(q, BoundQuery) else tuple(q))
     w = np.asarray(w, dtype=float)
     shape, w = w.shape, w.ravel()
     owner = (np.zeros(w.size, dtype=np.intp) if owner is None
@@ -306,24 +296,23 @@ def bound_values(q, w, owner=None):
     out = np.empty(w.size)
     for start in range(0, w.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        out[block] = _bound_block(queries, w[block], owner[block])
+        out[block] = _bound_block(b, w[block], owner[block])
     return out.reshape(shape)
 
 
-def _bound_block(queries, w, owner):
+def _bound_block(b, w, owner):
     """bound_values on one block of points: evaluate, then the formula."""
-    real = _per_point(queries, owner, lambda x: x.axis == REAL_AXIS)
-    pts = np.where(real, w.astype(complex), w * 1j)
+    pts = np.where(b.real[owner], w.astype(complex), w * 1j)
     parts = (np.empty(w.size, dtype=complex), *np.empty((3, w.size)))
     small = np.abs(pts) < 1e-4
     for sel, dtype in ((~small, complex), (small, np.clongdouble)):
         if sel.all():
-            parts = _eigen_parts(queries, owner, pts, dtype)
+            parts = _eigen_parts(b, owner, pts, dtype)
         elif sel.any():
             for part, value in zip(parts, _eigen_parts(
-                    queries, owner[sel], pts[sel], dtype)):
+                    b, owner[sel], pts[sel], dtype)):
                 part[sel] = value
-    return _apply_formula(queries, owner, *parts)
+    return _apply_formula(b, owner, *parts)
 
 
 @dataclass(frozen=True)
@@ -479,7 +468,9 @@ def _summarize(grid, phi, tail, probe_w, probe_v, w_max):
         argmax_w = INFINITY if (end_bad or not len(bad)) \
             else float(w_all[bad[0]])
     else:
-        near = np.append(phi_all >= max_phi * (1.0 - 1e-6), False)
+        # within 1e-6 of the max, also for a negative max
+        cut = min(max_phi, max_phi * (1.0 - 1e-6))
+        near = np.append(phi_all >= cut, False)
         first = int(np.argmax(near))
         last = first + int(np.argmin(near[first:]))
         argmax_w = float(w_all[first + np.argmax(phi_all[first:last])])
@@ -505,8 +496,8 @@ def _sweep_many(n, evaluate, w_min, w_max, n_base):
     bracket.  Each curve gets the rounds, probes and bits it gets alone.
     Returns one (samples, max_phi, argmax_w, threshold) per curve.
     """
-    if not (0.0 < w_min < w_max):
-        raise ValueError("need 0 < w_min < w_max")
+    if not (0.0 < w_min < w_max < INFINITY):
+        raise ValueError("need 0 < w_min < w_max < inf")
     if n_base < 64:
         raise ValueError("n_base must be >= 64")
     grid = _base_grid(w_min, w_max, n_base)

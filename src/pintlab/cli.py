@@ -142,11 +142,11 @@ def cmd_bounds(args) -> int:
     else:
         kind = _BOUND_KINDS[args.kind]
     keys = ("fine", "coarse", "k", "relax", "kind", "nc", "axis", "theta",
-            "omega", "wmin", "wmax", "n")
+            "wmin", "wmax", "n")
     header = _provenance(args, keys)
     # every query is checked before the first curve is written
     queries = [BoundQuery(fine, coarse, k, args.relax.upper(), nc, kind,
-                          theta=args.theta, omega=args.omega, axis=axis)
+                          theta=args.theta, axis=axis)
                for k in ks for nc in ncs]
     for q, curve in zip(queries, sweep(queries, args.wmin, args.wmax,
                                        args.n)):
@@ -428,7 +428,6 @@ def _build_parser():
     b.add_argument("--nc", default="inf", help="coarse step counts, e.g. 16,inf")
     b.add_argument("--axis", default="real", choices=["real", "imag"])
     b.add_argument("--theta", type=float, default=1.0)
-    b.add_argument("--omega", type=float, default=1.0)
     b.add_argument("--wmin", type=float, default=1e-8)
     b.add_argument("--wmax", type=float, default=1e8)
     b.add_argument("--n", type=int, default=512)
@@ -491,11 +490,13 @@ def main(argv=None) -> int:
         # final flush at exit from failing again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ConfigError, KeyError, ValueError, OSError) as exc:
+    except (ConfigError, KeyError, ValueError, OSError, MemoryError) as exc:
+        # a size too large to allocate (`--n`, `--nt`) is bad input too;
         # str() of a KeyError is the repr of its message
         message = (exc.args[0] if isinstance(exc, KeyError) and exc.args
                    else exc)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {str(message) or type(exc).__name__}",
+              file=sys.stderr)
         return 2
 
 

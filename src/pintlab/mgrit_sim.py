@@ -161,6 +161,8 @@ class MgritRun:
         if self.theta_schedule is not None:
             object.__setattr__(self, "theta_schedule",
                                tuple(float(t) for t in self.theta_schedule))
+            if not self.theta_schedule:
+                raise ValueError("theta_schedule needs at least one weight")
             bad = [t for t in self.theta_schedule if not math.isfinite(t)]
             if bad:
                 raise ValueError(f"theta must be finite, got {bad[0]!r}")

@@ -15,10 +15,12 @@ the CLI call is the same on every checkout, whatever `measure_rho` takes.
 It also runs `table table1`, `table table2` and `bounds` over k = 2, 4, 8,
 16, 32, 64 (sdirk33/bwe on the real axis, on the imaginary axis with
 `--nc 256`, and gauss4/bwe under FCF, whose supremum is approached as
-w -> infinity), and `bounds` for the unbounded trapezoid/trapezoid pair at
-k = 2, 4, 8, with `--out` in a temporary directory, and writes each CSV
-file's rows: the column row, the data rows and the footers, without the
-provenance header.  `compare` checks B against A:
+w -> infinity), `bounds` for the unbounded trapezoid/trapezoid pair at
+k = 2, 4, 8, and two more `bounds` runs over those six k: sdirk22/bwe at
+theta = 0.5 and sdirk33/bwe under the lower tight bound (C = 1) at
+`--nc 64`.  Each runs with `--out` in a temporary directory, and `dump`
+writes each CSV file's rows: the column row, the data rows and the
+footers, without the provenance header.  `compare` checks B against A:
 
 - the same cases, history lengths and `converged` flags;
 - every history value within |B - A| <= 1e-13 |A| + 1e-16 h0, where h0 is
@@ -84,6 +86,12 @@ CSV_RUNS = {  # name: CLI arguments besides --out
                               *BOUNDS_K, "--relax", "fcf"),
     "bounds trapezoid/trapezoid": ("bounds", "--fine", "trapezoid",
                                    "--coarse", "trapezoid", "--k", "2,4,8"),
+    "bounds sdirk22/bwe theta 0.5": ("bounds", "--fine", "sdirk22",
+                                     "--coarse", "bwe", *BOUNDS_K,
+                                     "--theta", "0.5"),
+    "bounds sdirk33/bwe lower Nc=64": ("bounds", "--fine", "sdirk33",
+                                       "--coarse", "bwe", *BOUNDS_K,
+                                       "--kind", "lower", "--nc", "64"),
 }
 
 

@@ -245,15 +245,6 @@ def test_fcf_identity():
     assert np.array_equal(bound_values(qc, w), lamk * bound_values(qf, w))
 
 
-def test_omega_identities():
-    w = np.geomspace(1e-3, 1e3, 20)
-    base = bound_values(query(SDIRK22, BWE, 4), w)
-    assert np.array_equal(bound_values(query(SDIRK22, BWE, 4, omega=1.0), w),
-                          base)
-    near_zero = bound_values(query(SDIRK22, BWE, 4, omega=1e-12), w)
-    assert np.all(np.abs(near_zero - 1.0) < 1e-9)
-
-
 def test_parity_of_k_matters():
     # at large w the odd-power fine factor keeps the FCF bound convergent
     # while the even power does not
@@ -477,11 +468,31 @@ def test_sweep_flat_window_decided_by_tail_probe(tail, max_phi_expected):
         assert threshold == INFINITY
 
 
+@pytest.mark.parametrize("curve, peak, at", [
+    (lambda w: -np.ones_like(w), -1.0, 1e-8),
+    (lambda w: _bump(w, 1.0, 0.5) - 1.0, -0.5, 10.0)],
+    ids=["constant", "hump"])
+def test_sweep_of_a_negative_curve(curve, peak, at):
+    # a negative max lies below max * (1 - 1e-6), so that cut would leave
+    # no sample near the max
+    _, max_phi, argmax_w, threshold = sweep_function(curve, 1e-8, 1e8)
+    assert max_phi == pytest.approx(peak, rel=1e-6)
+    assert argmax_w == pytest.approx(at, rel=1e-3)
+    assert threshold == INFINITY
+
+
+def test_sweep_rejects_an_infinite_window():
+    # the multisection of an infinite bracket would never end
+    with pytest.raises(ValueError, match="0 < w_min < w_max < inf"):
+        sweep_function(lambda w: w, 1e-8, math.inf)
+
+
 def _lockstep_batch():
     """Every registry self-pair x K_VALUES x {F, FCF}, each on the real axis
     and under the imaginary-axis upper bound at Nc = inf and 256, plus mixed
     fine propagators (whose distinct steps come in different orders, one
-    with half steps), theta = 0.5 and omega = 0.8."""
+    with half steps), theta = 0.5, and a lower tight pair at Nc = 64, so
+    one call mixes C = 1 and C = 6."""
     out = []
     for name in REGISTRY.names():
         tab = get_scheme(name)
@@ -498,7 +509,7 @@ def _lockstep_batch():
         out += [BoundQuery(PropagatorSpec(steps), SDIRK22, 4, relax)
                 for relax in ("F", "FCF")]
     out.append(query(ESDIRK33, ESDIRK33, 4, theta=0.5))
-    out += [query(SDIRK22, BWE, 4, relax, omega=0.8)
+    out += [query(SDIRK22, BWE, 4, relax, bound_kind="lower_tight", Nc=64)
             for relax in ("F", "FCF")]
     return out
 
@@ -527,6 +538,20 @@ def test_lockstep_bound_values_match_one_query_calls():
     for i, q in enumerate(queries):
         assert np.array_equal(batch[owner == i], bound_values(q, w)), \
             q.describe()
+
+
+def test_batch_multiplies_each_propagators_steps_in_its_own_order():
+    # the second propagator's sdirk33 and trapezoid steps are first met at
+    # their places in the first one, before its own bwe step; three
+    # complex factors round by the order they multiply in
+    w = np.geomspace(1e-9, 1e9, 4001)
+    specs = [PropagatorSpec(((first, 1.0), (SDIRK33, 1.0), (TRAP, 1.0),
+                             (TRAP, 1.0))) for first in (SDIRK22, BWE)]
+    queries = [BoundQuery(spec, SDIRK22, 4) for spec in specs]
+    owner = np.repeat([0, 1], w.size)
+    batch = bound_values(queries, np.tile(w, 2), owner)
+    for i, q in enumerate(queries):
+        assert np.array_equal(batch[owner == i], bound_values(q, w))
 
 
 @pytest.mark.parametrize("axis", ["real_positive", "imaginary"])

@@ -196,8 +196,8 @@ def test_consecutive_main_calls_share_no_state(tmp_path):
     # the parser is built once per process; a flag or a --config file of
     # one call must not leak into the next
     args = ["bounds", "--fine", "bwe", "--coarse", "bwe", "--n", "64"]
-    config = tmp_path / "omega.cfg"
-    config.write_text("omega = 0.5\n")
+    config = tmp_path / "wmin.cfg"
+    config.write_text("wmin = 0.5\n")
     assert main(args + ["--theta", "0.5", "--config", str(config),
                         "--out", str(tmp_path / "d1")]) == 0
     assert main(args + ["--out", str(tmp_path / "d2")]) == 0
@@ -206,8 +206,8 @@ def test_consecutive_main_calls_share_no_state(tmp_path):
         text = read(tmp_path / out / "bounds_bwe_bwe_f_k2_ncinf.csv")
         headers.append(next(line for line in text.splitlines()
                             if line.startswith("# config:")))
-    assert "theta=0.5" in headers[0] and "omega=0.5" in headers[0]
-    assert "theta=1.0" in headers[1] and "omega=1.0" in headers[1]
+    assert "theta=0.5" in headers[0] and "wmin=0.5" in headers[0]
+    assert "theta=1.0" in headers[1] and "wmin=1e-08" in headers[1]
 
 
 def test_table2_row_sweeps_in_lockstep(monkeypatch, capsys):
@@ -494,6 +494,68 @@ def test_simulate_non_finite_setting_exits_2(key, value, message, source,
         cfg.write_text(f"{key} = {value}\n")
         argv += ["--config", str(cfg)]
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--omega", "1.5"], "unrecognized arguments: --omega 1.5"),
+    (["--wmax", "inf"], "need 0 < w_min < w_max < inf"),
+], ids=["omega", "infinite_wmax"])
+def test_bounds_bad_flag_exits_2(argv, message, tmp_path, capsys):
+    assert main(["bounds", "--fine", "bwe", "--coarse", "bwe", *argv,
+                 "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_bounds_omega_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega = 0.5\n")
+    assert main(["bounds", "--fine", "bwe", "--coarse", "bwe",
+                 "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}:1: unknown key 'omega'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simulate_empty_theta_schedule_exits_2(source, tmp_path, capsys):
+    argv = ["simulate", "--fine", "bwe", "--coarse", "bwe", "--nt", "64",
+            "--nmodes", "4", "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--theta-schedule", ","]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta_schedule = ,\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: theta_schedule needs at least one weight\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 745. GiB for an array with shape "
+                 "(100000000000,) and data type float64"),
+     "Unable to allocate 745. GiB for an array with shape (100000000000,) "
+     "and data type float64"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_one_line_exit_2(error, message, monkeypatch,
+                                         tmp_path, capsys):
+    # exit 1 is kept for golden mismatches; no real allocation is tried
+    def sweep(*args):
+        raise error
+    monkeypatch.setattr(cli, "sweep", sweep)
+    assert main(["bounds", "--fine", "bwe", "--coarse", "bwe",
+                 "--n", "100000000000", "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -420,6 +420,13 @@ def test_multilevel_vcycle_converges():
     assert res.rho < 0.2
 
 
+def test_empty_theta_schedule_is_rejected():
+    # it would end in a ZeroDivisionError at the first cycle
+    hier = TimeHierarchy(16, 1.0, 4, 2, BWE, BWE)
+    with pytest.raises(ValueError, match="at least one weight"):
+        MgritRun(hier, spd(1.0, 4), "F", theta_schedule=())
+
+
 def test_hierarchy_validation():
     with pytest.raises(ValueError):
         TimeHierarchy(10, 1.0, 4, 2, BWE, BWE)      # 10 % 4 != 0
