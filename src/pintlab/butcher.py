@@ -34,8 +34,6 @@ __all__ = [
     "stability_eval_batch",
     "verify_order",
     "classify_stability",
-    "tableau_to_text",
-    "tableau_from_text",
 ]
 
 A_STABLE = "A_stable"
@@ -371,43 +369,3 @@ def get_scheme(name: str) -> ButcherTableau:
 def scheme_names():
     return REGISTRY.names()
 
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization for user-supplied schemes
-# ---------------------------------------------------------------------------
-
-def tableau_to_text(tab: ButcherTableau) -> str:
-    """Key-value block: name, s, order, class, row-major A, b, c."""
-    lines = [
-        f"name = {tab.name}",
-        f"s = {tab.s}",
-        f"order = {tab.order}",
-        f"class = {tab.stability_class}",
-        "A = " + " ".join(repr(float(v)) for v in tab.A.ravel()),
-        "b = " + " ".join(repr(float(v)) for v in tab.b),
-        "c = " + " ".join(repr(float(v)) for v in tab.c),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def tableau_from_text(text: str) -> ButcherTableau:
-    fields = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad tableau line: {raw!r}")
-        key, _, val = line.partition("=")
-        fields[key.strip().lower()] = val.strip()
-    try:
-        name = fields["name"]
-        s = int(fields["s"])
-        order = int(fields["order"])
-        cls = fields["class"]
-        A = np.array([float(v) for v in fields["a"].split()]).reshape(s, s)
-        b = np.array([float(v) for v in fields["b"].split()])
-        c = np.array([float(v) for v in fields["c"].split()])
-    except KeyError as exc:
-        raise ValueError(f"missing tableau field: {exc}") from None
-    return ButcherTableau(name, A, b, c, order, cls)

@@ -56,7 +56,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -143,13 +142,12 @@ class TimeHierarchy:
 
 @dataclass(frozen=True)
 class MgritRun:
-    """A configured solve: hierarchy + problem + relaxation + error seeding."""
+    """A configured solve: hierarchy + problem + relaxation + seed."""
 
     hierarchy: TimeHierarchy
     problem: ModelProblem
     relaxation: str = RELAX_F
     theta_schedule: tuple | None = None
-    initial_error: object = "random_seeded"   # or ("worst_mode", w_star)
     seed: int = 0
     tol: float = 1e-13        # relative to the initial residual norm
     max_iters: int = 100
@@ -176,16 +174,6 @@ class MgritRun:
             raise ValueError(f"unknown path {self.path!r}")
         if self.path == "matrix" and self.problem.matrix is None:
             raise ValueError("matrix path requires a matrix realization")
-        spec = self.initial_error
-        if isinstance(spec, tuple) and spec[:1] == ("worst_mode",):
-            if not (len(spec) == 2 and isinstance(spec[1], numbers.Real)
-                    and math.isfinite(spec[1])):
-                raise ValueError(f"malformed initial_error {spec!r}: expected "
-                                 "('worst_mode', finite w)")
-            if self.path != "diagonal":
-                raise ValueError("worst_mode seeding is diagonal-path only")
-        elif not (isinstance(spec, str) and spec == "random_seeded"):
-            raise ValueError(f"unknown initial_error {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -471,22 +459,14 @@ class _Engine:
     # -- initial error ------------------------------------------------------
 
     def initial_state(self, seed):
-        run = self.run
         rng = np.random.default_rng(seed)
-        shape = (run.hierarchy.N + 1, self.width)
+        shape = (self.run.hierarchy.N + 1, self.width)
         u = rng.standard_normal(shape)
         if self.dtype is complex:
             u = u + 1j * rng.standard_normal(shape)
         # the time-zero value is the known initial condition, not an unknown;
         # error is seeded on t >= 1 (exactness counts assume this)
         u[0] = 0.0
-        if run.initial_error != "random_seeded":
-            w_star = float(run.initial_error[1])
-            mags = np.abs(run.hierarchy.h_t * run.problem.eigenvalues)
-            j = int(np.argmin(np.abs(mags - w_star)))
-            mask = np.zeros(self.width)
-            mask[j] = 1.0
-            u *= mask
         return u
 
 
@@ -649,9 +629,9 @@ def measure_rho(runs, seeds: int = 1) -> list:
     With seeds > 1 each run reports the maximum rho over the random initial
     errors of seeds run.seed .. run.seed + seeds - 1 (worst-case factors need
     worst-case error components excited).  The seeds are the outer loop: a
-    seed's random initial error is drawn once for all runs whose draw is the
-    same (`_initial_state`), so a sweep over k on one time grid draws once
-    per seed.
+    seed's random initial errors are all drawn on this thread before its
+    runs start, once for all runs whose draw is the same (`_initial_state`),
+    so a sweep over k on one time grid draws once per seed.
 
     When the process may use a second CPU (`_spare_cpu`), a seed's runs go
     in two lanes (`_lanes`): the runs whose coarse grid has at most half
@@ -661,9 +641,8 @@ def measure_rho(runs, seeds: int = 1) -> list:
     a spare CPU every run cycles here, in run order, in one workspace.
     Every run's arithmetic is the same as alone, so the results do not
     depend on the lanes, nor on BLAS's thread count (`_norm`).  Engines
-    and draws are made on this thread, the worker is joined before the
-    next seed's draws, and the first exception in run order is raised
-    after the join.
+    are made on this thread, the worker is joined before the next seed's
+    draws, and the first exception in run order is raised after the join.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
@@ -683,9 +662,10 @@ def measure_rho(runs, seeds: int = 1) -> list:
     all_converged = [True] * len(runs)
     for i in range(seeds):
         drawn = {}          # this seed's random draws
-        histories = _run_lanes(lanes, runs, engines, lambda j: _initial_state(
-            runs[j], engines[j], runs[j].seed + i, drawn))
-        del drawn
+        states = [_initial_state(run, eng, run.seed + i, drawn)
+                  for run, eng in zip(runs, engines)]
+        histories = _run_lanes(lanes, runs, engines, states)
+        del drawn, states
         for j, (run, history) in enumerate(zip(runs, histories)):
             nc1 = run.hierarchy.points(1)
             n_exact = nc1 if run.relaxation == RELAX_F else (nc1 + 1) // 2
@@ -703,11 +683,8 @@ def measure_rho(runs, seeds: int = 1) -> list:
 
 
 def _initial_state(run, eng, seed, drawn):
-    """The run's initial error for `seed`.  A random draw is kept in
-    `drawn` for every run that draws the same (grid rows, width, dtype and
-    seed); a worst-mode state is the run's alone and is not kept."""
-    if run.initial_error != "random_seeded":
-        return eng.initial_state(seed)
+    """The run's random initial error for `seed`, kept in `drawn` for every
+    run that draws the same (grid rows, width, dtype and seed)."""
     draw = (run.hierarchy.N, eng.width, eng.dtype, seed)
     if draw not in drawn:
         drawn[draw] = eng.initial_state(seed)
@@ -734,26 +711,23 @@ def _spare_cpu() -> bool:
     return cpus > 1
 
 
-def _run_lanes(lanes, runs, engines, state):
-    """Every run's residual history, run j from its initial error state(j):
-    the first lane's runs in order on this thread and the second lane's,
-    if there is one, in order on a worker thread.
+def _run_lanes(lanes, runs, engines, states):
+    """Every run's residual history, run j from its initial error
+    states[j]: the first lane's runs in order on this thread and the
+    second lane's, if there is one, in order on a worker thread.
 
-    Only `_cycles` runs on the worker: state() is called on this thread,
-    for the second lane's runs before the worker starts (each is dropped
-    once its run is done) and for the first lane's as they come.  A lane
-    stops at its first failing run; after the join the first exception in
-    run order is raised.
+    Only `_cycles` runs on the worker.  A lane stops at its first failing
+    run; after the join the first exception in run order is raised.
     """
     histories = [None] * len(runs)
     halt = []       # set when this thread is interrupted: the worker stops
 
-    def lane(jobs, work, state):
+    def lane(jobs, work):
         for j in jobs:
             if halt:
                 return
             try:
-                histories[j] = _cycles(runs[j], engines[j], state(j),
+                histories[j] = _cycles(runs[j], engines[j], states[j],
                                        work)[0]
             except Exception as exc:
                 histories[j] = exc
@@ -762,13 +736,12 @@ def _run_lanes(lanes, runs, engines, state):
     first, *side = lanes
     worker = None
     if side:
-        states = {j: state(j) for j in side[0][0]}
         # the caller's context (numpy's error state) goes with the worker
         worker = threading.Thread(target=contextvars.copy_context().run,
-                                  args=(lane, *side[0], states.pop))
+                                  args=(lane, *side[0]))
         worker.start()
     try:
-        lane(*first, state)
+        lane(*first)
     except BaseException:
         halt.append(True)
         raise

@@ -1,6 +1,7 @@
 """Model spatial operators: prescribed eigenvalue multisets (SPD and
 skew-symmetric) plus small tridiagonal/circulant matrix realizations for
-cross-validating the diagonal solver path."""
+cross-validating the diagonal solver path.  A problem's class follows from
+its eigenvalues: SPD when they are all real, skew otherwise."""
 
 from __future__ import annotations
 
@@ -19,42 +20,36 @@ __all__ = [
     "eigenvalues_from_csv",
 ]
 
-DIAGONAL_SPD = "diagonal_spd"
-DIAGONAL_SKEW = "diagonal_skew"
-FD_DIFFUSION_1D = "fd_diffusion_1d"
-FD_ADVECTION_1D = "fd_advection_1d_periodic"
-
-
 @dataclass(frozen=True)
 class ModelProblem:
     """A simultaneously diagonalizable operator given by its eigenvalues.
 
-    SPD kinds carry strictly positive real eigenvalues; skew kinds carry
-    purely imaginary ones.  `matrix`, when present, is an explicit
-    realization whose spectrum matches `eigenvalues`.
+    The eigenvalues are finite and either all real and strictly positive
+    (SPD) or all purely imaginary (skew); a real spectrum is stored with +0
+    imaginary parts.  `matrix`, when present, is an explicit realization
+    whose spectrum matches `eigenvalues`.
     """
 
-    kind: str
     eigenvalues: np.ndarray
     matrix: np.ndarray | None = None
-    h_x: float | None = None
 
     def __post_init__(self):
         eig = np.asarray(self.eigenvalues, dtype=complex)
+        if not np.all(np.isfinite(eig)):
+            raise ValueError("eigenvalues must be finite")
+        if not np.any(eig.imag):
+            if np.any(eig.real <= 0):
+                raise ValueError("SPD eigenvalues must be real and positive")
+            eig = eig.real.astype(complex)
+        elif np.any(eig.real):
+            raise ValueError(
+                "spectrum must be real-positive or purely imaginary")
         eig.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eig)
         if self.matrix is not None:
             mat = np.asarray(self.matrix, dtype=float)
             mat.flags.writeable = False
             object.__setattr__(self, "matrix", mat)
-        if self.kind in (DIAGONAL_SPD, FD_DIFFUSION_1D):
-            if np.any(eig.imag != 0) or np.any(eig.real <= 0):
-                raise ValueError("SPD eigenvalues must be real and positive")
-        elif self.kind in (DIAGONAL_SKEW, FD_ADVECTION_1D):
-            if np.any(eig.real != 0):
-                raise ValueError("skew eigenvalues must be purely imaginary")
-        else:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
 
     @property
     def n_modes(self) -> int:
@@ -77,7 +72,7 @@ def make_spd_interval(xi_max: float, n: int, include=()) -> ModelProblem:
     fill = np.geomspace(xi_max * 1e-2, xi_max, int(n))
     extra = [float(v) for v in include if 0.0 < float(v) <= xi_max]
     eig = np.sort(np.concatenate([fill, np.asarray(extra, dtype=float)]))
-    return ModelProblem(DIAGONAL_SPD, eig)
+    return ModelProblem(eig)
 
 
 def make_fd_diffusion(M: int) -> ModelProblem:
@@ -93,7 +88,7 @@ def make_fd_diffusion(M: int) -> ModelProblem:
            + np.diag(-np.ones(M - 1), -1)) / h ** 2
     j = np.arange(1, M + 1)
     eig = (4.0 / h ** 2) * np.sin(j * np.pi * h / 2.0) ** 2
-    return ModelProblem(FD_DIFFUSION_1D, eig, mat, h)
+    return ModelProblem(eig, mat)
 
 
 def make_skew_advection(M: int, h_x: float) -> ModelProblem:
@@ -104,6 +99,8 @@ def make_skew_advection(M: int, h_x: float) -> ModelProblem:
     """
     if M < 3:
         raise ValueError("need M >= 3")
+    if not 0.0 < abs(h_x) < np.inf:
+        raise ValueError(f"h_x must be finite and nonzero, got {h_x!r}")
     first = np.zeros(M)
     first[1] = 1.0 / (2.0 * h_x)
     first[-1] = -1.0 / (2.0 * h_x)
@@ -112,7 +109,7 @@ def make_skew_advection(M: int, h_x: float) -> ModelProblem:
         mat[r] = np.roll(first, r)
     j = np.arange(M)
     eig = 1j * np.sin(2.0 * np.pi * j / M) / h_x
-    return ModelProblem(FD_ADVECTION_1D, eig, mat, h_x)
+    return ModelProblem(eig, mat)
 
 
 def eigenvalues_to_csv(problem: ModelProblem, fileobj, header_lines=()) -> None:
@@ -121,19 +118,18 @@ def eigenvalues_to_csv(problem: ModelProblem, fileobj, header_lines=()) -> None:
 
 
 def eigenvalues_from_csv(fileobj) -> ModelProblem:
-    """Load a user-supplied spectrum; kind inferred from the values."""
+    """Load a user-supplied spectrum, one `re,im` line per eigenvalue."""
     vals = []
-    for raw in fileobj:
+    for n, raw in enumerate(fileobj, 1):
         line = raw.strip()
         if not line or line.startswith("#") or line.lower().startswith("re,"):
             continue
-        re_s, im_s = line.split(",")
-        vals.append(complex(float(re_s), float(im_s)))
-    eig = np.asarray(vals, dtype=complex)
-    if eig.size == 0:
+        try:
+            re_s, im_s = line.split(",")
+            vals.append(complex(float(re_s), float(im_s)))
+        except ValueError:
+            raise ValueError(f"spectrum line {n}: expected re,im, "
+                             f"got {line!r}") from None
+    if not vals:
         raise ValueError("no eigenvalues in CSV")
-    if np.all(eig.imag == 0):
-        return ModelProblem(DIAGONAL_SPD, eig.real.astype(complex))
-    if np.all(eig.real == 0):
-        return ModelProblem(DIAGONAL_SKEW, eig)
-    raise ValueError("spectrum must be real-positive or purely imaginary")
+    return ModelProblem(vals)

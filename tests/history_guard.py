@@ -18,9 +18,12 @@ It also runs `table table1`, `table table2` and `bounds` over k = 2, 4, 8,
 w -> infinity), `bounds` for the unbounded trapezoid/trapezoid pair at
 k = 2, 4, 8, and two more `bounds` runs over those six k: sdirk22/bwe at
 theta = 0.5 and sdirk33/bwe under the lower tight bound (C = 1) at
-`--nc 64`.  Each runs with `--out` in a temporary directory, and `dump`
-writes each CSV file's rows: the column row, the data rows and the
-footers, without the provenance header.  `compare` checks B against A:
+`--nc 64`.  And it runs `simulate --spectrum` over k = 2, 4, 8 with two
+seeds on a file of `make_skew_advection(32, 1.0)`'s eigenvalues, which
+`eigenvalues_to_csv` writes.  Each runs with `--out` in a temporary
+directory, and `dump` writes each CSV file's rows: the column row, the
+data rows and the footers, without the provenance header.  `compare`
+checks B against A:
 
 - the same cases, history lengths and `converged` flags;
 - every history value within |B - A| <= 1e-13 |A| + 1e-16 h0, where h0 is
@@ -30,7 +33,8 @@ footers, without the provenance header.  `compare` checks B against A:
 - the state norm within 1e-12 |A| + 1e-16 h0, or the same non-finite value;
 - the same sweep rows' k, `converged` and iteration counts;
 - the same singularity roots, compared with ==;
-- the same CSV rows of the table and bounds runs, compared with ==.
+- the same CSV rows of the table, bounds and spectrum-file runs, compared
+  with ==.
 
 The absolute terms match the history's: a run that converges in one cycle
 (an exact coarse propagator) has rho = h1/h0 and a final state at rounding
@@ -74,6 +78,7 @@ SWEEPS = {  # name: simulate arguments besides --k 2,4,8 --seeds 3
 }
 
 BOUNDS_K = ("--k", "2,4,8,16,32,64")
+SKEW_CSV = "<skew spectrum file>"     # replaced by the file's path
 CSV_RUNS = {  # name: CLI arguments besides --out
     "table table1": ("table", "table1"),
     "table table2": ("table", "table2"),
@@ -92,6 +97,10 @@ CSV_RUNS = {  # name: CLI arguments besides --out
     "bounds sdirk33/bwe lower Nc=64": ("bounds", "--fine", "sdirk33",
                                        "--coarse", "bwe", *BOUNDS_K,
                                        "--kind", "lower", "--nc", "64"),
+    "simulate trapezoid/sdirk22 --spectrum skew": (
+        "simulate", "--fine", "trapezoid", "--coarse", "sdirk22", "--nt",
+        "256", "--ht", "0.5", "--spectrum", SKEW_CSV, "--k", "2,4,8",
+        "--seeds", "2"),
 }
 
 
@@ -221,17 +230,23 @@ def _csv_rows():
     """{run name/file name: every line after the header comments} of each
     CSV file a CLI run writes, plus {run name: exit code}."""
     from pintlab.cli import main
+    from pintlab.model_problems import eigenvalues_to_csv, make_skew_advection
     rows, codes = {}, {}
-    for name, args in CSV_RUNS.items():
-        with tempfile.TemporaryDirectory() as tmp:
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes[name] = main([*args, "--out", tmp])
-            for fname in sorted(os.listdir(tmp)):
-                with open(os.path.join(tmp, fname)) as fh:
-                    lines = fh.read().splitlines()
-                start = next(i for i, line in enumerate(lines)
-                             if not line.startswith("#"))
-                rows[f"{name}/{fname}"] = lines[start:]
+    with tempfile.TemporaryDirectory() as spectra:
+        skew = os.path.join(spectra, "skew.csv")
+        with open(skew, "w") as fh:
+            eigenvalues_to_csv(make_skew_advection(32, 1.0), fh)
+        for name, args in CSV_RUNS.items():
+            args = [skew if a == SKEW_CSV else a for a in args]
+            with tempfile.TemporaryDirectory() as tmp:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes[name] = main([*args, "--out", tmp])
+                for fname in sorted(os.listdir(tmp)):
+                    with open(os.path.join(tmp, fname)) as fh:
+                        lines = fh.read().splitlines()
+                    start = next(i for i, line in enumerate(lines)
+                                 if not line.startswith("#"))
+                    rows[f"{name}/{fname}"] = lines[start:]
     return rows, codes
 
 
@@ -359,7 +374,8 @@ def compare(path_a, path_b):
     print(f"{sum(map(len, sweeps_a.values()))} CLI sweep rows in "
           f"{len(sweeps_a)} sweeps")
     print(f"{sum(map(len, csv_a.values()))} CSV rows in {len(csv_a)} files "
-          f"of {len(codes_a)} table and bounds runs, compared with ==")
+          f"of {len(codes_a)} table, bounds and simulate runs, compared "
+          "with ==")
     for line in failures:
         print(f"FAIL {line}")
     print("PASS" if not failures else f"{len(failures)} failure(s)")

@@ -8,8 +8,7 @@ from pintlab.bounds import BoundQuery, PropagatorSpec, bound_values
 from pintlab.butcher import (REGISTRY, ButcherTableau, OrderMismatch,
                              PoleError, classify_stability, get_scheme,
                              make_trbdf2, scheme_names, stability_eval,
-                             stability_eval_batch, tableau_from_text,
-                             tableau_to_text, verify_order)
+                             stability_eval_batch, verify_order)
 
 from mp_reference import mp_stage_form
 
@@ -175,28 +174,6 @@ def test_sdirk22_equals_esdirk32_pointwise():
     a = stability_eval_batch(a22, w)
     b = stability_eval_batch(e32, w)
     assert np.all(np.abs(a - b) <= 1e-11 * np.maximum(1.0, np.abs(a)))
-
-
-# --- serialization --------------------------------------------------------
-
-def test_text_round_trip():
-    for name in ["sdirk33", "erk4", "gauss4"]:
-        tab = get_scheme(name)
-        text = tableau_to_text(tab)
-        back = tableau_from_text(text)
-        assert back.name == tab.name
-        assert back.order == tab.order
-        assert back.stability_class == tab.stability_class
-        assert np.array_equal(back.A, tab.A)
-        assert np.array_equal(back.b, tab.b)
-        assert np.array_equal(back.c, tab.c)
-
-
-def test_text_rejects_malformed():
-    with pytest.raises(ValueError):
-        tableau_from_text("name = x\nbroken line\n")
-    with pytest.raises(ValueError):
-        tableau_from_text("name = x\ns = 1\n")
 
 
 def test_tableau_rejects_bad_row_sums():

@@ -653,6 +653,40 @@ def test_simulate_spectrum_with_inject_w_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _simulate_spectrum(tmp_path, text):
+    """Exit code of a simulate run on a spectrum file holding `text`, which
+    must leave no output directory behind."""
+    spec_csv = tmp_path / "eigs.csv"
+    spec_csv.write_text(text)
+    rc = main(["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2",
+               "--nt", "32", "--spectrum", str(spec_csv),
+               "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    return rc
+
+
+@pytest.mark.parametrize("text", ["re,im\n0.5,0.0\nnan,0\n",
+                                  "re,im\n0.5,0.0\ninf,0\n",
+                                  "re,im\n0.0,1.0\n0.0,inf\n",
+                                  "re,im\n0.0,1.0\nnan,1.0\n"],
+                         ids=["spd_nan", "spd_inf", "skew_inf", "skew_nan"])
+def test_simulate_non_finite_spectrum_exits_2(text, tmp_path, capsys):
+    # a NaN passed the SPD check real <= 0, and the run printed rho=nan
+    assert _simulate_spectrum(tmp_path, text) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eigenvalues must be finite\n"
+
+
+@pytest.mark.parametrize("line", ["1.0", "1,2,3", "abc,1"])
+def test_simulate_malformed_spectrum_line_exits_2(line, tmp_path, capsys):
+    assert _simulate_spectrum(tmp_path, f"re,im\n0.5,0.0\n{line}\n") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: spectrum line 3: expected re,im, "
+                            f"got {line!r}\n")
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "0.5,-inf"])
 def test_simulate_bad_inject_w_exits_2(value, source, tmp_path, capsys):

@@ -39,7 +39,7 @@ def simple_run(fine=BWE, coarse=BWE, k=2, N=64, ximax=1.66, relax_kind="F",
 # --- step -------------------------------------------------------------------
 
 def test_step_bwe_diagonal():
-    problem = ModelProblem("diagonal_spd", [1.0])
+    problem = ModelProblem([1.0])
     out = step(BWE, problem, 1.0, np.array([1.0 + 0j]))
     assert out[0] == pytest.approx(0.5)
 
@@ -237,7 +237,7 @@ def test_dense_probing_matches_direct_formula():
     # per-mode propagator assembled from the iteration equals the explicit
     # matrix I - B^{-1}A built from the two per-interval factors
     hier = TimeHierarchy(12, 1.0, 3, 2, SDIRK22, BWE)
-    problem = ModelProblem("diagonal_spd", [0.9])
+    problem = ModelProblem([0.9])
     run = MgritRun(hier, problem, "F")
     E = error_propagation_matrices(run)[0]
     from pintlab.butcher import stability_eval
@@ -401,17 +401,6 @@ def test_divergent_run_overflows_without_warnings():
     assert history[-1] == math.inf
 
 
-def test_worst_mode_seeding():
-    problem = spd(2.0, 30, include=[1.0])
-    hier = TimeHierarchy(64, 1.0, 2, 2, BWE, BWE)
-    run = MgritRun(hier, problem, "F", initial_error=("worst_mode", 1.0))
-    res, = measure_rho([run])
-    # only the w=1 mode is excited; its asymptotic factor is the pointwise
-    # bound at the argmax, 1/8
-    q = BoundQuery(PropagatorSpec.uniform(BWE, 2), BWE, 2, "F")
-    assert res.rho <= bound_values(q, [1.0])[0] + 0.02
-
-
 def test_multilevel_vcycle_converges():
     hier = TimeHierarchy(64, 1.0, 2, 4, BWE, BWE)
     run = MgritRun(hier, spd(1.66, 24), "FCF", max_iters=60)
@@ -456,7 +445,7 @@ def test_mixed_fine_propagator_steps():
     from pintlab.butcher import stability_eval
     spec = PropagatorSpec(((SDIRK22, 1.0), (SDIRK22, 1.0),
                            (TRAP, 1.0), (TRAP, 1.0)))
-    problem = ModelProblem("diagonal_spd", [2.0])
+    problem = ModelProblem([2.0])
     hier = TimeHierarchy(8, 1.0, 4, 2, spec, SDIRK22)
     run = MgritRun(hier, problem, "F")
     c = np.zeros((3, 1), complex)
@@ -492,13 +481,13 @@ def test_mgrit_run_rejects_fc_relaxation():
 
 # --- C-point cycles against the full-grid cycle -------------------------------
 
-def _reference_iterate(run):
+def _reference_iterate(run, u0=None):
     """`iterate` with every cycle in full on an explicit zero right-hand
     side: pre-relaxation, residual, coarse solve or recursion, correction,
     closing F sweep, then the history residual."""
     eng = _Engine(run)
     k = eng.k
-    u = eng.initial_state(run.seed)
+    u = eng.initial_state(run.seed) if u0 is None else u0.copy()
     g = np.zeros_like(u)
     r_f = [g[j::k] - u[j::k] + _advance(eng, u, 0, j) for j in range(1, k)]
     r0 = math.hypot(_norm(_residual(eng, u, g, 0)), *map(_norm, r_f))
@@ -527,11 +516,11 @@ def test_norm_is_the_two_norm_of_the_grid(dtype):
         assert _norm(np.full((3, 2), 1e200, dtype)) == math.inf
 
 
-def _assert_iterate_bit_identical(run, min_cycles=3):
+def _assert_iterate_bit_identical(run, min_cycles=3, u0=None):
     # a divergent run overflows; both routes must overflow alike
     with np.errstate(over="ignore", invalid="ignore"):
-        history, u = iterate(run)
-        ref_history, ref_u = _reference_iterate(run)
+        history, u = iterate(run, u0=u0)
+        ref_history, ref_u = _reference_iterate(run, u0)
     assert len(history) > min_cycles
     assert history == ref_history
     assert u.dtype == ref_u.dtype
@@ -616,10 +605,15 @@ def test_iterate_is_bit_identical_to_full_cycles_exact_coarse(relax_kind):
 @pytest.mark.parametrize("levels", [2, 3])
 def test_iterate_is_bit_identical_to_full_cycles_worst_mode(relax_kind,
                                                             levels):
+    # a sparse initial state: seeded error in the single mode at w = 1,
+    # where the bound has its maximum, and zeros in every other mode
     hier = TimeHierarchy(64, 1.0, 2, levels, SDIRK33, BWE)
-    _assert_iterate_bit_identical(MgritRun(
-        hier, spd(2.0, 30, include=[1.0]), relax_kind,
-        initial_error=("worst_mode", 1.0), max_iters=30))
+    run = MgritRun(hier, spd(2.0, 30, include=[1.0]), relax_kind,
+                   max_iters=30)
+    u0 = np.zeros((65, run.problem.n_modes))
+    j = int(np.argmin(np.abs(run.problem.eigenvalues - 1.0)))
+    u0[1:, j] = np.random.default_rng(3).standard_normal(64)
+    _assert_iterate_bit_identical(run, u0=u0)
 
 
 @pytest.mark.parametrize("relax_kind", ["F", "FCF"])
@@ -844,34 +838,6 @@ def test_measure_rho_draws_each_seed_once_per_grid(monkeypatch):
     assert len(draws) == 3 * len(runs)
 
 
-def test_measure_rho_worst_mode_runs_draw_their_own_state():
-    problem = spd(2.0, 30, include=[1.0])
-    hier = TimeHierarchy(64, 1.0, 2, 2, BWE, BWE)
-    worst = MgritRun(hier, problem, "F", initial_error=("worst_mode", 1.0))
-    seeded = MgritRun(hier, problem, "F")
-    results = measure_rho([seeded, worst, seeded], seeds=2)
-    assert results == [measure_rho([r], seeds=2)[0]
-                       for r in (seeded, worst, seeded)]
-    assert results[0] == results[2] != results[1]
-
-
-@pytest.mark.parametrize("spec, path, message", [
-    ("bogus", "diagonal", "unknown initial_error 'bogus'"),
-    (("worst_mode",), "diagonal", "malformed initial_error ('worst_mode',)"),
-    (("worst_mode", "1.0"), "diagonal", "malformed initial_error"),
-    (("worst_mode", math.inf), "diagonal", "malformed initial_error"),
-    (("worst_mode", 1.0, 2.0), "diagonal", "malformed initial_error"),
-    (("worst_mode", 1.0), "matrix", "worst_mode seeding is diagonal-path only"),
-], ids=["unknown", "no_w", "w_str", "w_inf", "extra", "matrix"])
-def test_bad_initial_error_fails_at_construction(spec, path, message):
-    # checked before any run of a measure_rho list starts
-    hier = TimeHierarchy(16, 1.0, 2, 2, BWE, BWE)
-    with pytest.raises(ValueError) as exc:
-        MgritRun(hier, make_fd_diffusion(9), "F", initial_error=spec,
-                 path=path)
-    assert str(exc.value).startswith(message)
-
-
 @pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
 def test_iterate_reads_u0_without_writing_or_returning_it(zero):
     # a real u0 on a real spectrum needs no conversion, so iterate works on
@@ -907,9 +873,6 @@ def _lane_sweep(case, relax_kind="F"):
     elif case == "divergent":
         fine, coarse = get_scheme("erk4"), get_scheme("fwe")
         problem, h_t, kw = spd(1.05, 20), 1.0, dict(max_iters=40)
-    elif case == "worst_mode":
-        problem = spd(2.0, 30, include=[1.0])
-        kw = dict(initial_error=("worst_mode", 0.5))
     elif case == "two_grids":
         Ns = (192, 96)
     elif case == "matrix":
@@ -939,8 +902,7 @@ def _one_at_a_time(runs, seeds):
     return out
 
 
-LANE_CASES = ["real", "complex", "divergent", "worst_mode", "two_grids",
-              "matrix"]
+LANE_CASES = ["real", "complex", "divergent", "two_grids", "matrix"]
 
 
 def _cpus(monkeypatch, n):

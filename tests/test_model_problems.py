@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def test_fd_diffusion_m2_analytic():
 
 def test_fd_diffusion_bounded_by_4_over_h2():
     p = make_fd_diffusion(500)
-    h = p.h_x
+    h = 1.0 / (500 + 1)
     assert p.eigenvalues.real.max() < 4.0 / h ** 2
 
 
@@ -90,12 +91,40 @@ def test_spd_eigenvalues_strictly_positive():
 
 
 def test_kind_validation():
-    with pytest.raises(ValueError):
-        ModelProblem("diagonal_spd", [1.0, -2.0])
-    with pytest.raises(ValueError):
-        ModelProblem("diagonal_skew", [1.0j, 0.5])
-    with pytest.raises(ValueError):
-        ModelProblem("mystery", [1.0])
+    # the class follows from the values: all real and positive (SPD) or
+    # all purely imaginary (skew)
+    spd = "SPD eigenvalues must be real and positive"
+    either = "spectrum must be real-positive or purely imaginary"
+    for eigenvalues, message in (([1.0, -2.0], spd), ([1.0, 0.0], spd),
+                                 ([1.0j, 0.5], either),
+                                 ([1.0j, 1.0 + 1.0j], either)):
+        with pytest.raises(ValueError, match=message):
+            ModelProblem(eigenvalues)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1j * math.inf],
+                         ids=["nan", "inf", "imag_inf"])
+def test_non_finite_eigenvalue_is_rejected(value):
+    # NaN passed the SPD check real <= 0, and the run printed rho=nan
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        ModelProblem([1.0, value])
+
+
+@pytest.mark.parametrize("h_x", [0.0, math.inf, math.nan])
+def test_skew_advection_rejects_a_degenerate_spacing(h_x):
+    # 0.0 raised ZeroDivisionError, and inf built an all-zero spectrum
+    with pytest.raises(ValueError, match="h_x must be finite and nonzero"):
+        make_skew_advection(4, h_x)
+
+
+def test_value_rule_accepts_both_classes():
+    spd = ModelProblem([0.5, 2.0])
+    assert np.array_equal(spd.eigenvalues, [0.5, 2.0])
+    skew = ModelProblem([-1.0j, 0.0, 2.0j])
+    assert np.array_equal(skew.eigenvalues, [-1.0j, 0.0, 2.0j])
+    # a real spectrum is stored with +0 imaginary parts
+    real = ModelProblem(np.array([complex(1.0, -0.0)]))
+    assert math.copysign(1.0, real.eigenvalues[0].imag) == 1.0
 
 
 def test_csv_round_trip_spd():
@@ -104,7 +133,6 @@ def test_csv_round_trip_spd():
     eigenvalues_to_csv(p, buf, ["config: demo"])
     buf.seek(0)
     back = eigenvalues_from_csv(buf)
-    assert back.kind == "diagonal_spd"
     assert np.allclose(back.eigenvalues, p.eigenvalues)
 
 
@@ -114,7 +142,6 @@ def test_csv_round_trip_skew():
     eigenvalues_to_csv(p, buf)
     buf.seek(0)
     back = eigenvalues_from_csv(buf)
-    assert back.kind == "diagonal_skew"
     assert np.allclose(np.sort(back.eigenvalues.imag),
                        np.sort(p.eigenvalues.imag))
 
@@ -122,3 +149,4 @@ def test_csv_round_trip_skew():
 def test_csv_rejects_mixed_spectrum():
     with pytest.raises(ValueError):
         eigenvalues_from_csv(io.StringIO("re,im\n1.0,1.0\n"))
+
