@@ -13,15 +13,16 @@ A scalar weight theta rescales the coarse propagator (mu -> theta*mu),
 which is theta-Parareal.
 
 `bound_values` evaluates first and applies the formula second: lam^k and mu
-at every point, each distinct stability function once per block of points,
-then the formula above with each point's kind, Nc, theta and relaxation.
-One call may serve many queries, point by point: their parameters become
-per-query arrays once per call, and each point reads its query's entries.
+once per key (a distinct fine propagator, coarse tableau, k, theta and
+axis), each distinct stability function once over the points that use it,
+then the formula above with each query's kind, Nc and relaxation.  One call
+may serve many queries, point by point or every query at every point.
 `sweep` takes one query or a list of them and refines all of them through
-the one array sweep engine, `_sweep_many`: one `bound_values` call for
-every curve's base grid and tail probe, one per multisection round over
-the peak brackets of every curve, and one per round over the threshold's
-crossing brackets.  Each curve is the one its query swept alone gives.
+the one array sweep engine, `_sweep_many`: one `bound_values` call of every
+query on the shared base grid and tail probe, one per multisection round
+over the peak brackets of every curve, and one per round over the
+threshold's crossing brackets.  Each curve is the one its query swept alone
+gives.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ _DEN_EPS = 1e-13
 # Tight kinds tolerate |theta*mu| = 1 (marginally stable coarse propagator,
 # e.g. trapezoid on the imaginary axis); beyond this they are unstable too.
 _TIGHT_SLACK = 1e-12
-# bound_values evaluates at most this many points at once, so a lockstep
-# round over many queries needs no more scratch memory than a few sweeps
+# bound_values evaluates at most this many points at once (each under every
+# key of the call where every query goes at every point), so its scratch
+# memory does not grow with the number of points
 _BLOCK = 1024
 
 
@@ -128,10 +130,10 @@ class BoundQuery:
     axis: str = REAL_AXIS
 
     def __post_init__(self):
-        if isinstance(self.fine, ButcherTableau):
-            object.__setattr__(self, "fine", PropagatorSpec.uniform(self.fine, self.k))
         if self.k < 2:
             raise ValueError("coarsening factor k must be >= 2")
+        if isinstance(self.fine, ButcherTableau):
+            object.__setattr__(self, "fine", PropagatorSpec.uniform(self.fine, self.k))
         if abs(self.fine.k - self.k) > 1e-9:
             raise ValueError("fine propagator fractions must sum to k")
         if self.relaxation not in RELAXATIONS:
@@ -163,89 +165,133 @@ class BoundQuery:
         return " ".join(parts)
 
 
+def _rows(x, sel):
+    """Rows `sel` of x: a value per row (1-D), or one row of points shared
+    by every row (2-D), which all rows read."""
+    return x if x.ndim == 2 else x[sel]
+
+
+def _select(mask):
+    """The rows of a mask over rows (1-D, or a column): a slice taking
+    every row when all are set, which indexes without a copy."""
+    mask = mask.ravel()
+    return slice(None) if mask.all() else mask
+
+
 def _int_power(v, n):
-    """v ** n for an integer array n, each element rounded as v ** int(n)
-    rounds it: numpy computes x ** 2 by its square shortcut, which rounds
-    differently from the general integer power."""
+    """v ** n for integer n, each element rounded as v ** int(n) rounds it:
+    numpy computes x ** 2 by its square shortcut, which rounds differently
+    from the general integer power."""
     p = v ** n
-    two = n == 2
+    two = (n == 2).ravel()
     if two.any():
-        p[two] = v[two] ** 2
+        p[two] = _rows(v, two) ** 2
     return p
 
 
 class _Batch:
-    """A bound_values call's queries as per-query arrays, read per point
-    through `owner`: k, theta, the tight scale C * Nc^2 (C = 1 lower, 6
-    upper; Nc - 1 under FCF, whose propagator is Toeplitz on Nc - 1
-    C-points), the simple/real-axis/FCF flags, and the index of each
-    query's coarse tableau into `coarse`.  Row j of `power` holds each
-    query's multiplicity of the fine step `steps[j]`.  The rows go by the
-    step's place among its propagator's distinct steps, so each propagator
-    multiplies them in its own order, as in a call of its own.
+    """A bound_values call's queries compiled once into arrays.
+
+    A key is a distinct (fine propagator's distinct steps, coarse tableau,
+    k, theta, axis): its lam^k and mu serve every query on it, such as a
+    k's F and FCF queries.  Per query (read through `owner`): `key`, the
+    tight scale C * Nc^2 (C = 1 lower, 6 upper; Nc - 1 under FCF, whose
+    propagator is Toeplitz on Nc - 1 C-points), and the simple, real-axis
+    and FCF flags.  Per key (read through `key`): k, theta and `which`, the
+    index of its coarse tableau into `coarse`.  Row j of `power` holds each
+    key's multiplicity of the fine step `steps[j]`, and `uses[e]` lists the
+    rows key e has.  The rows go by the step's place among its
+    propagator's distinct steps, so each propagator multiplies them in its
+    own order, as in a call of its own.
     """
 
     def __init__(self, queries):
-        rounds, coarse = {}, {}
-        for i, q in enumerate(queries):
-            for j, (step, n) in enumerate(q.fine.distinct):
-                rounds.setdefault((j, *step), {})[i] = n
-        keys = sorted(rounds, key=lambda key: key[0])
-        self.steps = [key[1:] for key in keys]
-        self.power = np.zeros((len(keys), len(queries)), dtype=int)
-        for row, key in zip(self.power, keys):
-            row[list(rounds[key])] = list(rounds[key].values())
-        self.which = np.array([coarse.setdefault(q.coarse, len(coarse))
-                               for q in queries])
+        keys, rounds, coarse = {}, {}, {}
+        self.key = np.array([keys.setdefault(
+            (q.fine.distinct, q.coarse, q.k, q.theta, q.axis), len(keys))
+            for q in queries], dtype=np.intp)
+        for e, (distinct, *_) in enumerate(keys):
+            for j, (step, n) in enumerate(distinct):
+                rounds.setdefault((j, *step), {})[e] = n
+        order = sorted(rounds, key=lambda step: step[0])
+        self.steps = [step[1:] for step in order]
+        self.power = np.zeros((len(order), len(keys)), dtype=int)
+        self.uses = [[] for _ in keys]
+        for j, step in enumerate(order):
+            self.power[j, list(rounds[step])] = list(rounds[step].values())
+            for e in rounds[step]:
+                self.uses[e].append(j)
+        self.which = np.array([coarse.setdefault(key[1], len(coarse))
+                               for key in keys])
         self.coarse = list(coarse)
-        self.k = np.array([q.k for q in queries])
-        self.theta = np.array([q.theta for q in queries])
+        self.k = np.array([key[2] for key in keys])
+        self.theta = np.array([key[3] for key in keys])
         self.scale = np.array([
             (1.0 if q.bound_kind == LOWER_TIGHT else 6.0)
             * (q.Nc - 1 if q.relaxation == RELAX_FCF else q.Nc) ** 2
             for q in queries])
         self.simple = np.array([q.bound_kind == SIMPLE for q in queries])
-        self.real = np.array([q.axis == REAL_AXIS for q in queries])
+        self.real = np.array([q.axis == REAL_AXIS for q in queries],
+                             dtype=bool)
         self.fcf = np.array([q.relaxation == RELAX_FCF for q in queries])
 
 
-def _eigen_parts(b, owner, pts, dtype):
-    """lam^k, |theta*mu - lam^k|, theta*|mu|, 1 - theta*|mu| at the points,
-    point i under query owner[i] of the batch b, evaluated in `dtype`.
+def _eigen_parts(b, keys, pts, dtype):
+    """lam^k, |theta*mu - lam^k|, theta*|mu|, 1 - theta*|mu| in `dtype`,
+    row i under key keys[i].  Either pts holds a point per row (keys and
+    pts 1-D), or it is one row of points, shape (1, m), shared by every
+    row (keys a column), and each part has shape (len(keys), m).
 
-    Each distinct fine step is evaluated once over every point whose
-    propagator has it and raised to its multiplicity there, so a uniform
-    k-step factor costs one evaluation.  Each coarse tableau is evaluated
-    once, at k*w, over every point whose query has it.
+    Only the steps and coarse tableaux of the given keys are visited.  Each
+    fine step is evaluated once over the points of the keys that have it,
+    and raised to each key's multiplicity, so a uniform k-step factor costs
+    one evaluation, on a shared row one for all its keys.  Each coarse
+    tableau is evaluated at k*w over the points of the keys that have it.
     """
     pts = pts.astype(dtype)
-    lamk = np.ones_like(pts)
-    for (tab, frac), power in zip(b.steps, b.power):
-        n = power[owner]
-        if n.all():
-            lamk = lamk * _int_power(stability_eval_batch(
-                tab, frac * pts, dtype=dtype), n)
-        elif n.any():
-            sel = n > 0
-            lamk[sel] = lamk[sel] * _int_power(stability_eval_batch(
-                tab, frac * pts[sel], dtype=dtype), n[sel])
-    k, theta, which = b.k[owner], b.theta[owner], b.which[owner]
-    mu = np.empty_like(pts)
-    for c, tab in enumerate(b.coarse):
-        sel = which == c
-        if sel.all():
-            mu = theta * stability_eval_batch(tab, k * pts, dtype=dtype)
-        elif sel.any():
-            mu[sel] = theta[sel] * stability_eval_batch(
-                tab, k[sel] * pts[sel], dtype=dtype)
+    used = np.bincount(keys.ravel(), minlength=b.k.size).nonzero()[0]
+    lamk = np.ones(keys.shape[:1] + pts.shape[1:], dtype=dtype)
+    for j in sorted({j for e in used.tolist() for j in b.uses[e]}):
+        (tab, frac), n = b.steps[j], b.power[j, keys]
+        sel = _select(n > 0)
+        lamk[sel] = lamk[sel] * _int_power(stability_eval_batch(
+            tab, frac * _rows(pts, sel), dtype=dtype), n[sel])
+    k, theta, which = b.k[keys], b.theta[keys], b.which[keys]
+    mu = np.empty_like(lamk)
+    for c in sorted(set(b.which[used].tolist())):
+        sel = _select(which == c)
+        mu[sel] = theta[sel] * stability_eval_batch(
+            b.coarse[c], k[sel] * _rows(pts, sel), dtype=dtype)
     amu = np.abs(mu)
     return (lamk.astype(complex), np.abs(mu - lamk).astype(float),
             amu.astype(float), (1.0 - amu).astype(float))
 
 
+def _parts(b, keys, pts):
+    """_eigen_parts of the keys at pts (a point per key, or one shared
+    row): a point with |w| < 1e-4 in extended precision only, every other
+    point in double precision."""
+    small = np.abs(pts) < 1e-4
+    shape = keys.shape[:1] + pts.shape[1:]
+    parts = (np.empty(shape, dtype=complex), *np.empty((3,) + shape))
+    for sel, dtype in ((~small, complex), (small, np.clongdouble)):
+        if sel.all():
+            parts = _eigen_parts(b, keys, pts, dtype)
+        elif sel.any():
+            if pts.ndim == 1:
+                at, sub = sel, keys[sel]
+            else:
+                at, sub = (slice(None), sel[0]), keys
+            for part, value in zip(parts, _eigen_parts(b, sub, pts[at],
+                                                       dtype)):
+                part[at] = value
+    return parts
+
+
 def _apply_formula(b, owner, lamk, num, amu, one_minus):
     """The bound at every point from its evaluated parts (see _eigen_parts),
-    with the kind, Nc, axis and relaxation of point i's query owner[i]."""
+    with the kind, Nc, axis and relaxation of the point's query: owner
+    holds the query of each point, or of each row as a column."""
     simple = b.simple[owner]
     phi = np.empty(num.shape)
     if simple.any():
@@ -271,14 +317,19 @@ def _apply_formula(b, owner, lamk, num, amu, one_minus):
 def bound_values(q, w, owner=None):
     """Vectorized bound over magnitudes w on the query's axis.
 
-    `q` is one BoundQuery, or a sequence of them with point i under
-    q[owner[i]].  The queries become per-query arrays once per call
-    (_Batch), and the points go in blocks of _BLOCK that read them through
-    `owner`.  In each block the evaluation comes first: lam^k and mu at
-    every point, each distinct fine step and coarse tableau once over all
-    the points that use it (_eigen_parts).  Then the formula is applied
-    with each point's query parameters (_apply_formula).  A point's value
-    does not depend on the other points of the call.
+    `q` is one BoundQuery, whose values come back in w's shape, or a
+    sequence of them.  A sequence with `owner` puts point i under
+    q[owner[i]]; a sequence without it puts every query at every point and
+    returns shape (len(q),) + w.shape.  The queries become arrays once per
+    call (_Batch).  The evaluation comes first: lam^k and mu per key, each
+    distinct fine step and coarse tableau once over all the points that use
+    it (_eigen_parts).  Then the formula is applied with each query's
+    parameters (_apply_formula).  The points go in blocks of _BLOCK.
+    Every query at every point, each of an axis's keys is evaluated once
+    over a block, so a k's F and FCF queries share the evaluation, and the
+    formula runs on the block for every query; the scratch memory then
+    stays within a few times the size of the returned array.  Either way a
+    value does not depend on the other points or queries of the call.
 
     Unstable and unbounded samples come back as inf, also where an explicit
     scheme overflows far outside its stability region; PoleError still
@@ -288,9 +339,16 @@ def bound_values(q, w, owner=None):
     small differences of numbers near 1, and double-precision cancellation
     noise would swamp the signal.
     """
-    b = _Batch((q,) if isinstance(q, BoundQuery) else tuple(q))
+    single = isinstance(q, BoundQuery)
+    b = _Batch((q,) if single else tuple(q))
     w = np.asarray(w, dtype=float)
     shape, w = w.shape, w.ravel()
+    if owner is None and not single:
+        out = np.empty((b.real.size, w.size))
+        for queries in (np.flatnonzero(b.real), np.flatnonzero(~b.real)):
+            if queries.size:
+                _bound_grid(b, w, queries, out)
+        return out.reshape((b.real.size,) + shape)
     owner = (np.zeros(w.size, dtype=np.intp) if owner is None
              else np.asarray(owner, dtype=np.intp).ravel())
     out = np.empty(w.size)
@@ -301,18 +359,23 @@ def bound_values(q, w, owner=None):
 
 
 def _bound_block(b, w, owner):
-    """bound_values on one block of points: evaluate, then the formula."""
+    """bound_values on one block of points, point i under query owner[i]."""
     pts = np.where(b.real[owner], w.astype(complex), w * 1j)
-    parts = (np.empty(w.size, dtype=complex), *np.empty((3, w.size)))
-    small = np.abs(pts) < 1e-4
-    for sel, dtype in ((~small, complex), (small, np.clongdouble)):
-        if sel.all():
-            parts = _eigen_parts(b, owner, pts, dtype)
-        elif sel.any():
-            for part, value in zip(parts, _eigen_parts(
-                    b, owner[sel], pts[sel], dtype)):
-                part[sel] = value
-    return _apply_formula(b, owner, *parts)
+    return _apply_formula(b, owner, *_parts(b, b.key[owner], pts))
+
+
+def _bound_grid(b, w, queries, out):
+    """bound_values of the given queries, all on one axis, at every point
+    w, into their rows of out, _BLOCK points at a time: each key evaluated
+    once over the block, then the formula for every query."""
+    keys = np.bincount(b.key[queries]).nonzero()[0]
+    rows = np.searchsorted(keys, b.key[queries])
+    pts = w.astype(complex) if b.real[queries[0]] else w * 1j
+    for start in range(0, w.size, _BLOCK):
+        at = slice(start, start + _BLOCK)
+        parts = _parts(b, keys[:, None], pts[None, at])
+        out[queries, at] = _apply_formula(
+            b, queries[:, None], *(part[rows] for part in parts))
 
 
 @dataclass(frozen=True)
@@ -487,13 +550,16 @@ def _summarize(grid, phi, tail, probe_w, probe_v, w_max):
 
 def _sweep_many(n, evaluate, w_min, w_max, n_base):
     """The sweep engine: n curves on one log-spaced window, where
-    evaluate(w, owner) gives curve owner[i]'s values at w[i] (inf allowed).
+    evaluate(w, owner) gives curve owner[i]'s values at w[i] (inf allowed)
+    and evaluate(w, None) every curve's values at every w, shape
+    (n, w.size).
 
-    One evaluate call covers every curve's base grid and its tail probe at
-    10 * w_max.  One call per round then refines every curve's peak
-    candidates by multisection; max, argmax and the tail rules are decided
-    curve by curve; and one call per round narrows every curve's threshold
-    bracket.  Each curve gets the rounds, probes and bits it gets alone.
+    One evaluate(w, None) call covers the base grid and the tail probe at
+    10 * w_max, which every curve shares.  One call per round then refines
+    every curve's peak candidates by multisection; max, argmax and the tail
+    rules are decided curve by curve; and one call per round narrows every
+    curve's threshold bracket.  Each curve gets the rounds, probes and bits
+    it gets alone.
     Returns one (samples, max_phi, argmax_w, threshold) per curve.
     """
     if not (0.0 < w_min < w_max < INFINITY):
@@ -501,8 +567,7 @@ def _sweep_many(n, evaluate, w_min, w_max, n_base):
     if n_base < 64:
         raise ValueError("n_base must be >= 64")
     grid = _base_grid(w_min, w_max, n_base)
-    values = np.asarray(evaluate(np.tile(np.append(grid, 10.0 * w_max), n),
-                                 np.repeat(np.arange(n), n_base + 1)),
+    values = np.asarray(evaluate(np.append(grid, 10.0 * w_max), None),
                         dtype=float).reshape(n, n_base + 1)
     _, probe_w, probe_v = _multisection(*_peak_brackets(grid, values[:, :-1]),
                                         n, True, evaluate)

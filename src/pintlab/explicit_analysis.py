@@ -95,7 +95,8 @@ def singularity_roots(tab: ButcherTableau, k: int, w_max: float):
     present) is reported once with its multiplicity.  Roots lying in the
     doubly-stable region {w real > 0 : |lam(w)| < 1 and |mu(w)| < 1} are
     flagged; purely imaginary stable roots are marked separately.  w_max
-    must be positive (inf keeps every root).
+    must be positive (inf keeps every root).  ValueError is raised where a
+    coefficient of p overflows double precision (erk2 from k = 779).
     """
     if k < 2:
         raise ValueError(f"coarsening factor k must be >= 2, got {k}")
@@ -106,6 +107,9 @@ def singularity_roots(tab: ButcherTableau, k: int, w_max: float):
     if tab.order != tab.s or tab.s > 4:
         raise ValueError("requires an explicit scheme with order == s <= 4")
     p = gap_polynomial(tab, k)  # coefficients of w^l, l = 0..s*k
+    if not np.isfinite(p).all():
+        raise ValueError(f"{tab.name} at k = {k}: the gap polynomial's "
+                         "coefficients overflow double precision")
     scale = np.max(np.abs(p))
     # the lowest-order coefficients vanish identically (the coarse polynomial
     # matches lam^k through degree s); strip them to expose the origin root

@@ -16,11 +16,14 @@ It also runs `table table1`, `table table2` and `bounds` over k = 2, 4, 8,
 16, 32, 64 (sdirk33/bwe on the real axis, on the imaginary axis with
 `--nc 256`, and gauss4/bwe under FCF, whose supremum is approached as
 w -> infinity), `bounds` for the unbounded trapezoid/trapezoid pair at
-k = 2, 4, 8, and two more `bounds` runs over those six k: sdirk22/bwe at
-theta = 0.5 and sdirk33/bwe under the lower tight bound (C = 1) at
-`--nc 64`.  And it runs `simulate --spectrum` over k = 2, 4, 8 with two
-seeds on a file of `make_skew_advection(32, 1.0)`'s eigenvalues, which
-`eigenvalues_to_csv` writes.  Each runs with `--out` in a temporary
+k = 2, 4, 8, and four more `bounds` runs over those six k: sdirk22/bwe at
+theta = 0.5, sdirk33/bwe under the lower tight bound (C = 1) at
+`--nc 64`, erk2/erk2 under FCF, whose explicit factors overflow into
+`unbounded` samples, and esdirk33/esdirk32 (two tableaux) on the
+imaginary axis under the upper tight bound at `--nc 16`.  And it runs
+`simulate --spectrum` over k = 2, 4, 8 with two seeds on a file of
+`make_skew_advection(32, 1.0)`'s eigenvalues, which `eigenvalues_to_csv`
+writes.  Each runs with `--out` in a temporary
 directory, and `dump` writes each CSV file's rows: the column row, the
 data rows and the footers, without the provenance header.  `compare`
 checks B against A:
@@ -97,6 +100,11 @@ CSV_RUNS = {  # name: CLI arguments besides --out
     "bounds sdirk33/bwe lower Nc=64": ("bounds", "--fine", "sdirk33",
                                        "--coarse", "bwe", *BOUNDS_K,
                                        "--kind", "lower", "--nc", "64"),
+    "bounds erk2/erk2 FCF": ("bounds", "--fine", "erk2", "--coarse", "erk2",
+                             *BOUNDS_K, "--relax", "fcf"),
+    "bounds esdirk33/esdirk32 imag upper Nc=16": (
+        "bounds", "--fine", "esdirk33", "--coarse", "esdirk32", *BOUNDS_K,
+        "--axis", "imag", "--kind", "upper", "--nc", "16"),
     "simulate trapezoid/sdirk22 --spectrum skew": (
         "simulate", "--fine", "trapezoid", "--coarse", "sdirk22", "--nt",
         "256", "--ht", "0.5", "--spectrum", SKEW_CSV, "--k", "2,4,8",

@@ -5,8 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from pintlab import bounds
 from pintlab.bounds import (_CROSSING_TOL, _PEAK_TOL, _SECTIONS, INFINITY,
-                            BoundQuery, PropagatorSpec, _sweep_many,
+                            RELAXATIONS, BoundQuery, PropagatorSpec,
+                            _sweep_many,
                             bound_values, max_over_k, spectrum_max, sweep,
                             sweep_function, two_iteration_product)
 from pintlab.butcher import (REGISTRY, get_scheme, stability_eval,
@@ -540,6 +542,82 @@ def test_lockstep_bound_values_match_one_query_calls():
             q.describe()
 
 
+# the lockstep batch's points for the every-query form: across the
+# extended-precision cut at w = 1e-4 (on both sides of it), and up to the
+# tail probe's 1e9
+_GRID = np.concatenate((np.geomspace(1e-9, 1e9, 97),
+                        [np.nextafter(1e-4, 0.0), 1e-4]))
+
+
+def test_every_query_form_matches_one_query_calls():
+    queries = _lockstep_batch()
+    values = bound_values(queries, _GRID)
+    assert values.shape == (len(queries), _GRID.size)
+    for q, row in zip(queries, values):
+        assert np.array_equal(row, bound_values(q, _GRID)), q.describe()
+    square = bound_values(queries[:3], _GRID[:96].reshape(8, 12))
+    assert square.shape == (3, 8, 12)
+    assert np.array_equal(square.reshape(3, 96), values[:3, :96])
+
+
+def test_every_query_form_matches_a_shuffled_per_point_call():
+    # the shared route (each key evaluated once over all points) against
+    # the per-point route, on the same (query, point) pairs in random order
+    queries = _lockstep_batch()
+    owner = np.repeat(np.arange(len(queries)), _GRID.size)
+    order = np.random.default_rng(7).permutation(owner.size)
+    shuffled = bound_values(queries, np.tile(_GRID, len(queries))[order],
+                            owner[order])
+    per_point = np.empty_like(shuffled)
+    per_point[order] = shuffled
+    assert np.array_equal(per_point.reshape(len(queries), _GRID.size),
+                          bound_values(queries, _GRID))
+
+
+def test_every_query_form_takes_a_long_w_in_blocks(monkeypatch):
+    # more points than one block: each stability evaluation sees at most
+    # _BLOCK of them, and every row is its query's own call
+    queries = _lockstep_batch()[::40]
+    w = np.geomspace(1e-9, 1e9, 2 * bounds._BLOCK + 5)
+    seen, evaluate = [], bounds.stability_eval_batch
+
+    def counted_evaluate(tab, z, dtype=complex):
+        seen.append(np.shape(z)[-1])
+        return evaluate(tab, z, dtype=dtype)
+
+    monkeypatch.setattr(bounds, "stability_eval_batch", counted_evaluate)
+    values = bound_values(queries, w)
+    monkeypatch.undo()
+    assert max(seen) <= bounds._BLOCK
+    for q, row in zip(queries, values):
+        assert np.array_equal(row, bound_values(q, w)), q.describe()
+
+
+def test_table2_row_base_round_evaluates_each_function_once(monkeypatch):
+    # a table2 row's 12 curves share the base grid and its tail probe (513
+    # points): there the fine step is evaluated once and the coarse
+    # tableau once per k, not each of them once per curve (12 x 513)
+    calls, points = [], []
+    values, evaluate = bounds.bound_values, bounds.stability_eval_batch
+
+    def counted_values(q, w, owner=None):
+        calls.append(np.size(w))
+        return values(q, w, owner)
+
+    def counted_evaluate(tab, w, dtype=complex):
+        points.append((len(calls), tab, np.size(w)))
+        return evaluate(tab, w, dtype=dtype)
+
+    monkeypatch.setattr(bounds, "bound_values", counted_values)
+    monkeypatch.setattr(bounds, "stability_eval_batch", counted_evaluate)
+    sweep([query(SDIRK33, SDIRK33, k, relax)
+           for k in K_VALUES for relax in RELAXATIONS])
+    assert calls[0] == 513
+    base = [(tab, n) for call, tab, n in points if call == 1]
+    assert {tab for tab, _ in base} == {SDIRK33}
+    assert sum(n for _, n in base) <= 513 * (1 + len(K_VALUES))
+
+
 def test_batch_multiplies_each_propagators_steps_in_its_own_order():
     # the second propagator's sdirk33 and trapezoid steps are first met at
     # their places in the first one, before its own bwe step; three
@@ -723,8 +801,11 @@ def _assert_same_sweeps(got, ref, names):
 
 
 def _by_owner(funs):
-    """evaluate(w, owner) of the curves `funs`, one array call each."""
+    """evaluate(w, owner) of the curves `funs`, one array call each: curve
+    owner[i] at w[i], or every curve at every w when owner is None."""
     def evaluate(w, owner):
+        if owner is None:
+            return np.array([fun(w) for fun in funs])
         out = np.empty(w.size)
         for c, fun in enumerate(funs):
             sel = owner == c
@@ -790,7 +871,8 @@ def test_array_engine_matches_reference_on_a_mixed_list():
     evaluate = _by_owner(list(funs.values()))
 
     def counted(w, owner):
-        rounds.append(np.bincount(owner, minlength=len(funs)) > 0)
+        rounds.append(np.ones(len(funs), dtype=bool) if owner is None
+                      else np.bincount(owner, minlength=len(funs)) > 0)
         return evaluate(w, owner)
 
     got = _sweep_many(len(funs), counted, 1e-8, 1e8, 512)

@@ -407,6 +407,28 @@ def test_singularity_k_below_2_exits_2(k, tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+def test_singularity_overflowing_k_exits_2(tmp_path, capsys):
+    rc = main(["singularity", "--scheme", "erk2", "--k", "2,1000",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: erk2 at k = 1000: the gap polynomial's "
+                            "coefficients overflow double precision\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_bounds_k_below_2_exits_2(k, tmp_path, capsys):
+    rc = main(["bounds", "--fine", "bwe", "--coarse", "bwe", "--k", k,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coarsening factor k must be >= 2\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_singularity_checks_every_k_before_the_first_report(tmp_path,
                                                              capsys):
     rc = main(["singularity", "--scheme", "erk2", "--k", "2,1",

@@ -334,6 +334,18 @@ def test_singularity_roots_rejects_nonpositive_w_max(w_max):
         singularity_roots(ERK2, 4, w_max)
 
 
+@pytest.mark.parametrize("tab, k", [(ERK2, 779), (ERK3, 728), (ERK4, 717)],
+                         ids=["erk2", "erk3", "erk4"])
+def test_singularity_roots_rejects_an_overflowing_gap_polynomial(tab, k):
+    # P(w)^k's coefficients overflow double precision from these k on; the
+    # roots of what is left would be the origin alone, with a multiplicity
+    # above the polynomial's degree (2,001 for erk2 at k = 1000)
+    assert np.isfinite(gap_polynomial(tab, k - 1)).all()
+    for kk in (k, 1000):
+        with pytest.raises(ValueError, match=f"^{tab.name} at k = {kk}: "):
+            singularity_roots(tab, kk, 100.0)
+
+
 def test_infinite_w_max_keeps_every_root():
     # the origin, of multiplicity s + 1 = 3, and the other s*k - 3 roots
     records = singularity_roots(ERK2, 4, math.inf)
