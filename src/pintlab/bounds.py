@@ -12,11 +12,14 @@ under FCF the tight kinds take Nc - 1 in place of Nc.
 A scalar weight theta rescales the coarse propagator (mu -> theta*mu),
 which is theta-Parareal.
 
-`bound_values` evaluates first and applies the formula second: lam^k and mu
-once per key (a distinct fine propagator, coarse tableau, k, theta and
-axis), each distinct stability function once over the points that use it,
-then the formula above with each query's kind, Nc and relaxation.  One call
-may serve many queries, point by point or every query at every point.
+`bound_values` evaluates first and applies the formula second.  It groups
+its queries into families, a family being one (fine propagator's distinct
+steps in order, coarse tableau, axis), whose keys differ only by the
+steps' multiplicities, k and theta.  Per family it evaluates each step and
+the coarse tableau once over the family's points, lam^k and mu once per
+key, then the formula above with each query's kind, Nc and relaxation.
+One call may serve many queries, point by point or every query at every
+point.
 `sweep` takes one query or a list of them and refines all of them through
 the one array sweep engine, `_sweep_many`: one `bound_values` call of every
 query on the shared base grid and tail probe, one per multisection round
@@ -68,7 +71,7 @@ _DEN_EPS = 1e-13
 # e.g. trapezoid on the imaginary axis); beyond this they are unstable too.
 _TIGHT_SLACK = 1e-12
 # bound_values evaluates at most this many points at once (each under every
-# key of the call where every query goes at every point), so its scratch
+# key of a family where every query goes at every point), so its scratch
 # memory does not grow with the number of points
 _BLOCK = 1024
 
@@ -165,74 +168,42 @@ class BoundQuery:
         return " ".join(parts)
 
 
-def _rows(x, sel):
-    """Rows `sel` of x: a value per row (1-D), or one row of points shared
-    by every row (2-D), which all rows read."""
-    return x if x.ndim == 2 else x[sel]
-
-
-def _select(mask):
-    """The rows of a mask over rows (1-D, or a column): a slice taking
-    every row when all are set, which indexes without a copy."""
-    mask = mask.ravel()
-    return slice(None) if mask.all() else mask
-
-
 def _int_power(v, n):
     """v ** n for integer n, each element rounded as v ** int(n) rounds it:
     numpy computes x ** 2 by its square shortcut, which rounds differently
     from the general integer power."""
-    p = v ** n
-    two = (n == 2).ravel()
-    if two.any():
-        p[two] = _rows(v, two) ** 2
-    return p
+    return np.where(n == 2, v ** 2, v ** n)
 
 
 class _Batch:
-    """A bound_values call's queries compiled once into arrays.
+    """A family's queries compiled once into arrays.
 
-    A key is a distinct (fine propagator's distinct steps, coarse tableau,
-    k, theta, axis): its lam^k and mu serve every query on it, such as a
+    A family is one (fine propagator's distinct steps in order, coarse
+    tableau, axis), so its keys differ only by the steps' multiplicities,
+    k and theta; a key's lam^k and mu serve every query on it, such as a
     k's F and FCF queries.  Per query (read through `owner`): `key`, the
     tight scale C * Nc^2 (C = 1 lower, 6 upper; Nc - 1 under FCF, whose
-    propagator is Toeplitz on Nc - 1 C-points), and the simple, real-axis
-    and FCF flags.  Per key (read through `key`): k, theta and `which`, the
-    index of its coarse tableau into `coarse`.  Row j of `power` holds each
-    key's multiplicity of the fine step `steps[j]`, and `uses[e]` lists the
-    rows key e has.  The rows go by the step's place among its
-    propagator's distinct steps, so each propagator multiplies them in its
-    own order, as in a call of its own.
+    propagator is Toeplitz on Nc - 1 C-points), and the simple and FCF
+    flags.  Per key (read through `key`): k, theta and a column of `power`,
+    whose row j holds its multiplicity of the step `steps[j]`.
     """
 
-    def __init__(self, queries):
-        keys, rounds, coarse = {}, {}, {}
-        self.key = np.array([keys.setdefault(
-            (q.fine.distinct, q.coarse, q.k, q.theta, q.axis), len(keys))
-            for q in queries], dtype=np.intp)
-        for e, (distinct, *_) in enumerate(keys):
-            for j, (step, n) in enumerate(distinct):
-                rounds.setdefault((j, *step), {})[e] = n
-        order = sorted(rounds, key=lambda step: step[0])
-        self.steps = [step[1:] for step in order]
-        self.power = np.zeros((len(order), len(keys)), dtype=int)
-        self.uses = [[] for _ in keys]
-        for j, step in enumerate(order):
-            self.power[j, list(rounds[step])] = list(rounds[step].values())
-            for e in rounds[step]:
-                self.uses[e].append(j)
-        self.which = np.array([coarse.setdefault(key[1], len(coarse))
-                               for key in keys])
-        self.coarse = list(coarse)
-        self.k = np.array([key[2] for key in keys])
-        self.theta = np.array([key[3] for key in keys])
+    def __init__(self, family, queries):
+        self.steps, self.coarse, axis = family
+        self.real = axis == REAL_AXIS
+        keys = {}
+        self.key = np.array([keys.setdefault((q.fine.distinct, q.k, q.theta),
+                                             len(keys)) for q in queries],
+                            dtype=np.intp)
+        self.power = np.array([[n for _, n in distinct]
+                               for distinct, _, _ in keys]).T
+        self.k = np.array([k for _, k, _ in keys])
+        self.theta = np.array([theta for _, _, theta in keys])
         self.scale = np.array([
             (1.0 if q.bound_kind == LOWER_TIGHT else 6.0)
             * (q.Nc - 1 if q.relaxation == RELAX_FCF else q.Nc) ** 2
             for q in queries])
         self.simple = np.array([q.bound_kind == SIMPLE for q in queries])
-        self.real = np.array([q.axis == REAL_AXIS for q in queries],
-                             dtype=bool)
         self.fcf = np.array([q.relaxation == RELAX_FCF for q in queries])
 
 
@@ -242,26 +213,18 @@ def _eigen_parts(b, keys, pts, dtype):
     pts 1-D), or it is one row of points, shape (1, m), shared by every
     row (keys a column), and each part has shape (len(keys), m).
 
-    Only the steps and coarse tableaux of the given keys are visited.  Each
-    fine step is evaluated once over the points of the keys that have it,
-    and raised to each key's multiplicity, so a uniform k-step factor costs
-    one evaluation, on a shared row one for all its keys.  Each coarse
-    tableau is evaluated at k*w over the points of the keys that have it.
+    Each of the family's steps is evaluated once over pts and raised to
+    each key's multiplicity, in the family's order, so a uniform k-step
+    factor costs one evaluation, on a shared row one for all its keys.
+    The coarse tableau is evaluated at k*w.
     """
     pts = pts.astype(dtype)
-    used = np.bincount(keys.ravel(), minlength=b.k.size).nonzero()[0]
-    lamk = np.ones(keys.shape[:1] + pts.shape[1:], dtype=dtype)
-    for j in sorted({j for e in used.tolist() for j in b.uses[e]}):
-        (tab, frac), n = b.steps[j], b.power[j, keys]
-        sel = _select(n > 0)
-        lamk[sel] = lamk[sel] * _int_power(stability_eval_batch(
-            tab, frac * _rows(pts, sel), dtype=dtype), n[sel])
-    k, theta, which = b.k[keys], b.theta[keys], b.which[keys]
-    mu = np.empty_like(lamk)
-    for c in sorted(set(b.which[used].tolist())):
-        sel = _select(which == c)
-        mu[sel] = theta[sel] * stability_eval_batch(
-            b.coarse[c], k[sel] * _rows(pts, sel), dtype=dtype)
+    lamk = np.ones(np.broadcast_shapes(keys.shape, pts.shape), dtype=dtype)
+    for (tab, frac), power in zip(b.steps, b.power):
+        lamk = lamk * _int_power(stability_eval_batch(
+            tab, frac * pts, dtype=dtype), power[keys])
+    mu = b.theta[keys] * stability_eval_batch(b.coarse, b.k[keys] * pts,
+                                              dtype=dtype)
     amu = np.abs(mu)
     return (lamk.astype(complex), np.abs(mu - lamk).astype(float),
             amu.astype(float), (1.0 - amu).astype(float))
@@ -290,15 +253,16 @@ def _parts(b, keys, pts):
 
 def _apply_formula(b, owner, lamk, num, amu, one_minus):
     """The bound at every point from its evaluated parts (see _eigen_parts),
-    with the kind, Nc, axis and relaxation of the point's query: owner
-    holds the query of each point, or of each row as a column."""
+    with the kind, Nc and relaxation of the point's query and the family's
+    axis: owner holds the query of each point, or of each row as a
+    column."""
     simple = b.simple[owner]
     phi = np.empty(num.shape)
     if simple.any():
         # a vanished denominator: a 0/0 limit on the real axis reads 0
         tiny = one_minus < _DEN_EPS
-        phi = np.where(tiny, np.where(b.real[owner] & (num < _DEN_EPS),
-                                      0.0, np.inf), num / one_minus)
+        phi = np.where(tiny, np.where(b.real & (num < _DEN_EPS), 0.0, np.inf),
+                       num / one_minus)
     if not simple.all():
         scale = b.scale[owner]
         extra = np.where(np.isinf(scale), 0.0, (np.pi ** 2) * amu / scale)
@@ -320,16 +284,17 @@ def bound_values(q, w, owner=None):
     `q` is one BoundQuery, whose values come back in w's shape, or a
     sequence of them.  A sequence with `owner` puts point i under
     q[owner[i]]; a sequence without it puts every query at every point and
-    returns shape (len(q),) + w.shape.  The queries become arrays once per
-    call (_Batch).  The evaluation comes first: lam^k and mu per key, each
-    distinct fine step and coarse tableau once over all the points that use
-    it (_eigen_parts).  Then the formula is applied with each query's
+    returns shape (len(q),) + w.shape; one query goes that way too.  The
+    queries are grouped into families once per call, and each family
+    becomes arrays (_Batch).  The evaluation comes first: lam^k and mu per
+    key, each of the family's steps and its coarse tableau once over its
+    points (_eigen_parts).  Then the formula is applied with each query's
     parameters (_apply_formula).  The points go in blocks of _BLOCK.
-    Every query at every point, each of an axis's keys is evaluated once
-    over a block, so a k's F and FCF queries share the evaluation, and the
-    formula runs on the block for every query; the scratch memory then
-    stays within a few times the size of the returned array.  Either way a
-    value does not depend on the other points or queries of the call.
+    Every query at every point, each key is evaluated once over a block,
+    so a k's F and FCF queries share the evaluation, and the formula runs
+    on the block for every query; the scratch memory then stays within a
+    few times the size of the returned array.  Either way a value does not
+    depend on the other points or queries of the call.
 
     Unstable and unbounded samples come back as inf, also where an explicit
     scheme overflows far outside its stability region; PoleError still
@@ -340,42 +305,57 @@ def bound_values(q, w, owner=None):
     noise would swamp the signal.
     """
     single = isinstance(q, BoundQuery)
-    b = _Batch((q,) if single else tuple(q))
+    queries = (q,) if single else tuple(q)
     w = np.asarray(w, dtype=float)
     shape, w = w.shape, w.ravel()
-    if owner is None and not single:
-        out = np.empty((b.real.size, w.size))
-        for queries in (np.flatnonzero(b.real), np.flatnonzero(~b.real)):
-            if queries.size:
-                _bound_grid(b, w, queries, out)
-        return out.reshape((b.real.size,) + shape)
-    owner = (np.zeros(w.size, dtype=np.intp) if owner is None
-             else np.asarray(owner, dtype=np.intp).ravel())
+    families = {}
+    for i, x in enumerate(queries):
+        families.setdefault((tuple(step for step, _ in x.fine.distinct),
+                             x.coarse, x.axis), []).append(i)
+    batches = [(_Batch(family, [queries[i] for i in rows]), rows)
+               for family, rows in families.items()]
+    if owner is None:
+        out = np.empty((len(queries), w.size))
+        for b, rows in batches:
+            _bound_grid(b, w, rows, out)
+        return out[0].reshape(shape) if single else \
+            out.reshape((len(queries),) + shape)
+    owner = np.asarray(owner, dtype=np.intp).ravel()
+    if owner.size != w.size or np.any((owner < 0) | (owner >= len(queries))):
+        raise ValueError("owner must give each point of w a query in "
+                         f"[0, {len(queries)})")
+    family, local = np.empty((2, len(queries)), dtype=np.intp)
+    for f, (_, rows) in enumerate(batches):
+        family[rows], local[rows] = f, np.arange(len(rows))
+    family, owner = family[owner], local[owner]
     out = np.empty(w.size)
-    for start in range(0, w.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        out[block] = _bound_block(b, w[block], owner[block])
+    for f, (b, _) in enumerate(batches):
+        at = np.flatnonzero(family == f) if len(batches) > 1 else slice(None)
+        out[at] = _bound_points(b, w[at], owner[at])
     return out.reshape(shape)
 
 
-def _bound_block(b, w, owner):
-    """bound_values on one block of points, point i under query owner[i]."""
-    pts = np.where(b.real[owner], w.astype(complex), w * 1j)
-    return _apply_formula(b, owner, *_parts(b, b.key[owner], pts))
-
-
-def _bound_grid(b, w, queries, out):
-    """bound_values of the given queries, all on one axis, at every point
-    w, into their rows of out, _BLOCK points at a time: each key evaluated
-    once over the block, then the formula for every query."""
-    keys = np.bincount(b.key[queries]).nonzero()[0]
-    rows = np.searchsorted(keys, b.key[queries])
-    pts = w.astype(complex) if b.real[queries[0]] else w * 1j
+def _bound_points(b, w, owner):
+    """bound_values of one family, point i under its query owner[i]."""
+    out = np.empty(w.size)
     for start in range(0, w.size, _BLOCK):
         at = slice(start, start + _BLOCK)
-        parts = _parts(b, keys[:, None], pts[None, at])
-        out[queries, at] = _apply_formula(
-            b, queries[:, None], *(part[rows] for part in parts))
+        pts = w[at] if b.real else w[at] * 1j
+        out[at] = _apply_formula(b, owner[at],
+                                 *_parts(b, b.key[owner[at]], pts))
+    return out
+
+
+def _bound_grid(b, w, rows, out):
+    """bound_values of one family's queries at every point w, into their
+    rows of out: each key evaluated once over a block, then the formula
+    for every query."""
+    keys, queries = np.arange(b.k.size)[:, None], np.arange(len(rows))[:, None]
+    for start in range(0, w.size, _BLOCK):
+        at = slice(start, start + _BLOCK)
+        pts = w[None, at] if b.real else w[None, at] * 1j
+        out[rows, at] = _apply_formula(b, queries, *(
+            part[b.key] for part in _parts(b, keys, pts)))
 
 
 @dataclass(frozen=True)
@@ -548,11 +528,12 @@ def _summarize(grid, phi, tail, probe_w, probe_v, w_max):
     return [np.column_stack((w_all, phi_all)), max_phi, argmax_w, threshold]
 
 
-def _sweep_many(n, evaluate, w_min, w_max, n_base):
+def _sweep_many(n, evaluate, w_min, w_max, n_base, reach=1):
     """The sweep engine: n curves on one log-spaced window, where
     evaluate(w, owner) gives curve owner[i]'s values at w[i] (inf allowed)
     and evaluate(w, None) every curve's values at every w, shape
-    (n, w.size).
+    (n, w.size).  evaluate reads up to `reach` times its w (a coarse
+    tableau at k * w), and the window is rejected where that overflows.
 
     One evaluate(w, None) call covers the base grid and the tail probe at
     10 * w_max, which every curve shares.  One call per round then refines
@@ -564,6 +545,9 @@ def _sweep_many(n, evaluate, w_min, w_max, n_base):
     """
     if not (0.0 < w_min < w_max < INFINITY):
         raise ValueError("need 0 < w_min < w_max < inf")
+    if not 10.0 * reach * w_max < INFINITY:
+        raise ValueError(f"w_max too large: the tail probe reads "
+                         f"{10.0 * reach:g} * w_max, which overflows")
     if n_base < 64:
         raise ValueError("n_base must be >= 64")
     grid = _base_grid(w_min, w_max, n_base)
@@ -601,7 +585,8 @@ def sweep(q, w_min: float = 1e-8, w_max: float = 1e8, n_base: int = 512):
     queries = (q,) if single else tuple(q)
     results = _sweep_many(len(queries),
                           lambda w, owner: bound_values(queries, w, owner),
-                          w_min, w_max, n_base)
+                          w_min, w_max, n_base,
+                          max((x.k for x in queries), default=1))
     curves = [BoundCurve(x, *r) for x, r in zip(queries, results)]
     return curves[0] if single else curves
 

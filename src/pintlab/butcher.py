@@ -120,6 +120,9 @@ class ButcherTableau:
         s = self.b.size
         if self.A.shape != (s, s) or self.c.size != s:
             raise ValueError(f"{self.name}: inconsistent tableau shapes")
+        if not all(np.isfinite(x).all() for x in (self.A, self.b, self.c)):
+            raise ValueError(f"{self.name}: tableau coefficients must be "
+                             "finite")
         if self.order < 1:
             raise ValueError(f"{self.name}: order must be >= 1")
         if self.stability_class not in (A_STABLE, L_STABLE, CONDITIONALLY_STABLE):

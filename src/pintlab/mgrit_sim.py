@@ -287,6 +287,14 @@ class _Engine:
         self.k = hier.k
         if hier.points(hier.levels - 1) < 1:
             raise ValueError("coarsest level has no intervals")
+        # an overflowed dt * xi would read as a pole of a stability function
+        dts = {frac * hier.h_t for _, frac in hier.fine.steps}
+        dts.update(hier.dt(l) for l in range(1, hier.levels))
+        with np.errstate(over="ignore"):
+            if not all(np.isfinite(dt * run.problem.eigenvalues).all()
+                       for dt in dts):
+                raise ValueError("dt * xi overflows on some level: h_t or "
+                                 "the spectrum is too large")
         if run.path == "diagonal":
             self.width = run.problem.eigenvalues.size
             self.dtype = (complex if np.any(run.problem.eigenvalues.imag)

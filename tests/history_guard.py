@@ -25,8 +25,14 @@ imaginary axis under the upper tight bound at `--nc 16`.  And it runs
 `make_skew_advection(32, 1.0)`'s eigenvalues, which `eigenvalues_to_csv`
 writes.  Each runs with `--out` in a temporary
 directory, and `dump` writes each CSV file's rows: the column row, the
-data rows and the footers, without the provenance header.  `compare`
-checks B against A:
+data rows and the footers, without the provenance header.  Last, it takes
+test_bounds' lockstep batch (551 queries in 35 families: mixed and
+half-step fine propagators, both axes, every kind, theta = 0.5) and
+writes, per query, the summary of its curve in one `sweep` of the whole
+batch, and a checksum of the curve's samples, of its row of the
+every-query `bound_values` call on test_bounds' `_GRID`, and of its
+values in a shuffled per-point call on the same points; no CLI run makes
+such a batch.  `compare` checks B against A:
 
 - the same cases, history lengths and `converged` flags;
 - every history value within |B - A| <= 1e-13 |A| + 1e-16 h0, where h0 is
@@ -37,7 +43,8 @@ checks B against A:
 - the same sweep rows' k, `converged` and iteration counts;
 - the same singularity roots, compared with ==;
 - the same CSV rows of the table, bounds and spectrum-file runs, compared
-  with ==.
+  with ==;
+- the same lockstep summaries and checksums, compared with ==.
 
 The absolute terms match the history's: a run that converges in one cycle
 (an exact coarse propagator) has rho = h1/h0 and a final state at rounding
@@ -190,6 +197,10 @@ def _cases():
     return out
 
 
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
 def _checksum(u):
     u = np.ascontiguousarray(u)
     # einsum sums the squares in one order under any BLAS thread count (a
@@ -198,9 +209,7 @@ def _checksum(u):
     x = x.view(x.real.dtype) if x.dtype.kind == "c" else x
     with np.errstate(over="ignore"):  # a diverged state's norm is inf
         norm = math.sqrt(np.einsum("i,i->", x, x))
-    return {"norm": norm,
-            "sha256": hashlib.sha256(u.tobytes()).hexdigest()[:16],
-            "dtype": str(u.dtype)}
+    return {"norm": norm, "sha256": _digest(u), "dtype": str(u.dtype)}
 
 
 def _roots():
@@ -258,6 +267,26 @@ def _csv_rows():
     return rows, codes
 
 
+def _lockstep():
+    """{query: [max_phi, argmax_w, threshold, samples checksum, every-query
+    checksum, per-point checksum]} over test_bounds' lockstep batch."""
+    from pintlab.bounds import bound_values, sweep
+    from test_bounds import _GRID, _lockstep_batch
+    queries = _lockstep_batch()
+    curves = sweep(queries)
+    every = bound_values(queries, _GRID)
+    owner = np.repeat(np.arange(len(queries)), _GRID.size)
+    order = np.random.default_rng(7).permutation(owner.size)
+    per_point = np.empty(owner.size)
+    per_point[order] = bound_values(
+        queries, np.tile(_GRID, len(queries))[order], owner[order])
+    per_point = per_point.reshape(len(queries), _GRID.size)
+    return {f"{i} {q.describe()}": [c.max_phi, c.argmax_w, c.threshold,
+                                     _digest(c.samples), _digest(every[i]),
+                                     _digest(per_point[i])]
+            for i, (q, c) in enumerate(zip(queries, curves))}
+
+
 def dump(path):
     from pintlab.mgrit_sim import (error_propagation_norm, iterate,
                                    measure_rho)
@@ -280,11 +309,14 @@ def dump(path):
     roots = _roots()
     sweeps = _sweeps()
     csv_rows, codes = _csv_rows()
+    lockstep = _lockstep()
     with open(path, "w") as fh:
         json.dump({"runs": records, "roots": roots, "sweeps": sweeps,
-                   "csv": csv_rows, "csv_exit_codes": codes}, fh, indent=1)
+                   "csv": csv_rows, "csv_exit_codes": codes,
+                   "lockstep": lockstep}, fh, indent=1)
     print(f"wrote {len(records)} runs, {len(roots)} root sets, "
-          f"{len(sweeps)} CLI sweeps and {len(csv_rows)} CSV files to {path}")
+          f"{len(sweeps)} CLI sweeps, {len(csv_rows)} CSV files and "
+          f"{len(lockstep)} lockstep curves to {path}")
 
 
 def _ratio(a, b, rel, floor):
@@ -301,12 +333,14 @@ def _load(path):
     with open(path) as fh:
         record = json.load(fh)
     return (record["runs"], record["roots"], record["sweeps"],
-            record.get("csv", {}), record.get("csv_exit_codes", {}))
+            record.get("csv", {}), record.get("csv_exit_codes", {}),
+            record.get("lockstep", {}))
 
 
 def compare(path_a, path_b):
-    ((A, roots_a, sweeps_a, csv_a, codes_a),
-     (B, roots_b, sweeps_b, csv_b, codes_b)) = map(_load, (path_a, path_b))
+    ((A, roots_a, sweeps_a, csv_a, codes_a, lock_a),
+     (B, roots_b, sweeps_b, csv_b, codes_b, lock_b)) = map(_load,
+                                                           (path_a, path_b))
     failures = []
     if A.keys() != B.keys():
         failures.append(f"case sets differ: {sorted(A.keys() ^ B.keys())}")
@@ -374,6 +408,10 @@ def compare(path_a, path_b):
         if moved:
             failures.append(f"{name}: {len(moved)} row(s) differ, first "
                             f"{moved[0][0]!r} -> {moved[0][1]!r}")
+    for name in sorted(lock_a.keys() | lock_b.keys()):
+        if lock_a.get(name) != lock_b.get(name):
+            failures.append(f"lockstep {name}: {lock_a.get(name)} -> "
+                            f"{lock_b.get(name)}")
     for kind, (ratio, name) in worst.items():
         print(f"worst {kind}: {ratio:.3g} of its tolerance ({name})")
     print(f"{len(A)} runs, {same_bytes} of {states} returned states "
@@ -384,6 +422,8 @@ def compare(path_a, path_b):
     print(f"{sum(map(len, csv_a.values()))} CSV rows in {len(csv_a)} files "
           f"of {len(codes_a)} table, bounds and simulate runs, compared "
           "with ==")
+    print(f"{len(lock_a)} lockstep curves with their every-query and "
+          "per-point values, compared with ==")
     for line in failures:
         print(f"FAIL {line}")
     print("PASS" if not failures else f"{len(failures)} failure(s)")

@@ -489,6 +489,17 @@ def test_sweep_rejects_an_infinite_window():
         sweep_function(lambda w: w, 1e-8, math.inf)
 
 
+@pytest.mark.parametrize("k, w_min, w_max", [(2, 1e300, 1.7e308),
+                                               (64, 1e300, 1e307)])
+def test_sweep_rejects_a_window_whose_tail_probe_overflows(k, w_min, w_max):
+    # the tail probe reads the coarse tableau at k * 10 * w_max: an
+    # overflow there would read as a pole of lam
+    with pytest.raises(ValueError, match="w_max too large"):
+        sweep(query(BWE, BWE, k), w_min, w_max)
+    with pytest.raises(ValueError, match="w_max too large"):
+        sweep_function(lambda w: w, 1e300, 1.7e308)
+
+
 def _lockstep_batch():
     """Every registry self-pair x K_VALUES x {F, FCF}, each on the real axis
     and under the imaginary-axis upper bound at Nc = inf and 256, plus mixed
@@ -616,6 +627,44 @@ def test_table2_row_base_round_evaluates_each_function_once(monkeypatch):
     base = [(tab, n) for call, tab, n in points if call == 1]
     assert {tab for tab, _ in base} == {SDIRK33}
     assert sum(n for _, n in base) <= 513 * (1 + len(K_VALUES))
+
+
+def test_table2_row_refinement_rounds_evaluate_each_function_once(
+        monkeypatch):
+    # every round after the base one puts each point under its own curve;
+    # the row's 12 curves are one family, so per block of points and
+    # precision pass the fine step and the coarse tableau are evaluated
+    # once each, however many curves and keys the round holds
+    calls, evals = [], []
+    values, evaluate = bounds.bound_values, bounds.stability_eval_batch
+
+    def counted_values(q, w, owner=None):
+        calls.append((np.size(w), owner is not None))
+        return values(q, w, owner)
+
+    def counted_evaluate(tab, w, dtype=complex):
+        evals.append((len(calls), np.dtype(dtype)))
+        return evaluate(tab, w, dtype=dtype)
+
+    monkeypatch.setattr(bounds, "bound_values", counted_values)
+    monkeypatch.setattr(bounds, "stability_eval_batch", counted_evaluate)
+    sweep([query(SDIRK33, SDIRK33, k, relax)
+           for k in K_VALUES for relax in RELAXATIONS])
+    assert len(calls) > 2 and all(per_point for _, per_point in calls[1:])
+    for call, (n, _) in enumerate(calls[1:], 2):
+        blocks = -(-n // bounds._BLOCK)
+        for dtype in map(np.dtype, (complex, np.clongdouble)):
+            passes = evals.count((call, dtype))
+            assert passes <= 2 * blocks, (call, n, dtype, passes)
+
+
+@pytest.mark.parametrize("owner", [[0, 1, 1, 0, -1], [0, 1, 1, 0, 2],
+                                   [0, 1, 1, 0], [1]],
+                         ids=["negative", "past_end", "short", "one"])
+def test_bound_values_rejects_a_bad_owner(owner):
+    queries = [query(BWE, BWE, 2), query(BWE, BWE, 4)]
+    with pytest.raises(ValueError, match="owner"):
+        bound_values(queries, np.geomspace(0.1, 10.0, 5), owner)
 
 
 def test_batch_multiplies_each_propagators_steps_in_its_own_order():

@@ -179,3 +179,14 @@ def test_sdirk22_equals_esdirk32_pointwise():
 def test_tableau_rejects_bad_row_sums():
     with pytest.raises(ValueError):
         ButcherTableau("broken", [[0.5]], [1.0], [0.9], 1, "A_stable")
+
+
+@pytest.mark.parametrize("A, b, c", [
+    ([[math.inf]], [1.0], [math.inf]),
+    ([[0.5]], [math.nan], [0.5]),
+    ([[0.0, 0.0], [math.inf, -math.inf]], [0.5, 0.5], [0.0, 0.0]),
+], ids=["A", "b", "row_sum_of_infinities"])
+def test_tableau_rejects_non_finite_coefficients(A, b, c):
+    # before the row-sum check, whose sum of infinities would warn
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        ButcherTableau("broken", A, b, c, 1, "A_stable")

@@ -535,6 +535,27 @@ def test_bounds_bad_flag_exits_2(argv, message, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--fine", "bwe", "--coarse", "bwe", "--wmin", "1e300",
+      "--wmax", "1.7e308"],
+     "w_max too large: the tail probe reads 20 * w_max, which overflows"),
+    (["simulate", "--fine", "bwe", "--coarse", "bwe", "--ximax", "1e308",
+      "--ht", "2"],
+     "dt * xi overflows on some level: h_t or the spectrum is too large"),
+    (["bounds", "--fine", "trbdf2:1e-320", "--coarse", "bwe"],
+     "trbdf2:1e-320: tableau coefficients must be finite"),
+], ids=["bounds_tail_probe", "simulate_dt_xi", "trbdf2_tiny_gamma"])
+def test_infinite_w_or_coefficient_is_one_line_exit_2(argv, message, tmp_path,
+                                                      capsys):
+    # no PoleError traceback (exit 1 is for golden mismatches) and no numpy
+    # warning before the error line
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_omega_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("omega = 0.5\n")

@@ -416,6 +416,21 @@ def test_empty_theta_schedule_is_rejected():
         MgritRun(hier, spd(1.0, 4), "F", theta_schedule=())
 
 
+@pytest.mark.parametrize("h_t, k, levels", [(4.0, 2, 2), (1.0, 4, 2),
+                                             (1.0, 2, 3)],
+                         ids=["fine", "coarse", "coarsest"])
+def test_engine_rejects_an_overflowing_dt_xi(h_t, k, levels):
+    # xi = 6e307 overflows on a fine step of 4, on a coarse step of 4, and
+    # on the coarsest step of 4 only: an infinite dt * xi would read as a
+    # pole of the stability function
+    hier = TimeHierarchy(16, h_t, k, levels, BWE, BWE)
+    run = MgritRun(hier, ModelProblem(np.array([1.0, 6e307])), "F")
+    with pytest.raises(ValueError, match="dt \\* xi overflows"):
+        iterate(run)
+    with pytest.raises(ValueError, match="dt \\* xi overflows"):
+        measure_rho([run])
+
+
 def test_hierarchy_validation():
     with pytest.raises(ValueError):
         TimeHierarchy(10, 1.0, 4, 2, BWE, BWE)      # 10 % 4 != 0
