@@ -12,20 +12,20 @@ under FCF the tight kinds take Nc - 1 in place of Nc.
 A scalar weight theta rescales the coarse propagator (mu -> theta*mu),
 which is theta-Parareal.
 
-`bound_values` evaluates first and applies the formula second.  It groups
-its queries into families, a family being one (fine propagator's distinct
-steps in order, coarse tableau, axis), whose keys differ only by the
-steps' multiplicities, k and theta.  Per family it evaluates each step and
-the coarse tableau once over the family's points, lam^k and mu once per
-key, then the formula above with each query's kind, Nc and relaxation.
-One call may serve many queries, point by point or every query at every
-point.
-`sweep` takes one query or a list of them and refines all of them through
-the one array sweep engine, `_sweep_many`: one `bound_values` call of every
-query on the shared base grid and tail probe, one per multisection round
-over the peak brackets of every curve, and one per round over the
-threshold's crossing brackets.  Each curve is the one its query swept alone
-gives.
+`bound_values` evaluates first and applies the formula second.  Its
+queries are compiled into families (`_Compiled`), a family being one (fine
+propagator's distinct steps in order, coarse tableau, axis), whose keys
+differ only by the steps' multiplicities, k and theta.  Per family it
+evaluates each step and the coarse tableau once over the family's points,
+lam^k and mu once per key, then the formula above with each query's kind,
+Nc and relaxation.  One call may serve many queries, point by point or
+every query at every point.
+`sweep` takes one query or a list of them, compiles them once and refines
+all of them through the one array sweep engine, `_sweep_many`: one
+`bound_values` call of every query on the shared base grid and tail probe,
+one per multisection round over the peak brackets of every curve, and one
+per round over the threshold's crossing brackets, each on the compiled
+queries.  Each curve is the one its query swept alone gives.
 """
 
 from __future__ import annotations
@@ -172,11 +172,15 @@ def _int_power(v, n):
     """v ** n for integer n, each element rounded as v ** int(n) rounds it:
     numpy computes x ** 2 by its square shortcut, which rounds differently
     from the general integer power."""
-    return np.where(n == 2, v ** 2, v ** n)
+    two = n == 2
+    if two.all():
+        return v ** 2
+    return np.where(two, v ** 2, v ** n) if two.any() else v ** n
 
 
 class _Batch:
-    """A family's queries compiled once into arrays.
+    """A family's queries compiled into arrays, once per _Compiled: once
+    per plain bound_values call, once per sweep.
 
     A family is one (fine propagator's distinct steps in order, coarse
     tableau, axis), so its keys differ only by the steps' multiplicities,
@@ -218,7 +222,7 @@ def _eigen_parts(b, keys, pts, dtype):
     factor costs one evaluation, on a shared row one for all its keys.
     The coarse tableau is evaluated at k*w.
     """
-    pts = pts.astype(dtype)
+    pts = pts.astype(dtype, copy=False)
     lamk = np.ones(np.broadcast_shapes(keys.shape, pts.shape), dtype=dtype)
     for (tab, frac), power in zip(b.steps, b.power):
         lamk = lamk * _int_power(stability_eval_batch(
@@ -226,8 +230,10 @@ def _eigen_parts(b, keys, pts, dtype):
     mu = b.theta[keys] * stability_eval_batch(b.coarse, b.k[keys] * pts,
                                               dtype=dtype)
     amu = np.abs(mu)
-    return (lamk.astype(complex), np.abs(mu - lamk).astype(float),
-            amu.astype(float), (1.0 - amu).astype(float))
+    return (lamk.astype(complex, copy=False),
+            np.abs(mu - lamk).astype(float, copy=False),
+            amu.astype(float, copy=False),
+            (1.0 - amu).astype(float, copy=False))
 
 
 def _parts(b, keys, pts):
@@ -277,60 +283,88 @@ def _apply_formula(b, owner, lamk, num, amu, one_minus):
     return np.where(np.isnan(phi), np.inf, phi)
 
 
+class _Compiled:
+    """A sequence of queries compiled once for bound_values, which takes
+    it in place of the sequence: the queries grouped into families, one
+    _Batch per family with the rows of its queries, each query's family
+    and index within it, and the largest k.  k*w is the largest point an
+    evaluation reads: step fractions are positive and sum to k."""
+
+    def __init__(self, queries):
+        self.queries = tuple(queries)
+        families = {}
+        for i, x in enumerate(self.queries):
+            families.setdefault((tuple(step for step, _ in x.fine.distinct),
+                                 x.coarse, x.axis), []).append(i)
+        self.batches = [(_Batch(family, [self.queries[i] for i in rows]), rows)
+                        for family, rows in families.items()]
+        self.family, self.local = np.empty((2, len(self.queries)),
+                                           dtype=np.intp)
+        for f, (_, rows) in enumerate(self.batches):
+            self.family[rows], self.local[rows] = f, np.arange(len(rows))
+        self.reach = max((x.k for x in self.queries), default=1)
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def bound_values(q, w, owner=None):
     """Vectorized bound over magnitudes w on the query's axis.
 
     `q` is one BoundQuery, whose values come back in w's shape, or a
-    sequence of them.  A sequence with `owner` puts point i under
-    q[owner[i]]; a sequence without it puts every query at every point and
-    returns shape (len(q),) + w.shape; one query goes that way too.  The
-    queries are grouped into families once per call, and each family
-    becomes arrays (_Batch).  The evaluation comes first: lam^k and mu per
-    key, each of the family's steps and its coarse tableau once over its
-    points (_eigen_parts).  Then the formula is applied with each query's
+    sequence of them, or a sequence compiled once (_Compiled), which a
+    caller making many calls on the same queries, such as sweep, passes
+    in its place.  A sequence with `owner` puts point i under its query
+    owner[i]; a sequence without it puts every query at every point and
+    returns shape (number of queries,) + w.shape; one query goes that way
+    too.  A query or plain sequence is compiled on each call: the queries
+    are grouped into families, and each family becomes arrays (_Batch).
+    The evaluation comes first: lam^k and mu per key, each of the
+    family's steps and its coarse tableau once over its points
+    (_eigen_parts).  Then the formula is applied with each query's
     parameters (_apply_formula).  The points go in blocks of _BLOCK.
     Every query at every point, each key is evaluated once over a block,
     so a k's F and FCF queries share the evaluation, and the formula runs
     on the block for every query; the scratch memory then stays within a
-    few times the size of the returned array.  Either way a value does not
-    depend on the other points or queries of the call.
+    few times the size of the returned array.  Either way a value does
+    not depend on the other points or queries of the call.
 
     Unstable and unbounded samples come back as inf, also where an explicit
-    scheme overflows far outside its stability region; PoleError still
-    propagates since registry poles cannot lie on either sweep axis.
+    scheme overflows far outside its stability region, and so does w = inf.
+    A finite w whose k*w overflows, at the largest k of the queries,
+    raises a ValueError naming w and k.  PoleError still propagates since
+    registry poles cannot lie on either sweep axis.
     Samples with w < 1e-4 are evaluated in extended precision only, on
     both axes: there |mu - lam^k| and, on the imaginary axis, 1 - |mu| are
     small differences of numbers near 1, and double-precision cancellation
     noise would swamp the signal.
     """
     single = isinstance(q, BoundQuery)
-    queries = (q,) if single else tuple(q)
+    c = q if isinstance(q, _Compiled) else _Compiled((q,) if single else q)
     w = np.asarray(w, dtype=float)
     shape, w = w.shape, w.ravel()
-    families = {}
-    for i, x in enumerate(queries):
-        families.setdefault((tuple(step for step, _ in x.fine.distinct),
-                             x.coarse, x.axis), []).append(i)
-    batches = [(_Batch(family, [queries[i] for i in rows]), rows)
-               for family, rows in families.items()]
+    # the largest |w| first (fmax skips nan); if k times it overflows,
+    # the finite w alone: w = inf reads inf
+    if math.isinf(c.reach * np.fmax.reduce(np.abs(w), initial=0.0)):
+        top = np.max(np.abs(w), where=np.isfinite(w), initial=0.0)
+        if math.isinf(c.reach * top):
+            raise ValueError(f"w = {top:g} is too large: k*w overflows "
+                             f"at k = {c.reach}")
+    n = len(c.queries)
     if owner is None:
-        out = np.empty((len(queries), w.size))
-        for b, rows in batches:
+        out = np.empty((n, w.size))
+        for b, rows in c.batches:
             _bound_grid(b, w, rows, out)
         return out[0].reshape(shape) if single else \
-            out.reshape((len(queries),) + shape)
+            out.reshape((n,) + shape)
     owner = np.asarray(owner, dtype=np.intp).ravel()
-    if owner.size != w.size or np.any((owner < 0) | (owner >= len(queries))):
-        raise ValueError("owner must give each point of w a query in "
-                         f"[0, {len(queries)})")
-    family, local = np.empty((2, len(queries)), dtype=np.intp)
-    for f, (_, rows) in enumerate(batches):
-        family[rows], local[rows] = f, np.arange(len(rows))
-    family, owner = family[owner], local[owner]
+    if owner.size != w.size or np.any((owner < 0) | (owner >= n)):
+        raise ValueError(f"owner must give each point of w a query in "
+                         f"[0, {n})")
+    if len(c.batches) == 1:
+        return _bound_points(c.batches[0][0], w, owner).reshape(shape)
+    family, owner = c.family[owner], c.local[owner]
     out = np.empty(w.size)
-    for f, (b, _) in enumerate(batches):
-        at = np.flatnonzero(family == f) if len(batches) > 1 else slice(None)
+    for f, (b, _) in enumerate(c.batches):
+        at = np.flatnonzero(family == f)
         out[at] = _bound_points(b, w[at], owner[at])
     return out.reshape(shape)
 
@@ -540,7 +574,9 @@ def _sweep_many(n, evaluate, w_min, w_max, n_base, reach=1):
     every curve's peak candidates by multisection; max, argmax and the tail
     rules are decided curve by curve; and one call per round narrows every
     curve's threshold bracket.  Each curve gets the rounds, probes and bits
-    it gets alone.
+    it gets alone.  Whatever evaluate builds from its curves' definitions
+    belongs outside it, built once per sweep: sweep passes its queries
+    compiled once (_Compiled), not once per round.
     Returns one (samples, max_phi, argmax_w, threshold) per curve.
     """
     if not (0.0 < w_min < w_max < INFINITY):
@@ -577,17 +613,17 @@ def sweep(q, w_min: float = 1e-8, w_max: float = 1e8, n_base: int = 512):
     """Sample the bound on [w_min, w_max] and summarize max/argmax/threshold.
 
     `q` is one BoundQuery, which gives one BoundCurve, or a sequence of
-    them, which gives a list.  The array engine (_sweep_many) sweeps them
-    together, one bound_values call per probe round, and each curve is the
-    one its query swept alone gives.
+    them, which gives a list.  The queries are compiled once (_Compiled),
+    and the array engine (_sweep_many) sweeps them together, one
+    bound_values call on the compiled queries per probe round; each curve
+    is the one its query swept alone gives.
     """
     single = isinstance(q, BoundQuery)
-    queries = (q,) if single else tuple(q)
-    results = _sweep_many(len(queries),
-                          lambda w, owner: bound_values(queries, w, owner),
-                          w_min, w_max, n_base,
-                          max((x.k for x in queries), default=1))
-    curves = [BoundCurve(x, *r) for x, r in zip(queries, results)]
+    c = _Compiled((q,) if single else q)
+    results = _sweep_many(len(c.queries),
+                          lambda w, owner: bound_values(c, w, owner),
+                          w_min, w_max, n_base, c.reach)
+    curves = [BoundCurve(x, *r) for x, r in zip(c.queries, results)]
     return curves[0] if single else curves
 
 

@@ -658,6 +658,78 @@ def test_table2_row_refinement_rounds_evaluate_each_function_once(
             assert passes <= 2 * blocks, (call, n, dtype, passes)
 
 
+def _count_batches(monkeypatch):
+    """Count every _Batch built from here on, one entry per family."""
+    built = []
+
+    class CountedBatch(bounds._Batch):
+        def __init__(self, family, queries):
+            built.append(len(queries))
+            super().__init__(family, queries)
+
+    monkeypatch.setattr(bounds, "_Batch", CountedBatch)
+    return built
+
+
+@pytest.mark.parametrize("scheme, rounds", [
+    ("bwe", 5), ("midpoint", 15), ("trapezoid", 15), ("sdirk22", 5),
+    ("sdirk23", 15), ("esdirk32", 5), ("esdirk33", 15), ("sdirk33", 5),
+    ("sdirk34", 15)])
+def test_table2_row_sweep_compiles_its_queries_once(scheme, rounds,
+                                                    monkeypatch):
+    # the row's 12 queries are one family, compiled into one _Batch for
+    # the whole sweep; every round is still one bound_values call
+    built, calls, values = _count_batches(monkeypatch), [], bounds.bound_values
+
+    def counted_values(q, w, owner=None):
+        calls.append(np.size(w))
+        return values(q, w, owner)
+
+    monkeypatch.setattr(bounds, "bound_values", counted_values)
+    tab = get_scheme(scheme)
+    sweep([query(tab, tab, k, relax) for k in K_VALUES
+           for relax in RELAXATIONS])
+    assert len(calls) == rounds
+    assert built == [2 * len(K_VALUES)]
+
+
+def test_lockstep_sweep_compiles_each_family_once(monkeypatch):
+    built = _count_batches(monkeypatch)
+    queries = _lockstep_batch()
+    sweep(queries)
+    assert len(built) == 35
+    assert sum(built) == len(queries)
+
+
+def test_compiled_queries_match_the_plain_list():
+    queries = _lockstep_batch()
+    compiled = bounds._Compiled(queries)
+    assert np.array_equal(bound_values(compiled, _GRID),
+                          bound_values(queries, _GRID))
+    owner = np.random.default_rng(11).integers(len(queries),
+                                                size=4 * _GRID.size)
+    w = np.tile(_GRID, 4)
+    assert np.array_equal(bound_values(compiled, w, owner),
+                          bound_values(queries, w, owner))
+
+
+@pytest.mark.parametrize("fine", [BWE, PropagatorSpec(((BWE, 0.5),
+                                                       (BWE, 63.5)))],
+                         ids=["uniform", "fractions"])
+def test_bound_values_rejects_a_w_whose_k_w_overflows(fine):
+    # k * 1e307 overflows at k = 64 (and so does the coarse point of a
+    # propagator whose step fractions differ); w = inf itself reads inf
+    q = BoundQuery(fine, BWE, 64)
+    for call in (lambda: spectrum_max(q, [1e307]),
+                 lambda: bound_values(q, [1.0, 1e307]),
+                 lambda: bound_values([q, q], [np.inf, 1e307], [0, 1]),
+                 lambda: bound_values(bounds._Compiled([q]), [1e307])):
+        with pytest.raises(ValueError, match=r"w = 1e\+307 .* k = 64"):
+            call()
+    assert bound_values(q, [np.inf, 1e305])[0] == INFINITY
+    assert spectrum_max(BoundQuery(fine, BWE, 64), [1e306]) < INFINITY
+
+
 @pytest.mark.parametrize("owner", [[0, 1, 1, 0, -1], [0, 1, 1, 0, 2],
                                    [0, 1, 1, 0], [1]],
                          ids=["negative", "past_end", "short", "one"])
