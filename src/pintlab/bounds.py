@@ -330,7 +330,8 @@ def bound_values(q, w, owner=None):
     Unstable and unbounded samples come back as inf, also where an explicit
     scheme overflows far outside its stability region, and so does w = inf.
     A finite w whose k*w overflows, at the largest k of the queries,
-    raises a ValueError naming w and k.  PoleError still propagates since
+    raises a ValueError naming w and k, and so does a w where a Horner sum
+    overflows (`stability_eval_batch`).  PoleError still propagates since
     registry poles cannot lie on either sweep axis.
     Samples with w < 1e-4 are evaluated in extended precision only, on
     both axes: there |mu - lam^k| and, on the imaginary axis, 1 - |mu| are

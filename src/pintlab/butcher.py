@@ -169,7 +169,8 @@ def stability_eval_batch(tab: ButcherTableau, w, dtype=complex):
     `dtype` is complex128, longdouble or clongdouble.  P, Q and the
     size sum_l |q_l| |w|^l of Q's Horner sum run through one stacked Horner
     pass; PoleError is raised where |Q(w)| is within _POLE_ULPS units of
-    roundoff of that size, i.e. where Q vanishes to working precision.
+    roundoff of that size, i.e. where Q vanishes to working precision; a
+    finite w where that size overflows raises a ValueError instead.
     """
     w = np.asarray(w, dtype=dtype)
     coef, pole_tol = tab._horner[np.dtype(dtype)]
@@ -182,6 +183,10 @@ def stability_eval_batch(tab: ButcherTableau, w, dtype=complex):
     acc += coef[-1]
     num, den, size = acc
     if (np.abs(den) <= pole_tol * size.real).any():
+        over = np.isinf(size.real) & np.isfinite(w)
+        if over.any():
+            raise ValueError(f"{tab.name}: |w| = {float(abs(w[over][0])):g} "
+                             "is too large: the Horner sum of Q(w) overflows")
         raise PoleError("Q(w) = det(I + w*A) vanished: w is at a pole")
     return num / den
 

@@ -20,15 +20,14 @@ each F-point to them as it is made, and no full grid is built.  Only the
 state `iterate` returns is rebuilt as a full grid (`measure_rho`, which
 reads only the residual histories, skips it).  Every coarse level cycles
 from zero C-points without touching the zeros: its interval products start
-from the right-hand side (plus the first factor's image of a zero row when
-that holds a NaN, an infinite factor times 0), its F residual is their C
-sweep, and its C-points are the correction from below.  F- and FCF-relaxation are
-supported.
+from the right-hand side, its F residual is their C sweep, and its C-points
+are the correction from below.  F- and FCF-relaxation are supported.
 
-A level is nothing more than its list of k step factors.  The
-theta-Parareal weight rescales the coarse propagator (G -> theta G), so it
-is folded into every coarse factor (theta a), once per distinct theta; the
-cycle itself applies no weight.
+A level is nothing more than its list of k step factors, all finite (an
+engine with any other is rejected when it is made).  The theta-Parareal
+weight rescales the coarse propagator (G -> theta G), so it is folded into
+every coarse factor (theta a), once per distinct theta; the cycle itself
+applies no weight.
 
 Level 0 cycles in a workspace of two C-point grids and a quarter: the
 C-points c, one buffer b whose rows 1.. hold the interval products until an
@@ -65,7 +64,7 @@ import numpy as np
 
 from ._csv import write_csv
 from .bounds import RELAX_F, RELAX_FCF, RELAXATIONS, PropagatorSpec
-from .butcher import ButcherTableau, stability_eval_batch
+from .butcher import ButcherTableau, PoleError, stability_eval_batch
 from .model_problems import ModelProblem
 
 __all__ = [
@@ -199,7 +198,7 @@ def _factor(tab: ButcherTableau, problem: ModelProblem, dt: float,
     """
     if path == "diagonal":
         # a step far outside the stability region overflows (or divides inf
-        # by inf); the cycles carry the inf or NaN and the history reports it
+        # by inf) to a factor that is not finite, which `_Engine` rejects
         with np.errstate(over="ignore", invalid="ignore"):
             lam = stability_eval_batch(tab, dt * problem.eigenvalues)
         return (lam if np.any(problem.eigenvalues.imag)
@@ -287,33 +286,31 @@ class _Engine:
         self.k = hier.k
         if hier.points(hier.levels - 1) < 1:
             raise ValueError("coarsest level has no intervals")
-        # an overflowed dt * xi would read as a pole of a stability function
-        dts = {frac * hier.h_t for _, frac in hier.fine.steps}
-        dts.update(hier.dt(l) for l in range(1, hier.levels))
-        with np.errstate(over="ignore"):
-            if not all(np.isfinite(dt * run.problem.eigenvalues).all()
-                       for dt in dts):
-                raise ValueError("dt * xi overflows on some level: h_t or "
-                                 "the spectrum is too large")
-        if run.path == "diagonal":
-            self.width = run.problem.eigenvalues.size
-            self.dtype = (complex if np.any(run.problem.eigenvalues.imag)
-                          else float)
-        else:
-            self.width = run.problem.matrix.shape[0]
-            self.dtype = float
-            if hier.coarse == EXACT_COARSE:
-                raise SolveError("exact coarse propagator is diagonal-path only")
-        fine = [_factor(tab, run.problem, frac * hier.h_t, run.path)
-                for tab, frac in hier.fine.steps]
-        factors = [fine]
-        for l in range(1, hier.levels):
-            coarse = (np.prod(fine, axis=0) if hier.coarse == EXACT_COARSE
-                      else _factor(hier.coarse, run.problem, hier.dt(l),
-                                   run.path))
-            factors.append([coarse] * self.k)
-        self._ops = {1.0: factors}
-        self._zeros = {}          # (id(op), dtype): `_zero_image`
+        # a matrix realization is n_modes square (ModelProblem checks it)
+        self.width = run.problem.n_modes
+        self.dtype = (complex if run.path == "diagonal"
+                      and np.any(run.problem.eigenvalues.imag) else float)
+        if run.path == "matrix" and hier.coarse == EXACT_COARSE:
+            raise SolveError("exact coarse propagator is diagonal-path only")
+        # every factor a cycle can step with, theta-scaled ones included, is
+        # made here; a pole, or a sum or product that overflows, is rejected
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                fine = [_factor(tab, run.problem, frac * hier.h_t, run.path)
+                        for tab, frac in hier.fine.steps]
+                coarse = [np.prod(fine, axis=0) if hier.coarse == EXACT_COARSE
+                          else _factor(hier.coarse, run.problem, hier.dt(l),
+                                       run.path)
+                          for l in range(1, hier.levels)]
+                self._ops = {1.0: [fine] + [[a] * self.k for a in coarse]}
+                if all(np.isfinite(a).all()
+                       for theta in {1.0, *(run.theta_schedule or ())}
+                       for level in self.ops(theta) for a in level):
+                    return
+        except (PoleError, ValueError):
+            pass
+        raise ValueError("step factors are not finite on some level: h_t, "
+                         "theta or the spectrum is too large")
 
     def ops(self, theta):
         """Every level's factor list, theta folded into each coarse factor
@@ -355,34 +352,16 @@ class _Engine:
         way: the products the F sweep and the residual make.  Written into
         `out` when given.
 
-        c None steps zero C-points (g given): a_1 0 + g_1 is g's first
-        F-points plus the first factor's zero image (`_zero_image`).
+        c None steps zero C-points (g given): a_1 0 + g_1 is exactly g's
+        first F-points, since every factor is finite.
         """
         k = self.k
-        if c is None:
-            z = self._zero_image(factors[0], g.dtype)
-            x = g[1::k] if z is None else np.add(g[1::k], z, out=out)
-            own, first = z is not None, 2
-        else:
-            x, own, first = c[:-1], False, 1
+        x, first = (g[1::k], 2) if c is None else (c[:-1], 1)
         for j, op in enumerate(factors[first - 1:], first):
-            x = _apply(op, x, x if own else out)
-            own = True
+            x = _apply(op, x, out if j == first else x)
             if g is not None and j < k:
                 x += g[j::k]
         return x
-
-    def _zero_image(self, op, dtype):
-        """The factor op applied to a zero row of `dtype`, made once per
-        factor: None when every entry is a zero, since adding a zero changes
-        no value, and else the row, whose NaNs (an infinite factor times 0)
-        a cycle from zero C-points must keep."""
-        key = id(op), np.dtype(dtype)
-        if key not in self._zeros:
-            with np.errstate(invalid="ignore"):
-                z = _apply(op, np.zeros(self.width, dtype))
-            self._zeros[key] = z if np.any(z) else None
-        return self._zeros[key]
 
     def _c_sweep(self, c, t, g=None):
         """C-relax the C-points c in place from their interval products t:
@@ -678,11 +657,8 @@ def measure_rho(runs, seeds: int = 1) -> list:
             nc1 = run.hierarchy.points(1)
             n_exact = nc1 if run.relaxation == RELAX_F else (nc1 + 1) // 2
             rho = _rho_from_history(history, n_exact)
-            converged = history[-1] <= run.tol * history[0]
-            diverged = (not math.isfinite(history[-1])
-                        or history[-1] > 1e6 * history[0])
-            if diverged:
-                converged = False
+            # a run that ends past 1e6 r0, or at inf or NaN, diverged
+            converged = history[-1] <= min(run.tol, 1e6) * history[0]
             all_converged[j] = all_converged[j] and converged
             if best[j] is None or (rho == rho and rho > best[j][0]):
                 best[j] = (rho, tuple(history))

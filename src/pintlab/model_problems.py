@@ -26,8 +26,8 @@ class ModelProblem:
 
     The eigenvalues are finite and either all real and strictly positive
     (SPD) or all purely imaginary (skew); a real spectrum is stored with +0
-    imaginary parts.  `matrix`, when present, is an explicit realization
-    whose spectrum matches `eigenvalues`.
+    imaginary parts.  `matrix`, when present, is an explicit realization,
+    normal and with spectrum `eigenvalues` to rounding.
     """
 
     eigenvalues: np.ndarray
@@ -48,6 +48,21 @@ class ModelProblem:
         object.__setattr__(self, "eigenvalues", eig)
         if self.matrix is not None:
             mat = np.asarray(self.matrix, dtype=float)
+            # normal (the bounds are per eigenvalue) with spectrum eig, to
+            # rounding: ||L L^T - L^T L||_F <= m eps ||L||_F^2, and sorted
+            # real and sorted imaginary parts within 16 m eps ||L||_2 (a
+            # complex sort would pair by rounding-level real parts)
+            m, eps = eig.size, np.finfo(float).eps
+            if mat.shape != (m, m) or not np.isfinite(mat).all():
+                raise ValueError(f"matrix must be a finite {m} x {m} array")
+            if (np.linalg.norm(mat @ mat.T - mat.T @ mat)
+                    > m * eps * np.linalg.norm(mat) ** 2):
+                raise ValueError("matrix is not normal")
+            got, tol = np.linalg.eigvals(mat), 16 * m * eps * np.abs(eig).max()
+            if any(np.abs(np.sort(part(got)) - np.sort(part(eig))).max() > tol
+                   for part in (np.real, np.imag)):
+                raise ValueError(
+                    "matrix spectrum does not match the eigenvalues")
             mat.flags.writeable = False
             object.__setattr__(self, "matrix", mat)
 

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pintlab import bounds
 from pintlab.bounds import (_CROSSING_TOL, _PEAK_TOL, _SECTIONS, INFINITY,
@@ -245,6 +247,33 @@ def test_fcf_identity():
     qc = query(SDIRK33, BWE, 4, "FCF")
     lamk = lam_k(qc.fine, w)
     assert np.array_equal(bound_values(qc, w), lamk * bound_values(qf, w))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(fine=st.sampled_from(REGISTRY.names()),
+       coarse=st.sampled_from(REGISTRY.names()), k=st.integers(2, 16),
+       axis=st.sampled_from(["real_positive", "imaginary"]),
+       log_w=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8))
+def test_fcf_identity_property(fine, coarse, k, axis, log_w):
+    # on random w, both axes and any registry pair, explicit overflows
+    # included: inf times 0 (an unbounded sample where |lam^k| = 0, or the
+    # reverse) is unbounded
+    w = 10.0 ** np.asarray(log_w)
+    spec = PropagatorSpec.uniform(get_scheme(fine), k)
+    qf, qc = (BoundQuery(spec, get_scheme(coarse), k, relax, axis=axis)
+              for relax in ("F", "FCF"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = lam_k(spec, w, axis) * bound_values(qf, w)
+    want[np.isnan(want)] = INFINITY
+    got = bound_values(qc, w)
+    # from w = 1e-4 on the bound runs in double, as this product does, so
+    # the two agree bit for bit; below, bound_values rounds the product
+    # once from extended precision, and the product of its two rounded
+    # factors may sit an ulp away
+    double = w >= 1e-4
+    assert np.array_equal(got[double], want[double])
+    assert np.allclose(got[~double], want[~double], atol=0.0,
+                       rtol=4 * np.finfo(float).eps)
 
 
 def test_parity_of_k_matters():
@@ -728,6 +757,23 @@ def test_bound_values_rejects_a_w_whose_k_w_overflows(fine):
             call()
     assert bound_values(q, [np.inf, 1e305])[0] == INFINITY
     assert spectrum_max(BoundQuery(fine, BWE, 64), [1e306]) < INFINITY
+
+
+def test_bound_values_rejects_a_w_whose_horner_sum_overflows():
+    # sdirk33's w^3 overflows at w = 1e120, where the bound is finite: not a
+    # pole, but a ValueError naming the scheme and w
+    q = BoundQuery(SDIRK33, SDIRK33, 2)
+    with pytest.raises(ValueError,
+                       match=r"^sdirk33: \|w\| = 1e\+120 is too large"):
+        bound_values(q, [1e120])
+
+
+@pytest.mark.parametrize("axis", ["real_positive", "imaginary"])
+@pytest.mark.parametrize("relax", ["F", "FCF"])
+def test_bound_values_reads_inf_at_infinite_w(relax, axis):
+    queries = [query(fine, coarse, 2, relax, axis=axis)
+               for fine in REGISTRY for coarse in REGISTRY]
+    assert np.all(bound_values(queries, [np.inf]) == INFINITY)
 
 
 @pytest.mark.parametrize("owner", [[0, 1, 1, 0, -1], [0, 1, 1, 0, 2],

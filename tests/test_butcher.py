@@ -115,6 +115,16 @@ def test_pole_error():
         stability_eval(get_scheme("bwe"), -1.0)
 
 
+def test_overflowing_horner_sum_is_no_pole():
+    # sdirk33's Horner sum overflows at |w| = 1e104 on either axis, where
+    # no pole can be told from a large |Q(w)|
+    for w in (1e104, 1e104j):
+        with pytest.raises(ValueError,
+                           match=r"^sdirk33: \|w\| = 1e\+104 is too large"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                stability_eval(get_scheme("sdirk33"), w)
+
+
 # --- verify_order ---------------------------------------------------------
 
 def test_verify_order_registry():

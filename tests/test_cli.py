@@ -317,23 +317,38 @@ def _simulate_with_blas_threads(threads, args, out):
          *args, "--out", str(out)], capture_output=True, text=True, env=env)
 
 
+FACTORS_NOT_FINITE = ("step factors are not finite on some level: h_t, "
+                      "theta or the spectrum is too large")
+
+
+def _assert_factors_rejected(args, tmp_path):
+    """`simulate args` exits 2 with one error line, no output and no numpy
+    warning, under either BLAS thread count."""
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = _simulate_with_blas_threads(threads, args, out)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {FACTORS_NOT_FINITE}\n", threads
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("relax", ["f", "fcf"])
 def test_simulate_overflowing_coarse_factors_are_silent(relax, tmp_path):
     # erk4 at coarse steps of 2e78 overflows to inf on the larger modes (and
-    # its rational evaluation divides inf by inf); the first cycle reports
-    # NaN, and no numpy warning.  r0 reads the same under either BLAS
-    # thread count.
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        proc = _simulate_with_blas_threads(
-            threads, ["--fine", "bwe", "--coarse", "erk4", "--ht", "1e78",
-                      "--levels", "3", "--relax", relax], out)
-        assert proc.returncode == 0
-        assert proc.stderr == ""
-        assert "rho=nan converged=False iters=1" in proc.stdout
-        rows = read(out / "run_history.csv").split("iter,residual_norm\n")[1]
-        assert rows == ("0,350.9641064364147\n1,nan\n# rho = nan\n"
-                        "# converged = false\n# iters = 1\n"), threads
+    # its rational evaluation divides inf by inf); the run is rejected
+    # before its first cycle, with no numpy warning
+    _assert_factors_rejected(["--fine", "bwe", "--coarse", "erk4", "--ht",
+                              "1e78", "--levels", "3", "--relax", relax],
+                             tmp_path)
+
+
+def test_simulate_overflowing_implicit_factors_exit_2(tmp_path):
+    # sdirk33's Horner sum overflows at a coarse dt * xi of 2e103: no
+    # PoleError traceback (exit 1 is for golden mismatches)
+    _assert_factors_rejected(["--fine", "bwe", "--coarse", "sdirk33",
+                              "--ht", "1e103", "--nt", "64", "--nmodes", "4"],
+                             tmp_path)
 
 
 def test_simulate_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -540,11 +555,14 @@ def test_bounds_bad_flag_exits_2(argv, message, tmp_path, capsys):
       "--wmax", "1.7e308"],
      "w_max too large: the tail probe reads 20 * w_max, which overflows"),
     (["simulate", "--fine", "bwe", "--coarse", "bwe", "--ximax", "1e308",
-      "--ht", "2"],
-     "dt * xi overflows on some level: h_t or the spectrum is too large"),
+      "--ht", "2"], FACTORS_NOT_FINITE),
+    (["bounds", "--fine", "sdirk33", "--coarse", "sdirk33", "--k", "2",
+      "--wmax", "1e102"],
+     "sdirk33: |w| = 2e+103 is too large: the Horner sum of Q(w) overflows"),
     (["bounds", "--fine", "trbdf2:1e-320", "--coarse", "bwe"],
      "trbdf2:1e-320: tableau coefficients must be finite"),
-], ids=["bounds_tail_probe", "simulate_dt_xi", "trbdf2_tiny_gamma"])
+], ids=["bounds_tail_probe", "simulate_dt_xi", "bounds_horner_overflow",
+        "trbdf2_tiny_gamma"])
 def test_infinite_w_or_coefficient_is_one_line_exit_2(argv, message, tmp_path,
                                                       capsys):
     # no PoleError traceback (exit 1 is for golden mismatches) and no numpy

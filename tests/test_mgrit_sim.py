@@ -6,11 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pintlab import mgrit_sim
 from pintlab.bounds import (BoundQuery, PropagatorSpec, bound_values,
                             spectrum_max)
-from pintlab.butcher import get_scheme, stability_eval_batch
+from pintlab.butcher import (CONDITIONALLY_STABLE, REGISTRY, get_scheme,
+                             stability_eval_batch)
 from pintlab.mgrit_sim import (EXACT_COARSE, MgritRun, RhoResult, SolveError,
                                TimeHierarchy, _apply, _cycles, _Engine,
                                _lanes, _norm, _rho_from_history,
@@ -24,6 +27,7 @@ BWE = get_scheme("bwe")
 SDIRK22 = get_scheme("sdirk22")
 SDIRK33 = get_scheme("sdirk33")
 TRAP = get_scheme("trapezoid")
+NOT_FINITE = "step factors are not finite on some level"
 
 
 def spd(ximax, n=60, include=()):
@@ -421,13 +425,14 @@ def test_empty_theta_schedule_is_rejected():
                          ids=["fine", "coarse", "coarsest"])
 def test_engine_rejects_an_overflowing_dt_xi(h_t, k, levels):
     # xi = 6e307 overflows on a fine step of 4, on a coarse step of 4, and
-    # on the coarsest step of 4 only: an infinite dt * xi would read as a
-    # pole of the stability function
+    # on the coarsest step of 4 only: at an infinite dt * xi the stability
+    # function reads as a pole, which the engine reports as a factor that
+    # is not finite
     hier = TimeHierarchy(16, h_t, k, levels, BWE, BWE)
     run = MgritRun(hier, ModelProblem(np.array([1.0, 6e307])), "F")
-    with pytest.raises(ValueError, match="dt \\* xi overflows"):
+    with pytest.raises(ValueError, match=NOT_FINITE):
         iterate(run)
-    with pytest.raises(ValueError, match="dt \\* xi overflows"):
+    with pytest.raises(ValueError, match=NOT_FINITE):
         measure_rho([run])
 
 
@@ -662,19 +667,18 @@ def _correction_case(spectrum, k, levels, relax_kind, **hier):
     return eng, g
 
 
-def _assert_correction_matches_full_grid_vcycle(eng, g, theta,
-                                                equal_nan=False):
+def _assert_correction_matches_full_grid_vcycle(eng, g, theta):
     """`correction` from level 1, returned and added into a grid, against
     the full-grid V-cycle from zero; g is left as it was."""
     g_before = g.copy()
     ref = _vcycle(eng, np.zeros_like(g), g_before.copy(), 1, theta)
     ops = eng.ops(theta)[1:]
-    assert np.array_equal(eng.correction(g, ops), ref, equal_nan=equal_nan)
+    assert np.array_equal(eng.correction(g, ops), ref)
     assert np.array_equal(g, g_before)
     above = np.random.default_rng(8).standard_normal(g.shape)
     into = above.astype(g.dtype)
     assert eng.correction(g, ops, into=into) is into
-    assert np.array_equal(into, above + ref, equal_nan=equal_nan)
+    assert np.array_equal(into, above + ref)
     assert np.array_equal(g, g_before)
 
 
@@ -692,35 +696,61 @@ def test_coarse_correction_is_bit_identical_to_full_grid_vcycle(
 
 
 # erk4 at coarse steps of 1e78 and more overflows to inf on the larger
-# modes, and inf times the zero C-points a cycle starts from is NaN
+# modes; no cycle may start from them (inf times a zero C-point is NaN)
 OVERFLOWING = dict(h_t=1e78, fine=BWE, coarse=get_scheme("erk4"))
 
 
 @pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 @pytest.mark.parametrize("k", [2, 3])
 def test_coarse_correction_keeps_the_nans_of_infinite_factors(relax_kind, k):
-    eng, g = _correction_case("real", k, 3, relax_kind, **OVERFLOWING)
-    assert np.any(np.isinf(eng.ops(1.0)[1][0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref = _vcycle(eng, np.zeros_like(g), g.copy(), 1)
-        _assert_correction_matches_full_grid_vcycle(eng, g, 1.0,
-                                                    equal_nan=True)
-    # the NaNs are the zero start's, not the whole grid's
-    assert 0 < np.count_nonzero(np.isnan(ref)) < ref.size
+    # the engine that would cycle with them is rejected when it is made
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        _correction_case("real", k, 3, relax_kind, **OVERFLOWING)
 
 
 @pytest.mark.parametrize("relax_kind", ["F", "FCF"])
 @pytest.mark.parametrize("k", [2, 3])
 def test_iterate_keeps_the_nans_of_infinite_factors(relax_kind, k):
+    # iterate and measure_rho reject the run before any cycle
     hier = TimeHierarchy(8 * k ** 2, levels=3, k=k, **OVERFLOWING)
     run = MgritRun(hier, spd(1.0, 20), relax_kind)
-    with np.errstate(over="ignore", invalid="ignore"):
-        history, u = iterate(run)
-        ref_history, ref_u = _reference_iterate(run)
-    assert len(history) == 2 and math.isnan(history[1])
-    assert np.array_equal(history, ref_history, equal_nan=True)
-    assert np.array_equal(u, ref_u, equal_nan=True)
-    assert 0 < np.count_nonzero(np.isnan(u)) < u.size
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        iterate(run)
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        measure_rho([simple_run(), run])
+
+
+@pytest.mark.parametrize("coarse, h_t, levels", [
+    ("sdirk33", 1e103, 2), ("sdirk33", 1e103, 3), ("erk4", 1e300, 2),
+    (EXACT_COARSE, 1e40, 2)], ids=["implicit", "implicit_deep", "explicit",
+                                    "exact"])
+def test_engine_rejects_factors_that_overflow(coarse, h_t, levels):
+    # sdirk33's Horner sum overflows at dt * xi = 2e103, erk4's factor
+    # overflows to inf, and so does the exact coarse factor, the product of
+    # two finite erk4 factors of about 4e158
+    fine = get_scheme("erk4" if coarse == EXACT_COARSE else "bwe")
+    coarse = coarse if coarse == EXACT_COARSE else get_scheme(coarse)
+    hier = TimeHierarchy(16, h_t, 2, levels, fine, coarse)
+    run = MgritRun(hier, spd(1.0, 4), "F")
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        iterate(run)
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        measure_rho([run])
+
+
+def test_engine_rejects_a_theta_that_overflows_a_factor():
+    # erk4's coarse factor at dt * xi = 2e8 is about 7e30, and a weight of
+    # 1e300 takes it past the largest float
+    hier = TimeHierarchy(16, 1e10, 2, 2, BWE, get_scheme("erk4"))
+    run = MgritRun(hier, ModelProblem(np.array([1e-2])), "F",
+                   theta_schedule=(1.0, 1e300))
+    _Engine(MgritRun(hier, run.problem, "F"))
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        measure_rho([run])
+    # a weight of 0 times an infinite factor is NaN, quietly
+    hier = TimeHierarchy(32, levels=3, k=2, **OVERFLOWING)
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        _Engine(MgritRun(hier, spd(1.0, 20), "F", theta_schedule=(0.0, 1.0)))
 
 
 def _full_grid_probe(run):
@@ -1208,6 +1238,30 @@ def test_probed_propagator_equals_closed_form(fine, coarse, k, nc,
     # Nc + 1 > 32 coarse rows run through the reduction, 17 through the loop
     fine, coarse = get_scheme(fine), get_scheme(coarse)
     problem = spd(3.0, 8)
+    hier = TimeHierarchy(nc * k, 1.0, k, 2, fine, coarse)
+    probed = error_propagation_matrices(MgritRun(hier, problem, relax_kind))
+    lam = stability_eval_batch(fine, problem.eigenvalues)
+    mu = stability_eval_batch(coarse, k * problem.eigenvalues)
+    for E, lj, mj in zip(probed, lam, mu):
+        T = closed_form_propagator(lj, mj, k, nc, relax_kind)
+        assert np.max(np.abs(E - T)) <= 1e-13
+
+
+# the A- and L-stable schemes: |lam| <= 1 on the real axis, so the
+# propagators' entries stay within 2 and 1e-13 is an absolute tolerance
+_STABLE = [tab.name for tab in REGISTRY
+           if tab.stability_class != CONDITIONALLY_STABLE]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(fine=st.sampled_from(_STABLE), coarse=st.sampled_from(_STABLE),
+       k=st.integers(2, 16), nc=st.integers(2, 40),
+       relax_kind=st.sampled_from(["F", "FCF"]),
+       log_xi=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
+def test_probed_propagator_equals_closed_form_property(fine, coarse, k, nc,
+                                                       relax_kind, log_xi):
+    fine, coarse = get_scheme(fine), get_scheme(coarse)
+    problem = ModelProblem(10.0 ** np.asarray(log_xi))
     hier = TimeHierarchy(nc * k, 1.0, k, 2, fine, coarse)
     probed = error_propagation_matrices(MgritRun(hier, problem, relax_kind))
     lam = stability_eval_batch(fine, problem.eigenvalues)

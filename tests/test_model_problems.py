@@ -117,6 +117,43 @@ def test_skew_advection_rejects_a_degenerate_spacing(h_x):
         make_skew_advection(4, h_x)
 
 
+def test_non_normal_matrix_is_rejected():
+    # inflow upwind advection (a/h)(I - S), S the subdiagonal shift, is one
+    # Jordan block: its eigenvalues are all a/h, but a per-eigenvalue bound
+    # does not hold for it
+    M, a = 32, 1.0
+    h = 1.0 / M
+    upwind = (a / h) * (np.eye(M) - np.eye(M, k=-1))
+    with pytest.raises(ValueError, match="matrix is not normal"):
+        ModelProblem(np.full(M, a / h), upwind)
+
+
+@pytest.mark.parametrize("change, message", [
+    ("scaled", "spectrum does not match"),
+    ("one_doubled", "spectrum does not match"),
+    ("dropped", "must be a finite 7 x 7 array")])
+def test_matrix_whose_spectrum_differs_is_rejected(change, message):
+    for p in (make_fd_diffusion(8), make_skew_advection(8, 1.0)):
+        eig = p.eigenvalues.copy()
+        if change == "scaled":
+            eig *= 1 + 1e-9
+        elif change == "one_doubled":
+            eig[1] *= 2
+        else:
+            eig = eig[1:]
+        with pytest.raises(ValueError, match=message):
+            ModelProblem(eig, p.matrix)
+
+
+@pytest.mark.parametrize("M", [3, 17, 64, 128])
+def test_model_realizations_pass_the_matrix_check(M):
+    # exactly normal, and their spectra match the closed forms in any order
+    # (neither eigenvalue list is sorted)
+    make_skew_advection(M, 0.25)
+    p = make_fd_diffusion(M)
+    ModelProblem(p.eigenvalues[::-1], p.matrix)
+
+
 def test_value_rule_accepts_both_classes():
     spd = ModelProblem([0.5, 2.0])
     assert np.array_equal(spd.eigenvalues, [0.5, 2.0])
