@@ -19,10 +19,12 @@ differ only by the steps' multiplicities, k and theta.  Per family it
 evaluates each step and the coarse tableau once over the family's points,
 lam^k and mu once per key, then the formula above with each query's kind,
 Nc and relaxation.  One call may serve many queries, point by point or
-every query at every point.
+every query at every point.  At w = inf it gives each query's exact limit,
+from the leading coefficients of P and Q and, for the indeterminate forms,
+from the expansion in 1/|w| (`_limit`).
 `sweep` takes one query or a list of them, compiles them once and refines
 all of them through the one array sweep engine, `_sweep_many`: one
-`bound_values` call of every query on the shared base grid and tail probe,
+`bound_values` call of every query on the shared base grid and w = inf,
 one per multisection round over the peak brackets of every curve, and one
 per round over the threshold's crossing brackets, each on the compiled
 queries.  Each curve is the one its query swept alone gives.
@@ -70,6 +72,15 @@ _DEN_EPS = 1e-13
 # Tight kinds tolerate |theta*mu| = 1 (marginally stable coarse propagator,
 # e.g. trapezoid on the imaginary axis); beyond this they are unstable too.
 _TIGHT_SLACK = 1e-12
+# The bound at w = inf (_limit): a key whose |1 - theta*|mu(inf)|| is within
+# _NEAR, and whose |theta*mu(inf) - lam^k(inf)| is too or whose lam^k(inf) is
+# 0 under FCF, goes to the expansion in u = 1/|w| (_expansion).  There a
+# coefficient of G or H counts as 0 when it is at or below _EXPANSION_ULPS
+# units of extended-precision roundoff of the same coefficient computed from
+# absolute values: a tolerance relative to the largest coefficient loses
+# gauss4/gauss4's order-1 term at k = 16.
+_NEAR = 1e-9
+_EXPANSION_ULPS = 64
 # bound_values evaluates at most this many points at once (each under every
 # key of a family where every query goes at every point), so its scratch
 # memory does not grow with the number of points
@@ -283,12 +294,126 @@ def _apply_formula(b, owner, lamk, num, amu, one_minus):
     return np.where(np.isnan(phi), np.inf, phi)
 
 
+def _lead_parts(b):
+    """Per key: lam^k(inf) and theta*mu(inf), from the leading coefficients
+    of each step and of the coarse tableau (ButcherTableau.limit).  A step
+    of fraction f brings (p/q) f^(deg P - deg Q) to the power of its
+    multiplicity, and lam^k(inf) is 0 or inf where the degrees of the
+    product's numerator and denominator differ."""
+    order, ratio = np.zeros(b.k.size, dtype=int), np.ones(b.k.size)
+    for (tab, frac), power in zip(b.steps, b.power):
+        P, Q = tab.limit
+        gap = len(Q) - len(P)
+        order += power * gap
+        ratio *= (float(P[-1] / Q[-1]) * frac ** -gap) ** power
+    lamk = np.where(order > 0, 0.0, np.where(order < 0, np.inf, ratio))
+    mu = np.where(b.theta == 0, 0.0, b.theta * b.coarse.lam_inf)
+    return lamk, mu
+
+
+def _limit(b, sign):
+    """Each query's bound at w = sign * inf on the family's axis.
+
+    Most limits are the formula on the parts at infinity, lam^k(inf) and
+    theta*mu(inf) (_lead_parts).  Two indeterminate forms need more: 0/0,
+    where theta*|mu(inf)| = 1 and lam^k(inf) = theta*mu(inf), and 0*inf
+    under FCF, where lam^k(inf) = 0 and phi_F(inf) = inf, both under the
+    simple kind or Nc = inf (a finite Nc keeps the denominator from 0).
+    A key near either form goes to _expansion, which decides it exactly.
+    """
+    lamk, mu = _lead_parts(b)
+    num, amu = np.abs(mu - lamk), np.abs(mu)
+    owner = np.arange(b.simple.size)
+    phi = _apply_formula(b, owner, *(x[b.key] for x in (
+        lamk.astype(complex), num, amu, 1.0 - amu)))
+    near = (np.abs(1.0 - amu) <= _NEAR)[b.key] & \
+        (b.simple | np.isinf(b.scale)) & \
+        ((num <= _NEAR)[b.key] | (b.fcf & (lamk == 0.0)[b.key]))
+    terms = {}
+    for i in np.flatnonzero(near):
+        key = b.key[i]
+        if key not in terms:
+            terms[key] = _expansion(b, key, sign * (1.0 if b.real else 1j))
+        if terms[key] is None:
+            continue
+        # (order, coefficient) of each factor; None: identically 0
+        lam, num, den = terms[key]
+        if num is None or den is None or den[1] < 0:
+            # 1 - theta*|mu| vanishing or negative is unstable
+            phi[i] = 0.0 if num is None else INFINITY
+            continue
+        order, coef = num[0] - den[0], num[1] / den[1]
+        if b.fcf[i]:
+            order, coef = order + lam[0], coef * lam[1]
+        phi[i] = 0.0 if order > 0 else INFINITY if order < 0 else coef
+    return phi
+
+
+def _in_u(coef, scale, d):
+    """R(scale * d / u) * u^deg(R) in powers of u, lowest first, for R's
+    coefficients (ButcherTableau.limit); its constant term is nonzero."""
+    powers = np.full(len(coef), np.clongdouble(scale * d))
+    powers[0] = 1
+    return (coef * np.cumprod(powers))[::-1]
+
+
+def _lowest(c, size):
+    """(index, value) of c's lowest-order coefficient above _EXPANSION_ULPS
+    units of extended-precision roundoff of `size`, the same coefficient
+    computed from absolute values; None where there is none."""
+    live = np.flatnonzero(np.abs(c) > _EXPANSION_ULPS
+                          * np.finfo(np.longdouble).eps * size)
+    return (int(live[0]), c[live[0]]) if live.size else None
+
+
+def _expansion(b, key, d):
+    """The key's |lam^k|, |theta*mu - lam^k| and 1 - theta*|mu| as (order,
+    coefficient) of their leading terms in u = 1/|w| along w = d/u, or
+    None when theta*|mu(inf)| != 1 in extended precision, where the plain
+    limit stands.  With Q_f, P_f the products of the steps' Q and P and
+    Q_c, P_c the coarse tableau's at k*w, the three factors are
+    |P_f|/|Q_f|, |G|/(|Q_c| |Q_f|) and H/(|Q_c| (|Q_c| + theta |P_c|)),
+    where G = theta P_c Q_f - Q_c P_f and H = |Q_c|^2 - theta^2 |P_c|^2.
+    Reached only where theta*mu(inf) is finite and not 0 and lam^k(inf)
+    is finite, so P_c, Q_c have one degree and deg P_f <= deg Q_f.
+    """
+    power = functools.partial(np.polynomial.polynomial.polypow,
+                              maxpower=None)
+    parts = []
+    for index in (0, 1):  # P_f, Q_f and their absolute-value twins
+        f = fa = np.ones(1)
+        for (tab, frac), n in zip(b.steps, b.power[:, key]):
+            r = _in_u(tab.limit[index], frac, d)
+            f = np.convolve(f, power(r, int(n)))
+            fa = np.convolve(fa, power(np.abs(r), int(n)))
+        parts += [f, fa]
+    pf, pfa, qf, qfa = parts
+    pc, qc = (_in_u(coef, b.k[key], d) for coef in b.coarse.limit)
+    theta = b.theta[key]
+    h = _lowest((np.convolve(qc, qc.conj())
+                 - theta ** 2 * np.convolve(pc, pc.conj())).real,
+                np.convolve(np.abs(qc), np.abs(qc))
+                + theta ** 2 * np.convolve(np.abs(pc), np.abs(pc)))
+    if h is not None and h[0] == 0:
+        return None
+    shift = len(qf) - len(pf)
+    g, ga = theta * np.convolve(pc, qf), theta * np.convolve(np.abs(pc), qfa)
+    g[shift:] -= np.convolve(qc, pf)
+    ga[shift:] += np.convolve(np.abs(qc), pfa)
+    g = _lowest(g, ga)
+    lead_qc, lead_qf = np.abs(qc[0]), np.abs(qf[0])
+    return ((shift, np.abs(pf[0]) / lead_qf),
+            g and (g[0], np.abs(g[1]) / (lead_qc * lead_qf)),
+            h and (h[0], h[1] / (lead_qc * (lead_qc + theta * np.abs(pc[0])))))
+
+
 class _Compiled:
     """A sequence of queries compiled once for bound_values, which takes
     it in place of the sequence: the queries grouped into families, one
     _Batch per family with the rows of its queries, each query's family
     and index within it, and the largest k.  k*w is the largest point an
-    evaluation reads: step fractions are positive and sum to k."""
+    evaluation reads: step fractions are positive and sum to k.  Each
+    query's bound at w = inf is computed on first use (`limit`)."""
 
     def __init__(self, queries):
         self.queries = tuple(queries)
@@ -303,6 +428,16 @@ class _Compiled:
         for f, (_, rows) in enumerate(self.batches):
             self.family[rows], self.local[rows] = f, np.arange(len(rows))
         self.reach = max((x.k for x in self.queries), default=1)
+        self._limits = {}
+
+    def limit(self, sign):
+        """Every query's bound at w = sign * inf on its axis (_limit)."""
+        if sign not in self._limits:
+            out = np.empty(len(self.queries))
+            for b, rows in self.batches:
+                out[rows] = _limit(b, sign)
+            self._limits[sign] = out
+        return self._limits[sign]
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -328,7 +463,8 @@ def bound_values(q, w, owner=None):
     not depend on the other points or queries of the call.
 
     Unstable and unbounded samples come back as inf, also where an explicit
-    scheme overflows far outside its stability region, and so does w = inf.
+    scheme overflows far outside its stability region.  w = inf reads the
+    bound's exact limit (_limit), computed once per compiled sequence.
     A finite w whose k*w overflows, at the largest k of the queries,
     raises a ValueError naming w and k, and so does a w where a Horner sum
     overflows (`stability_eval_batch`).  PoleError still propagates since
@@ -343,31 +479,45 @@ def bound_values(q, w, owner=None):
     w = np.asarray(w, dtype=float)
     shape, w = w.shape, w.ravel()
     # the largest |w| first (fmax skips nan); if k times it overflows,
-    # the finite w alone: w = inf reads inf
+    # the finite w alone: w = inf reads the limit
     if math.isinf(c.reach * np.fmax.reduce(np.abs(w), initial=0.0)):
         top = np.max(np.abs(w), where=np.isfinite(w), initial=0.0)
         if math.isinf(c.reach * top):
             raise ValueError(f"w = {top:g} is too large: k*w overflows "
                              f"at k = {c.reach}")
     n = len(c.queries)
+    if owner is not None:
+        owner = np.asarray(owner, dtype=np.intp).ravel()
+        if owner.size != w.size or np.any((owner < 0) | (owner >= n)):
+            raise ValueError(f"owner must give each point of w a query in "
+                             f"[0, {n})")
+    # an infinite w is evaluated at 1 and then overwritten by its limit
+    inf = np.isinf(w)
+    some_inf = inf.any()
+    at = np.where(inf, 1.0, w) if some_inf else w
     if owner is None:
         out = np.empty((n, w.size))
         for b, rows in c.batches:
-            _bound_grid(b, w, rows, out)
-        return out[0].reshape(shape) if single else \
-            out.reshape((n,) + shape)
-    owner = np.asarray(owner, dtype=np.intp).ravel()
-    if owner.size != w.size or np.any((owner < 0) | (owner >= n)):
-        raise ValueError(f"owner must give each point of w a query in "
-                         f"[0, {n})")
-    if len(c.batches) == 1:
-        return _bound_points(c.batches[0][0], w, owner).reshape(shape)
-    family, owner = c.family[owner], c.local[owner]
-    out = np.empty(w.size)
-    for f, (b, _) in enumerate(c.batches):
-        at = np.flatnonzero(family == f)
-        out[at] = _bound_points(b, w[at], owner[at])
-    return out.reshape(shape)
+            _bound_grid(b, at, rows, out)
+    elif len(c.batches) == 1:
+        out = _bound_points(c.batches[0][0], at, owner)
+    else:
+        family, local = c.family[owner], c.local[owner]
+        out = np.empty(w.size)
+        for f, (b, _) in enumerate(c.batches):
+            sel = np.flatnonzero(family == f)
+            out[sel] = _bound_points(b, at[sel], local[sel])
+    for sign in (1.0, -1.0) if some_inf else ():
+        sel = w == sign * INFINITY
+        if sel.any():
+            limit = c.limit(sign)
+            if owner is None:
+                out[:, sel] = limit[:, None]
+            else:
+                out[sel] = limit[owner[sel]]
+    if owner is not None:
+        return out.reshape(shape)
+    return out[0].reshape(shape) if single else out.reshape((n,) + shape)
 
 
 def _bound_points(b, w, owner):
@@ -398,10 +548,12 @@ class BoundCurve:
     """Sampled bound curve with max / argmax / convergence-threshold summary.
 
     max_phi == INFINITY marks a genuinely unbounded curve; a finite
-    max with argmax_w == INFINITY marks a supremum approached only as
-    w -> infinity.  threshold is the largest w-hat with phi < 1 for all
-    w < w-hat (INFINITY when the curve stays below 1, 0.0 when it starts
-    at or above 1).
+    max with argmax_w == INFINITY marks a supremum approached as
+    w -> infinity, the bound's exact limit there.  threshold is the
+    largest w-hat with phi < 1 for all w < w-hat (INFINITY when the curve
+    stays below 1, also at w = inf, 0.0 when it starts at or above 1, and
+    the window's w_max when it stays below 1 there and ends above 1 at
+    w = inf).
     """
 
     query: BoundQuery
@@ -507,44 +659,29 @@ def _peak_brackets(grid, phi):
             grid[np.minimum(cols + 1, len(grid) - 1)], rows)
 
 
-def _summarize(grid, phi, tail, probe_w, probe_v, w_max):
+def _summarize(grid, phi, limit, probe_w, probe_v, w_max):
     """One curve's [samples, max_phi, argmax_w, threshold] from its base
-    pass phi, its tail probe at 10 * w_max and its peak probes, where the
+    pass phi, its value `limit` at w = inf and its peak probes, where the
     threshold may still be the (w_lo, w_hi) bracket of its first
-    up-crossing of 1.  argmax_w is the best sample of the first run of
-    samples within 1e-6 of the max, so equal humps report the first one
-    and a plateau its first sample."""
+    up-crossing of 1.  argmax_w is inf where the limit reaches the
+    samples' max within 1e-6, and otherwise the best sample of the first
+    run of samples within 1e-6 of the max, so equal humps report the
+    first one and a plateau its first sample."""
     w_all = np.concatenate((grid, probe_w))
     order = np.argsort(w_all, kind="stable")
     w_all, phi_all = w_all[order], np.concatenate((phi, probe_v))[order]
 
-    unbounded = bool(np.any(~np.isfinite(phi_all)) or np.any(phi_all > 1e6))
-    end_increasing = phi[-1] >= phi[-2] and np.isfinite(phi[-1])
-    max_phi = float(np.max(np.where(np.isfinite(phi_all), phi_all, np.inf)))
-    argmax_at_inf = False
-    if unbounded or not math.isfinite(tail) or tail > 1e6:
+    bad = np.flatnonzero(~np.isfinite(phi_all) | (phi_all > 1e6))
+    limit_bad = not math.isfinite(limit) or limit > 1e6
+    if bad.size or limit_bad:
+        # unbounded: where it blew up, unless it is still unbounded at the
+        # window edge or at w = inf (supremum at w -> infinity)
+        end_bad = limit_bad or not math.isfinite(phi[-1]) or phi[-1] > 1e6
         max_phi = INFINITY
-        argmax_at_inf = not unbounded
-    elif (end_increasing and tail > 1.01 * phi[-1]
-          and phi[-1] >= 0.5 * max_phi):
-        # still climbing hard at the window edge with the global max there
-        max_phi = INFINITY
-        argmax_at_inf = True
-    elif max_phi > 0 and tail >= max_phi * (1.0 - 1e-6):
-        # supremum approached asymptotically: report the far-tail estimate
-        max_phi = max(max_phi, tail)
-        argmax_at_inf = True
-
-    if argmax_at_inf:
-        argmax_w = INFINITY
-    elif math.isinf(max_phi):
-        # unbounded curve: report where it blew up, unless it is still high
-        # or climbing at the window edge (supremum at w -> infinity)
-        bad = np.where(~np.isfinite(phi_all) | (phi_all > 1e6))[0]
-        end_bad = (not math.isfinite(phi[-1]) or phi[-1] > 1e6
-                   or not math.isfinite(tail) or tail > 1e6)
-        argmax_w = INFINITY if (end_bad or not len(bad)) \
-            else float(w_all[bad[0]])
+        argmax_w = (INFINITY if end_bad or not bad.size
+                    else float(w_all[bad[0]]))
+    elif limit >= (max_phi := float(np.max(phi_all))) * (1.0 - 1e-6):
+        max_phi, argmax_w = max(max_phi, limit), INFINITY
     else:
         # within 1e-6 of the max, also for a negative max
         cut = min(max_phi, max_phi * (1.0 - 1e-6))
@@ -553,9 +690,10 @@ def _summarize(grid, phi, tail, probe_w, probe_v, w_max):
         last = first + int(np.argmin(near[first:]))
         argmax_w = float(w_all[first + np.argmax(phi_all[first:last])])
 
-    over = np.where(~(phi_all < 1.0))[0]  # inf counts as over
-    if len(over) == 0:
-        threshold = INFINITY if not tail >= 1.0 else (w_max, 10.0 * w_max)
+    over = np.flatnonzero(~(phi_all < 1.0))  # inf counts as over
+    if not over.size:
+        # below 1 on the window; above 1 at w = inf: it crosses beyond
+        threshold = w_max if limit > 1.0 else INFINITY
     elif over[0] == 0:
         threshold = 0.0
     else:
@@ -563,32 +701,29 @@ def _summarize(grid, phi, tail, probe_w, probe_v, w_max):
     return [np.column_stack((w_all, phi_all)), max_phi, argmax_w, threshold]
 
 
-def _sweep_many(n, evaluate, w_min, w_max, n_base, reach=1):
+def _sweep_many(n, evaluate, w_min, w_max, n_base):
     """The sweep engine: n curves on one log-spaced window, where
     evaluate(w, owner) gives curve owner[i]'s values at w[i] (inf allowed)
     and evaluate(w, None) every curve's values at every w, shape
-    (n, w.size).  evaluate reads up to `reach` times its w (a coarse
-    tableau at k * w), and the window is rejected where that overflows.
+    (n, w.size); w = inf asks for each curve's value at infinity.
 
-    One evaluate(w, None) call covers the base grid and the tail probe at
-    10 * w_max, which every curve shares.  One call per round then refines
-    every curve's peak candidates by multisection; max, argmax and the tail
-    rules are decided curve by curve; and one call per round narrows every
-    curve's threshold bracket.  Each curve gets the rounds, probes and bits
-    it gets alone.  Whatever evaluate builds from its curves' definitions
-    belongs outside it, built once per sweep: sweep passes its queries
-    compiled once (_Compiled), not once per round.
+    One evaluate(w, None) call covers the base grid and w = inf, which
+    every curve shares.  One call per round then refines every curve's
+    peak candidates by multisection; max and argmax are decided curve by
+    curve, the value at infinity compared once with the samples; and one
+    call per round narrows every curve's threshold bracket.  Each curve
+    gets the rounds, probes and bits it gets alone.  Whatever evaluate
+    builds from its curves' definitions belongs outside it, built once per
+    sweep: sweep passes its queries compiled once (_Compiled), not once
+    per round.
     Returns one (samples, max_phi, argmax_w, threshold) per curve.
     """
     if not (0.0 < w_min < w_max < INFINITY):
         raise ValueError("need 0 < w_min < w_max < inf")
-    if not 10.0 * reach * w_max < INFINITY:
-        raise ValueError(f"w_max too large: the tail probe reads "
-                         f"{10.0 * reach:g} * w_max, which overflows")
     if n_base < 64:
         raise ValueError("n_base must be >= 64")
     grid = _base_grid(w_min, w_max, n_base)
-    values = np.asarray(evaluate(np.append(grid, 10.0 * w_max), None),
+    values = np.asarray(evaluate(np.append(grid, INFINITY), None),
                         dtype=float).reshape(n, n_base + 1)
     _, probe_w, probe_v = _multisection(*_peak_brackets(grid, values[:, :-1]),
                                         n, True, evaluate)
@@ -605,8 +740,9 @@ def _sweep_many(n, evaluate, w_min, w_max, n_base, reach=1):
 
 def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
     """The sweep engine on one curve: `fun` maps an array of w magnitudes
-    to values (inf allowed), once per probe round (see _sweep_many).
-    Returns (samples, max_phi, argmax_w, threshold)."""
+    to values (inf allowed), once per probe round (see _sweep_many); its
+    first array ends with w = inf, where `fun` gives the curve's value at
+    infinity.  Returns (samples, max_phi, argmax_w, threshold)."""
     return _sweep_many(1, lambda w, owner: fun(w), w_min, w_max, n_base)[0]
 
 
@@ -617,13 +753,15 @@ def sweep(q, w_min: float = 1e-8, w_max: float = 1e8, n_base: int = 512):
     them, which gives a list.  The queries are compiled once (_Compiled),
     and the array engine (_sweep_many) sweeps them together, one
     bound_values call on the compiled queries per probe round; each curve
-    is the one its query swept alone gives.
+    is the one its query swept alone gives.  The base round reads each
+    bound's exact value at w = inf with its samples, and max_phi and
+    argmax_w take it in (see BoundCurve).
     """
     single = isinstance(q, BoundQuery)
     c = _Compiled((q,) if single else q)
     results = _sweep_many(len(c.queries),
                           lambda w, owner: bound_values(c, w, owner),
-                          w_min, w_max, n_base, c.reach)
+                          w_min, w_max, n_base)
     curves = [BoundCurve(x, *r) for x, r in zip(c.queries, results)]
     return curves[0] if single else curves
 

@@ -8,7 +8,8 @@ tableau computes the coefficients of P and Q once, at construction, as
 principal-minor sums in extended precision; evaluation is then a Horner pass
 in the caller's dtype.  Stiffly accurate tableaux build P with b := A[-1],
 so that P's w^s coefficient is exactly 0 and no rounding residue of b - A[-1]
-grows into a spurious w^s term at large |w|.  Everything downstream
+grows into a spurious w^s term at large |w|.  At |w| = inf, lam is the ratio
+of the leading coefficients of P and Q (`ButcherTableau.limit`).  Everything downstream
 (convergence bounds, time-grid solves on diagonalizable operators) is built
 on this rational function.
 """
@@ -44,6 +45,12 @@ CONDITIONALLY_STABLE = "conditionally_stable"
 # treated as a pole of the rational stability function rather than
 # propagated as a noise-dominated quotient.
 _POLE_ULPS = 16
+
+# For the limit at |w| = inf only, a P or Q coefficient at or below this many
+# units of double-precision roundoff of its polynomial's largest coefficient
+# reads 0: esdirk32's and trbdf2's w^2 coefficient of P is such a residue of
+# an exact 0 (0.37 and 0.22 units), which would make lam(inf) read 1e-15.
+_LIMIT_ULPS = 16
 
 _EVAL_DTYPES = (np.complex128, np.longdouble, np.clongdouble)
 
@@ -100,7 +107,11 @@ class ButcherTableau:
     ``stiffly_accurate`` and ``explicit_flag`` are derived from the
     coefficients; row-sum consistency c_i = sum_j A_ij is enforced at
     construction.  ``P`` and ``Q`` hold the longdouble coefficients, in
-    powers of w, of the numerator and denominator of lam(w).
+    powers of w, of the numerator and denominator of lam(w).  ``limit``
+    holds them as read for |w| -> inf: coefficients within _LIMIT_ULPS
+    units of roundoff of their polynomial's largest one read 0, and the
+    zero leading coefficients that leaves are trimmed, so the last
+    coefficients of both are nonzero and give ``lam_inf``.
     """
 
     name: str
@@ -111,6 +122,7 @@ class ButcherTableau:
     stability_class: str
     P: np.ndarray = field(init=False, repr=False)
     Q: np.ndarray = field(init=False, repr=False)
+    limit: tuple = field(init=False, repr=False)
     _horner: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -136,6 +148,13 @@ class ButcherTableau:
             _principal_minor_sums(A - b[None, :]), np.longdouble))
         object.__setattr__(self, "Q", _as_readonly(
             _principal_minor_sums(A), np.longdouble))
+        limit = []
+        for coef in (self.P, self.Q):
+            coef = np.where(np.abs(coef) <= _LIMIT_ULPS * np.finfo(float).eps
+                            * np.max(np.abs(coef)), 0, coef)
+            limit.append(_as_readonly(np.trim_zeros(coef, "b"),
+                                      np.longdouble))
+        object.__setattr__(self, "limit", tuple(limit))
         # per evaluation dtype: Horner rows (p_l, q_l, |q_l|) from l = s
         # down to 0 in that dtype's real type, and its pole tolerance
         rows = np.stack((self.P, self.Q, np.abs(self.Q)), axis=1)[::-1]
@@ -158,6 +177,16 @@ class ButcherTableau:
     def explicit_flag(self) -> bool:
         return bool(np.all(np.abs(np.triu(self.A)) == 0.0))
 
+    @property
+    def lam_inf(self) -> float:
+        """lam(w) as |w| -> inf, in any direction: the ratio of the leading
+        coefficients of P and Q, 0 when deg P < deg Q and inf when deg P >
+        deg Q (read through ``limit``)."""
+        P, Q = self.limit
+        if len(P) != len(Q):
+            return 0.0 if len(P) < len(Q) else math.inf
+        return float(P[-1] / Q[-1])
+
     def __repr__(self):
         return (f"ButcherTableau({self.name!r}, s={self.s}, order={self.order},"
                 f" {self.stability_class})")
@@ -170,9 +199,15 @@ def stability_eval_batch(tab: ButcherTableau, w, dtype=complex):
     size sum_l |q_l| |w|^l of Q's Horner sum run through one stacked Horner
     pass; PoleError is raised where |Q(w)| is within _POLE_ULPS units of
     roundoff of that size, i.e. where Q vanishes to working precision; a
-    finite w where that size overflows raises a ValueError instead.
+    finite w where that size overflows raises a ValueError instead.  An
+    infinite w reads ``tab.lam_inf``.
     """
     w = np.asarray(w, dtype=dtype)
+    inf = np.isinf(w)
+    if inf.any():
+        out = stability_eval_batch(tab, np.where(inf, 0, w), dtype)
+        out[inf] = tab.lam_inf
+        return out
     coef, pole_tol = tab._horner[np.dtype(dtype)]
     coef = coef.reshape(coef.shape + (1,) * w.ndim)
     x = np.stack((w, w, np.abs(w).astype(dtype)))
@@ -223,9 +258,8 @@ def classify_stability(tab: ButcherTableau) -> str:
     """Classify A-/L-/conditional stability by boundary and large-|w| sampling.
 
     Samples |lam| on the imaginary w-axis (the right-half-plane boundary,
-    |Im w| up to 1e6, log-spaced) and on a large arc, then checks the
-    L-stable limit |lam(1e12)| < 1e-6.  A regression guard for known classes,
-    not a prover.
+    |Im w| up to 1e6, log-spaced) and on a large arc, then reads L-stability
+    as lam(inf) == 0.  A regression guard for known classes, not a prover.
     """
     y = np.geomspace(1e-6, 1e6, 2001)
     boundary = np.concatenate([1j * y, -1j * y])
@@ -237,7 +271,7 @@ def classify_stability(tab: ButcherTableau) -> str:
         return CONDITIONALLY_STABLE
     if np.any(np.abs(vals) > 1.0 + 1e-12):
         return CONDITIONALLY_STABLE
-    if abs(stability_eval(tab, 1e12)) < 1e-6:
+    if tab.lam_inf == 0:
         return L_STABLE
     return A_STABLE
 

@@ -21,7 +21,8 @@ from .bounds import (INFINITY, RELAX_F, RELAX_FCF, RELAXATIONS, SIMPLE,
                      LOWER_TIGHT, UPPER_TIGHT, REAL_AXIS, IMAG_AXIS,
                      BoundQuery, max_over_k, sweep)
 from .butcher import get_scheme, scheme_names
-from .explicit_analysis import roots_to_csv, singularity_roots
+from .explicit_analysis import (gap_polynomial, roots_to_csv,
+                                singularity_roots)
 from .mgrit_sim import (EXACT_COARSE, MgritRun, TimeHierarchy, measure_rho,
                         run_to_csv)
 from .model_problems import eigenvalues_from_csv, make_spd_interval
@@ -281,25 +282,23 @@ def _gauss4_capped_max(kset) -> float:
 
     The uncapped supremum climbs to 1 as w grows; the usable regime is the
     k-dependent window below z_max, the positive zero of mu - lam^k that
-    separates the backward-Euler-level hump from that climb.  On the sweep's
-    samples z_max is the dip reached by walking back from the first sample
-    above 1/2 while the samples keep decreasing; a curve that never exceeds
-    1/2 is capped at its max.  z_max per k is printed for reference.
+    separates the backward-Euler-level hump from that climb: the smallest
+    positive real root of the gauss4/bwe gap polynomial.  The cap is the
+    max of the sweep's samples up to z_max.  z_max per k is printed for
+    reference.
     """
     tab = get_scheme("gauss4")
     bwe = get_scheme("bwe")
     worst = 0.0
     curves = sweep([BoundQuery(tab, bwe, k, RELAX_F) for k in kset])
     for k, curve in zip(kset, curves):
+        # the origin is a root of p (mu - lam^k vanishes there): strip it
+        p = np.trim_zeros(gap_polynomial(tab, bwe, k), "f")
+        z_max = min((r.real for r in np.roots(p[::-1])
+                     if r.real > 0 and abs(r.imag) <= 1e-9 * abs(r)),
+                    default=math.inf)
         w, phi = curve.samples.T
-        over = np.nonzero(phi > 0.5)[0]
-        if len(over):
-            j = over[0]
-            while j > 0 and phi[j - 1] < phi[j]:
-                j -= 1
-            z_max, cap = w[j], float(np.max(phi[:j + 1]))
-        else:
-            z_max, cap = math.inf, float(np.max(phi))
+        cap = float(np.max(phi[w <= z_max]))
         print(f"  gauss4 k={k}: z_max ~ {z_max:.4g}, "
               f"max bound below z_max = {cap:.4f}")
         worst = max(worst, cap)

@@ -39,15 +39,18 @@ class NotTruncatedExponential(ValueError):
     """The scheme's stability polynomial is not a truncated exponential."""
 
 
-def gap_polynomial(tab: ButcherTableau, k: int) -> np.ndarray:
+def gap_polynomial(tab: ButcherTableau, coarse: ButcherTableau,
+                   k: int) -> np.ndarray:
     """Float64 coefficients, in powers of w, of the gap polynomial
-    p(w) = P(kw) Q(w)^k - P(w)^k Q(kw), the numerator of mu - lam^k."""
+    p(w) = P_c(kw) Q(w)^k - P(w)^k Q_c(kw), the numerator of mu - lam^k,
+    for the fine tableau's P/Q and the coarse tableau's P_c/Q_c."""
     # numpy loads np.polynomial on first use: a simulator run never pays it
     poly = np.polynomial.polynomial
     P, Q = tab.P.astype(float), tab.Q.astype(float)
-    kl = float(k) ** np.arange(len(P))
-    return poly.polysub(poly.polymul(P * kl, poly.polypow(Q, k)),
-                        poly.polymul(poly.polypow(P, k), Q * kl))
+    Pc, Qc = coarse.P.astype(float), coarse.Q.astype(float)
+    kl = float(k) ** np.arange(len(Pc))
+    return poly.polysub(poly.polymul(Pc * kl, poly.polypow(Q, k)),
+                        poly.polymul(poly.polypow(P, k), Qc * kl))
 
 
 def check_taylor_optimality(tab: ButcherTableau, k: int) -> bool:
@@ -65,7 +68,7 @@ def check_taylor_optimality(tab: ButcherTableau, k: int) -> bool:
         raise NotTruncatedExponential(
             f"{tab.name}: stability polynomial is not a truncated exponential")
     coarse = np.abs(P) * float(k) ** l
-    p = gap_polynomial(tab, k)[:tab.s + 1]
+    p = gap_polynomial(tab, tab, k)[:tab.s + 1]
     return bool(np.all(np.abs(p) <= 1e-13 * np.maximum(1.0, coarse)))
 
 
@@ -106,7 +109,7 @@ def singularity_roots(tab: ButcherTableau, k: int, w_max: float):
         raise ValueError(f"{tab.name} is not explicit")
     if tab.order != tab.s or tab.s > 4:
         raise ValueError("requires an explicit scheme with order == s <= 4")
-    p = gap_polynomial(tab, k)  # coefficients of w^l, l = 0..s*k
+    p = gap_polynomial(tab, tab, k)  # coefficients of w^l, l = 0..s*k
     if not np.isfinite(p).all():
         raise ValueError(f"{tab.name} at k = {k}: the gap polynomial's "
                          "coefficients overflow double precision")

@@ -198,9 +198,13 @@ def _factor(tab: ButcherTableau, problem: ModelProblem, dt: float,
     """
     if path == "diagonal":
         # a step far outside the stability region overflows (or divides inf
-        # by inf) to a factor that is not finite, which `_Engine` rejects
+        # by inf) to a factor that is not finite, which `_Engine` rejects;
+        # so does a dt * xi that overflows, where lam would read lam(inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            lam = stability_eval_batch(tab, dt * problem.eigenvalues)
+            w = dt * problem.eigenvalues
+            if not np.isfinite(w).all():
+                raise ValueError(f"dt * xi overflows at dt = {dt:g}")
+            lam = stability_eval_batch(tab, w)
         return (lam if np.any(problem.eigenvalues.imag)
                 else np.ascontiguousarray(lam.real))
     if problem.matrix is None:

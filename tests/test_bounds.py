@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 
@@ -373,8 +374,10 @@ def test_sweep_matches_dense_reference(name):
 
 
 def _humps(w, n, height):
-    # n equal humps of the given height across log10 w in [-8, 8]
-    return height * np.sin(np.pi * n * (np.log10(w) + 8.0) / 16.0) ** 2
+    # n equal humps of the given height across log10 w in [-8, 8], read at
+    # w > 1e8 (w = inf included) as at 1e8, where the last one ends
+    x = np.log10(np.minimum(w, 1e8)) + 8.0
+    return height * np.sin(np.pi * n * x / 16.0) ** 2
 
 
 def _bump(w, centre, height):
@@ -407,7 +410,7 @@ def test_sweep_probes_whole_arrays():
 
 
 def test_sweep_refines_one_peak_in_few_calls():
-    # the base pass with the tail probe, then the four multisection rounds
+    # the base pass with w = inf, then the four multisection rounds
     # down to log-width 1e-4
     (_, max_phi, _, _), sizes = _counted_sweep(lambda w: _bump(w, 0.0, 0.5))
     assert len(sizes) <= 5, sizes
@@ -480,23 +483,25 @@ def test_sweep_cuts_unbounded_at_one_million(height, unbounded):
 
 
 @pytest.mark.parametrize("tail, max_phi_expected", [
-    (0.4, 0.5),            # lower tail: the window decides
-    (0.5, 0.5),            # level tail: supremum approached at infinity
-    (0.502, 0.502),        # slightly higher: the tail value is the supremum
-    (0.9, INFINITY),       # much higher: still climbing at the edge
+    (0.4, 0.5),            # lower at infinity: the window decides
+    (0.5 * (1 - 2e-6), 0.5),  # just outside the 1e-6 tie: the same
+    (0.5 * (1 - 5e-7), 0.5),  # within it: supremum approached at infinity
+    (0.5, 0.5),            # level: supremum approached at infinity
+    (0.502, 0.502),        # higher: the value at infinity is the supremum
+    (0.9, 0.9),            # much higher: the same, however far above
+    (1.0, 1.0),            # 1 at infinity: no crossing of 1
     (2e6, INFINITY),       # past the unbounded cut-off
 ])
 def test_sweep_flat_window_decided_by_tail_probe(tail, max_phi_expected):
-    # flat on [1e-8, 1e8]; only the probe at 10 * w_max sees `tail`
+    # flat on [1e-8, 1e8]; only the value at w = inf is `tail`
     samples, max_phi, argmax_w, threshold = sweep_function(
         lambda w: np.where(w < 5e8, 0.5, tail), 1e-8, 1e8)
     assert np.all(samples[:, 1] == 0.5)
     assert max_phi == max_phi_expected
-    assert argmax_w == (1e-8 if tail < 0.5 else INFINITY)
-    if tail >= 1.0:
-        assert threshold == pytest.approx(5e8, rel=1e-12)
-    else:
-        assert threshold == INFINITY
+    assert argmax_w == (1e-8 if tail < 0.5 * (1 - 1e-6) else INFINITY)
+    # below 1 on the window and above it at w = inf: the crossing lies
+    # beyond the window, so the threshold is its edge
+    assert threshold == (1e8 if tail > 1.0 else INFINITY)
 
 
 @pytest.mark.parametrize("curve, peak, at", [
@@ -521,12 +526,17 @@ def test_sweep_rejects_an_infinite_window():
 @pytest.mark.parametrize("k, w_min, w_max", [(2, 1e300, 1.7e308),
                                                (64, 1e300, 1e307)])
 def test_sweep_rejects_a_window_whose_tail_probe_overflows(k, w_min, w_max):
-    # the tail probe reads the coarse tableau at k * 10 * w_max: an
-    # overflow there would read as a pole of lam
-    with pytest.raises(ValueError, match="w_max too large"):
+    # no point beyond the window is probed: the coarse tableau reads at
+    # most k * w_max, and only where that overflows does bound_values
+    # reject the window; w = inf reads the limit
+    with pytest.raises(ValueError, match=rf"k\*w overflows at k = {k}$"):
         sweep(query(BWE, BWE, k), w_min, w_max)
-    with pytest.raises(ValueError, match="w_max too large"):
-        sweep_function(lambda w: w, 1e300, 1.7e308)
+    curve = sweep(query(BWE, BWE, k), w_min, w_max / (2 * k))
+    assert curve.max_phi < 1e-290 and curve.argmax_w == w_min
+    # a curve of its own reads w_max and w = inf, never 10 * w_max
+    _, max_phi, argmax_w, threshold = sweep_function(
+        lambda w: np.where(np.isinf(w), 0.5, 0.25), w_min, w_max)
+    assert (max_phi, argmax_w, threshold) == (0.5, INFINITY, INFINITY)
 
 
 def _lockstep_batch():
@@ -583,19 +593,20 @@ def test_lockstep_bound_values_match_one_query_calls():
 
 
 # the lockstep batch's points for the every-query form: across the
-# extended-precision cut at w = 1e-4 (on both sides of it), and up to the
-# tail probe's 1e9
+# extended-precision cut at w = 1e-4 (on both sides of it), and up to 1e9;
+# the tests below add w = inf, which reads each query's limit
 _GRID = np.concatenate((np.geomspace(1e-9, 1e9, 97),
                         [np.nextafter(1e-4, 0.0), 1e-4]))
+_GRID_INF = np.append(_GRID, np.inf)
 
 
 def test_every_query_form_matches_one_query_calls():
     queries = _lockstep_batch()
-    values = bound_values(queries, _GRID)
-    assert values.shape == (len(queries), _GRID.size)
+    values = bound_values(queries, _GRID_INF)
+    assert values.shape == (len(queries), _GRID_INF.size)
     for q, row in zip(queries, values):
-        assert np.array_equal(row, bound_values(q, _GRID)), q.describe()
-    square = bound_values(queries[:3], _GRID[:96].reshape(8, 12))
+        assert np.array_equal(row, bound_values(q, _GRID_INF)), q.describe()
+    square = bound_values(queries[:3], _GRID_INF[:96].reshape(8, 12))
     assert square.shape == (3, 8, 12)
     assert np.array_equal(square.reshape(3, 96), values[:3, :96])
 
@@ -604,14 +615,14 @@ def test_every_query_form_matches_a_shuffled_per_point_call():
     # the shared route (each key evaluated once over all points) against
     # the per-point route, on the same (query, point) pairs in random order
     queries = _lockstep_batch()
-    owner = np.repeat(np.arange(len(queries)), _GRID.size)
+    owner = np.repeat(np.arange(len(queries)), _GRID_INF.size)
     order = np.random.default_rng(7).permutation(owner.size)
-    shuffled = bound_values(queries, np.tile(_GRID, len(queries))[order],
+    shuffled = bound_values(queries, np.tile(_GRID_INF, len(queries))[order],
                             owner[order])
     per_point = np.empty_like(shuffled)
     per_point[order] = shuffled
-    assert np.array_equal(per_point.reshape(len(queries), _GRID.size),
-                          bound_values(queries, _GRID))
+    assert np.array_equal(per_point.reshape(len(queries), _GRID_INF.size),
+                          bound_values(queries, _GRID_INF))
 
 
 def test_every_query_form_takes_a_long_w_in_blocks(monkeypatch):
@@ -634,7 +645,7 @@ def test_every_query_form_takes_a_long_w_in_blocks(monkeypatch):
 
 
 def test_table2_row_base_round_evaluates_each_function_once(monkeypatch):
-    # a table2 row's 12 curves share the base grid and its tail probe (513
+    # a table2 row's 12 curves share the base grid and w = inf (513
     # points): there the fine step is evaluated once and the coarse
     # tableau once per k, not each of them once per curve (12 x 513)
     calls, points = [], []
@@ -733,11 +744,11 @@ def test_lockstep_sweep_compiles_each_family_once(monkeypatch):
 def test_compiled_queries_match_the_plain_list():
     queries = _lockstep_batch()
     compiled = bounds._Compiled(queries)
-    assert np.array_equal(bound_values(compiled, _GRID),
-                          bound_values(queries, _GRID))
+    assert np.array_equal(bound_values(compiled, _GRID_INF),
+                          bound_values(queries, _GRID_INF))
     owner = np.random.default_rng(11).integers(len(queries),
-                                                size=4 * _GRID.size)
-    w = np.tile(_GRID, 4)
+                                                size=4 * _GRID_INF.size)
+    w = np.tile(_GRID_INF, 4)
     assert np.array_equal(bound_values(compiled, w, owner),
                           bound_values(queries, w, owner))
 
@@ -747,7 +758,8 @@ def test_compiled_queries_match_the_plain_list():
                          ids=["uniform", "fractions"])
 def test_bound_values_rejects_a_w_whose_k_w_overflows(fine):
     # k * 1e307 overflows at k = 64 (and so does the coarse point of a
-    # propagator whose step fractions differ); w = inf itself reads inf
+    # propagator whose step fractions differ); w = inf itself reads the
+    # limit, 0 for bwe/bwe
     q = BoundQuery(fine, BWE, 64)
     for call in (lambda: spectrum_max(q, [1e307]),
                  lambda: bound_values(q, [1.0, 1e307]),
@@ -755,7 +767,7 @@ def test_bound_values_rejects_a_w_whose_k_w_overflows(fine):
                  lambda: bound_values(bounds._Compiled([q]), [1e307])):
         with pytest.raises(ValueError, match=r"w = 1e\+307 .* k = 64"):
             call()
-    assert bound_values(q, [np.inf, 1e305])[0] == INFINITY
+    assert bound_values(q, [np.inf, 1e305])[0] == 0.0
     assert spectrum_max(BoundQuery(fine, BWE, 64), [1e306]) < INFINITY
 
 
@@ -768,12 +780,104 @@ def test_bound_values_rejects_a_w_whose_horner_sum_overflows():
         bound_values(q, [1e120])
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_lam(tab, w):
+    """lam(w) in 50 digits from P and Q as the limit reads them
+    (ButcherTableau.limit): esdirk32's and trbdf2's rounding residue of an
+    exact 0 would decide their 0 * inf forms at w = 1e30, which the stage
+    form of the float tableau keeps (test_butcher checks P/Q against it)."""
+    with mpmath.workdps(50):
+        P, Q = ([mpmath.mpf(n) / d for n, d in
+                 (c.as_integer_ratio() for c in coef)] for coef in tab.limit)
+        z = mpmath.mpc(w.real, w.imag)
+        return mpmath.polyval(P[::-1], z) / mpmath.polyval(Q[::-1], z)
+
+
+def _mp_bound(lam, mu, k, relax, kind, nc):
+    """The bound from 50-digit lam(w) and mu(w) = lam_c(k*w), by the
+    formula alone: an unstable coarse factor or a vanished denominator
+    reads inf, and |mu| within 1e-40 of 1 reads 1 (the stage form's
+    rounding, where |lam_c| = 1 along the imaginary axis)."""
+    with mpmath.workdps(50):
+        lamk = lam ** k
+        num, amu = abs(mu - lamk), abs(mu)
+        one_minus = 1 - amu
+        if abs(one_minus) <= mpmath.mpf("1e-40"):
+            one_minus = mpmath.mpf(0)
+        extra = 0
+        if kind == "upper_tight" and nc != INFINITY:
+            extra = mpmath.pi ** 2 * amu / (6 * (nc - (relax == "FCF")) ** 2)
+        den = mpmath.sqrt(one_minus ** 2 + extra)
+        if one_minus < 0 or den == 0:
+            return INFINITY
+        phi = num / den * (abs(lamk) if relax == "FCF" else 1)
+        return float(phi)
+
+
 @pytest.mark.parametrize("axis", ["real_positive", "imaginary"])
 @pytest.mark.parametrize("relax", ["F", "FCF"])
-def test_bound_values_reads_inf_at_infinite_w(relax, axis):
-    queries = [query(fine, coarse, 2, relax, axis=axis)
-               for fine in REGISTRY for coarse in REGISTRY]
-    assert np.all(bound_values(queries, [np.inf]) == INFINITY)
+def test_bound_values_reads_the_limit_at_infinite_w(relax, axis):
+    # every registry pair at k = 2, 3, 4, 64 under the simple kind and the
+    # upper bound at Nc = inf and 256: w = inf reads the value a 50-digit
+    # evaluation gives at |w| = 1e30, within 1e-9 relative, or both are at
+    # least 1e6; a limit of 0 meets a value at or below 1e-20 there
+    unit = 1.0 if axis == "real_positive" else 1j
+    kinds = (("simple", INFINITY), ("upper_tight", INFINITY),
+             ("upper_tight", 256.0))
+    cases = [(fine, coarse, k, kind, nc) for fine in REGISTRY
+             for coarse in REGISTRY for k in (2, 3, 4, 64)
+             for kind, nc in kinds]
+    got = bound_values([query(fine, coarse, k, relax, axis=axis,
+                              bound_kind=kind, Nc=nc)
+                        for fine, coarse, k, kind, nc in cases], [np.inf])
+    for (fine, coarse, k, kind, nc), value in zip(cases, got[:, 0]):
+        ref = _mp_bound(_mp_lam(fine, 1e30 * unit),
+                        _mp_lam(coarse, k * 1e30 * unit), k, relax, kind, nc)
+        case = (fine.name, coarse.name, k, kind, nc, value, ref)
+        assert (min(value, ref) >= 1e6 or abs(value - ref) <= 1e-9 * ref
+                or (value == 0.0 and ref <= 1e-20)), case
+
+
+def test_limit_of_the_0_over_0_forms():
+    # on the real axis gauss4's lam(inf) = 1 = mu(inf), and midpoint's
+    # lam^k(inf) = (-1)^k: where that is 1, the limit is the ratio of the
+    # order-1 terms of G and H, k^2 - 1 and (k^2 - 3)/3
+    gauss4 = get_scheme("gauss4")
+    for k in range(2, 65):
+        assert bound_values(query(gauss4, gauss4, k), [np.inf])[0] == \
+            pytest.approx(k * k - 1, rel=1e-12), k
+        fcf = bound_values(query(MIDPOINT, gauss4, k, "FCF"), [np.inf])[0]
+        if k % 2:
+            assert fcf == INFINITY, k
+        else:
+            assert fcf == pytest.approx((k * k - 3) / 3, rel=1e-12), k
+    # along -inf, |mu| approaches 1 from above: the coarse factor is
+    # unstable there
+    assert bound_values(query(gauss4, gauss4, 4), [-np.inf])[0] == INFINITY
+    # on the imaginary axis |mu| = 1 everywhere: H vanishes identically
+    assert bound_values(query(gauss4, gauss4, 4, axis="imaginary"),
+                        [np.inf])[0] == INFINITY
+
+
+@pytest.mark.parametrize("k", [2, 4, 16])
+def test_limit_of_the_0_times_inf_form(k):
+    # one bwe step among gauss4 steps: |lam^k| ~ 1/w while phi_F ~ k w / 12
+    # over a gauss4 coarse factor, so under FCF the limit is k / 12; with
+    # bwe steps only |lam^k| ~ w^-k wins and the limit is 0
+    gauss4 = get_scheme("gauss4")
+    spec = PropagatorSpec(((BWE, 1.0),) + ((gauss4, 1.0),) * (k - 1))
+    limit = bound_values(BoundQuery(spec, gauss4, k, "FCF"), [np.inf])[0]
+    assert limit == pytest.approx(k / 12, rel=1e-12)
+    with mpmath.workdps(50):
+        w = mpmath.mpf(10) ** 30
+        lamk = mp_stage_form(BWE, w) * mp_stage_form(gauss4, w) ** (k - 1)
+        mu = mp_stage_form(gauss4, k * w)
+        ref = abs(lamk) * abs(mu - lamk) / (1 - abs(mu))
+    assert limit == pytest.approx(float(ref), rel=1e-12)
+    assert bound_values(query(BWE, gauss4, k, "FCF"), [np.inf])[0] == 0.0
+    # a finite Nc keeps the denominator from 0: no indeterminate form
+    tight = BoundQuery(spec, gauss4, k, "FCF", Nc=64, bound_kind="upper_tight")
+    assert bound_values(tight, [np.inf])[0] == 0.0
 
 
 @pytest.mark.parametrize("owner", [[0, 1, 1, 0, -1], [0, 1, 1, 0, 2],
@@ -836,10 +940,11 @@ def test_bound_values_round_as_the_direct_formula(axis):
 # --- the array engine against the per-curve generator engine ---------------
 #
 # The reference is the sweep engine as it was before the array engine: one
-# generator per curve that yields each probe round (base grid, every
-# multisection round, the tail probe, every threshold round) and a driver
-# that runs the generators in lockstep.  It is kept here unchanged as an
-# independent route to the same curves.
+# generator per curve that yields each probe round (base grid with w = inf,
+# every multisection round, every threshold round) and a driver that runs
+# the generators in lockstep.  It is kept here as an independent route to
+# the same curves; its summary reads the value at w = inf as the engine
+# does, where it once probed 10 * w_max and applied three tail rules.
 
 def _ref_multisection(w_lo, w_hi, peak):
     x = np.log(np.column_stack((w_lo, w_hi)))
@@ -871,7 +976,8 @@ def _ref_first_crossing(w_lo, w_hi):
 
 def _ref_sweep_rounds(w_min, w_max, n_base):
     grid = np.geomspace(w_min, w_max, n_base)
-    phi = np.asarray((yield grid), dtype=float)
+    values = np.asarray((yield np.append(grid, np.inf)), dtype=float)
+    phi, limit = values[:-1], float(values[-1])
 
     finite = np.where(np.isfinite(phi), phi, -np.inf)
     pad = np.concatenate(([-np.inf], finite, [-np.inf]))
@@ -892,30 +998,19 @@ def _ref_sweep_rounds(w_min, w_max, n_base):
         w_all, phi_all = w_all[order], np.concatenate((phi, probe_phi))[order]
     arr = np.column_stack((w_all, phi_all))
 
-    unbounded = bool(np.any(~np.isfinite(phi_all)) or np.any(phi_all > 1e6))
-    end_increasing = phi[-1] >= phi[-2] and np.isfinite(phi[-1])
-    tail = float((yield np.asarray([10.0 * w_max]))[0])
+    unbounded = bool(np.any(~np.isfinite(phi_all)) or np.any(phi_all > 1e6)
+                     or not math.isfinite(limit) or limit > 1e6)
     max_phi = float(np.max(np.where(np.isfinite(phi_all), phi_all, np.inf)))
-    argmax_at_inf = False
-    if unbounded or not math.isfinite(tail) or tail > 1e6:
+    if unbounded:
         max_phi = INFINITY
-        argmax_at_inf = not unbounded
-    elif (end_increasing and tail > 1.01 * phi[-1]
-          and phi[-1] >= 0.5 * max_phi):
-        max_phi = INFINITY
-        argmax_at_inf = True
-    elif max_phi > 0 and tail >= max_phi * (1.0 - 1e-6):
-        max_phi = max(max_phi, float(tail))
-        argmax_at_inf = True
-
-    if argmax_at_inf:
-        argmax_w = INFINITY
-    elif math.isinf(max_phi):
         bad = np.where(~np.isfinite(phi_all) | (phi_all > 1e6))[0]
         end_bad = (not math.isfinite(phi[-1]) or phi[-1] > 1e6
-                   or not math.isfinite(tail) or tail > 1e6)
+                   or not math.isfinite(limit) or limit > 1e6)
         argmax_w = INFINITY if (end_bad or not len(bad)) \
             else float(w_all[bad[0]])
+    elif limit >= max_phi * (1.0 - 1e-6):
+        max_phi = max(max_phi, limit)
+        argmax_w = INFINITY
     else:
         near = np.append(phi_all >= max_phi * (1.0 - 1e-6), False)
         first = int(np.argmax(near))
@@ -924,8 +1019,7 @@ def _ref_sweep_rounds(w_min, w_max, n_base):
 
     over = np.where(~(phi_all < 1.0))[0]
     if len(over) == 0:
-        threshold = INFINITY if not tail >= 1.0 else \
-            (yield from _ref_first_crossing(w_max, 10.0 * w_max))
+        threshold = w_max if limit > 1.0 else INFINITY
     elif over[0] == 0:
         threshold = 0.0
     else:
@@ -1022,8 +1116,8 @@ def test_array_engine_matches_reference_on_one_curve(name):
 
 def test_array_engine_matches_reference_on_a_mixed_list():
     # curves without a peak candidate, with 64 candidates, and with
-    # crossing brackets that finish in different rounds: one between base
-    # samples, one between peak probes and one past the window
+    # crossings found in different rounds: one between base samples, one
+    # between peak probes and one past the window, read from w = inf
     funs = {
         "nowhere finite": lambda w: np.full(w.shape, np.inf),
         "nan everywhere": lambda w: np.full(w.shape, np.nan),

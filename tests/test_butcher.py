@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pintlab import butcher
 from pintlab.bounds import BoundQuery, PropagatorSpec, bound_values
@@ -89,6 +91,74 @@ def test_mpmath_reference_cross_check():
                 ref = complex(mp_stage_form(tab, complex(w)))
                 assert abs(lam - ref) <= 1e-14 * max(1.0, abs(ref)), \
                     (tab.name, w, lam, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(REGISTRY.names()),
+       log_w=st.floats(-8.0, 8.0),
+       unit=st.sampled_from([1.0, 1j, -1j]))
+def test_rational_form_matches_the_stage_form(name, log_w, unit):
+    # P/Q by Horner against lam(w) = 1 - w b^T (I + wA)^{-1} 1 in 50 digits,
+    # at random w on the real positive and the imaginary axis
+    tab = get_scheme(name)
+    w = 10.0 ** log_w * unit
+    ref = complex(mp_stage_form(tab, complex(w)))
+    assert abs(stability_eval(tab, w) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+def test_infinite_w_reads_lam_inf(dtype):
+    # every direction of |w| = inf reads lam(inf), with no pole, nan or
+    # warning: 0 for L-stable schemes, -1 for midpoint and trapezoid, the
+    # ratio of the leading coefficients otherwise, inf for explicit ones
+    w = np.array([np.inf, -np.inf, complex(0, np.inf), complex(0, -np.inf),
+                  0.5])
+    expected = {"bwe": 0.0, "midpoint": -1.0, "trapezoid": -1.0,
+                "gauss4": 1.0, "fwe": math.inf, "erk4": math.inf}
+    for tab in REGISTRY:
+        with np.errstate(all="raise"):
+            got = stability_eval_batch(tab, w, dtype=dtype)
+        assert np.all(got[:4] == tab.lam_inf), tab.name
+        assert got[4] == stability_eval_batch(tab, [0.5], dtype=dtype)[0]
+        assert (tab.lam_inf == 0.0) == (tab.stability_class == "L_stable")
+        if tab.name in expected:
+            assert tab.lam_inf == expected[tab.name], tab.name
+    P, Q = get_scheme("sdirk34").limit
+    assert get_scheme("sdirk34").lam_inf == float(P[-1] / Q[-1]) != 0.0
+    real = stability_eval_batch(get_scheme("sdirk33"), [np.inf, 1.0],
+                                dtype=np.longdouble)
+    assert real.dtype == np.longdouble and real[0] == 0.0
+
+
+def test_limit_trims_exact_zeros_only():
+    # trapezoid's and the ESDIRKs' Q has an exact-zero leading
+    # coefficient, trimmed for the limit; P and Q themselves keep it
+    for name in ("trapezoid", "esdirk32", "esdirk33", "trbdf2"):
+        tab = get_scheme(name)
+        assert tab.Q[-1] == 0 and len(tab.Q) == tab.s + 1
+        assert len(tab.limit[1]) == tab.s
+    assert get_scheme("trapezoid").lam_inf == -1.0
+    # a coefficient above 16 units of roundoff of its polynomial's largest
+    # is no residue: a one-stage scheme with b = a - 4e-14 keeps it
+    tab = ButcherTableau("near-bwe", [[1.0]], [1.0 - 4e-14], [1.0], 1,
+                         "A_stable")
+    assert not tab.stiffly_accurate
+    assert tab.lam_inf == pytest.approx(4e-14, rel=1e-3)
+
+
+@pytest.mark.parametrize("name, residue", [("esdirk32", 0.37),
+                                           ("trbdf2", 0.22)])
+def test_limit_reads_a_rounding_residue_as_zero(name, residue):
+    # the w^2 coefficient of P is an exact 0 of the scheme left as a
+    # fraction of one unit of roundoff: read as 0, lam(inf) is 0 and not
+    # the 9.5e-16 or 5.7e-16 its ratio gives; finite w keeps it
+    tab = get_scheme(name)
+    P, Q = tab.P, tab.Q
+    units = abs(P[2]) / (np.finfo(float).eps * np.max(np.abs(P)))
+    assert units == pytest.approx(residue, abs=0.01)
+    assert abs(float(P[2] / Q[2])) > 5e-16
+    assert len(tab.limit[0]) == 2 and tab.lam_inf == 0.0
+    assert stability_eval(tab, 1e150) == pytest.approx(float(P[2] / Q[2]))
 
 
 def test_stiffly_accurate_numerator_degree():

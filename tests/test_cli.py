@@ -231,6 +231,10 @@ def test_gauss4_cap_matches_dense_reference(monkeypatch, capsys):
     kset = (2, 4, 8, 16)
     cap = cli._gauss4_capped_max(kset)
     assert abs(cap - 0.2984) <= 1e-3
+    # z_max is the smallest positive root of the gauss4/bwe gap polynomial
+    out = capsys.readouterr().out
+    for k, z_max in zip(kset, ("8.309", "12.25", "19.07", "30.93")):
+        assert f"gauss4 k={k}: z_max ~ {z_max}," in out
     assert abs(cap - max(_gauss4_dense_cap(k) for k in kset)) <= 1e-3
     # the cutoff rule does not depend on where the sweep's samples land
     monkeypatch.setattr(cli, "sweep",
@@ -551,13 +555,16 @@ def test_bounds_bad_flag_exits_2(argv, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
+    # the coarse tableau reads k * w_max, the farthest point of a sweep
     (["bounds", "--fine", "bwe", "--coarse", "bwe", "--wmin", "1e300",
       "--wmax", "1.7e308"],
-     "w_max too large: the tail probe reads 20 * w_max, which overflows"),
+     "w = 1.7e+308 is too large: k*w overflows at k = 2"),
     (["simulate", "--fine", "bwe", "--coarse", "bwe", "--ximax", "1e308",
       "--ht", "2"], FACTORS_NOT_FINITE),
+    # sdirk33's Horner sum overflows from |w| = 1.29e103 on: only the
+    # coarse point k * w_max gets there
     (["bounds", "--fine", "sdirk33", "--coarse", "sdirk33", "--k", "2",
-      "--wmax", "1e102"],
+      "--wmax", "1e103"],
      "sdirk33: |w| = 2e+103 is too large: the Horner sum of Q(w) overflows"),
     (["bounds", "--fine", "trbdf2:1e-320", "--coarse", "bwe"],
      "trbdf2:1e-320: tableau coefficients must be finite"),

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,7 +26,8 @@ ERK4 = get_scheme("erk4")
 def fine_power(tab, k):
     """Coefficients of lam^k = P(kw) - p(w) through degree s."""
     l = np.arange(tab.s + 1)
-    return tab.P.astype(float) * float(k) ** l - gap_polynomial(tab, k)[l]
+    return (tab.P.astype(float) * float(k) ** l
+            - gap_polynomial(tab, tab, k)[l])
 
 
 def test_single_step_polynomials_are_truncated_exponentials():
@@ -44,13 +46,13 @@ def test_taylor_optimality_rejects_implicit():
 
 def test_phi_k_fwe_squared():
     # (1 - 2w) - (1 - w)^2 = -w^2, exactly
-    assert list(gap_polynomial(FWE, 2)) == [0.0, 0.0, -1.0]
+    assert list(gap_polynomial(FWE, FWE, 2)) == [0.0, 0.0, -1.0]
     assert list(fine_power(FWE, 2)) == [1.0, -2.0]
 
 
 def test_phi_k_erk2_low_order():
     # (1 - 2w + 2w^2) - (1 - w + w^2/2)^2 = w^3 - w^4/4
-    assert list(gap_polynomial(ERK2, 2)) == [0.0, 0.0, 0.0, 1.0, -0.25]
+    assert list(gap_polynomial(ERK2, ERK2, 2)) == [0.0, 0.0, 0.0, 1.0, -0.25]
     assert fine_power(ERK2, 2) == pytest.approx([1.0, -2.0, 2.0])
 
 
@@ -66,23 +68,27 @@ def test_phi_k_erk3_cubed():
 def test_phi_k_degree():
     for tab, k in [(ERK2, 5), (ERK4, 3)] + [(t, 16) for t in
                                             (FWE, ERK2, ERK3, ERK4)]:
-        assert len(gap_polynomial(tab, k)) - 1 == tab.s * k
+        assert len(gap_polynomial(tab, tab, k)) - 1 == tab.s * k
 
 
 @pytest.mark.parametrize("name", scheme_names())
 def test_gap_polynomial_matches_mp_reference(name):
-    # oracle: (mu - lam^k) Q(w)^k Q(kw) from the 50-digit stage form and a
-    # 50-digit det(I + wA), for implicit schemes too
+    # oracle: (mu - lam^k) Q(w)^k Q_c(kw) from the 50-digit stage form and
+    # a 50-digit det(I + wA), for implicit schemes too, with the scheme as
+    # its own coarse tableau and with gauss4 as the coarse one
     tab = get_scheme(name)
-    for k in range(2, 9):
-        p = gap_polynomial(tab, k)
+    for coarse, k in itertools.product((tab, get_scheme("gauss4")),
+                                       range(2, 9)):
+        p = gap_polynomial(tab, coarse, k)
         for w in (0.3 + 0.4j, -1.1 + 0.7j, 1.9j, -1.5 - 1.2j, 2.0):
             with mpmath.workdps(50):
                 kw = k * mpmath.mpc(w)
-                ref = ((mp_stage_form(tab, kw) - mp_stage_form(tab, w) ** k)
-                       * mp_det_q(tab, w) ** k * mp_det_q(tab, kw))
+                ref = ((mp_stage_form(coarse, kw)
+                        - mp_stage_form(tab, w) ** k)
+                       * mp_det_q(tab, w) ** k * mp_det_q(coarse, kw))
             err = abs(poly.polyval(w, p) - complex(ref))
-            assert err <= 1e-12 * poly.polyval(abs(w), np.abs(p)), (k, w)
+            assert err <= 1e-12 * poly.polyval(abs(w), np.abs(p)), \
+                (coarse.name, k, w)
 
 
 def test_taylor_optimality_examples():
@@ -158,7 +164,7 @@ def test_erk_family_no_doubly_stable_roots():
 
 def test_roots_satisfy_polynomial():
     for tab, k in [(ERK2, 4), (ERK3, 3), (ERK4, 2)]:
-        p = gap_polynomial(tab, k)
+        p = gap_polynomial(tab, tab, k)
         scale = np.max(np.abs(p))
         for rec in singularity_roots(tab, k, 1e6):
             val = poly.polyval(rec.w, p)
@@ -193,7 +199,7 @@ def _mp_gap_roots(tab, k):
         # highest degree first, origin factor divided out
         q = [mpmath.mpf(c.numerator) / c.denominator for c in p[:tab.s:-1]]
         roots = []
-        for r in np.roots(gap_polynomial(tab, k)[tab.s + 1:][::-1]):
+        for r in np.roots(gap_polynomial(tab, tab, k)[tab.s + 1:][::-1]):
             z = mpmath.mpc(complex(r))
             for _ in range(60):
                 f, df = mpmath.polyval(q, z, derivative=True)
@@ -227,7 +233,7 @@ def test_newton_step_equals_per_root_scalar_loop(tab):
     # oracle: one Newton step per root on numpy scalars, the loop the array
     # step replaces; the same arithmetic, so the same bits
     for k in range(2, 41):
-        p = gap_polynomial(tab, k)
+        p = gap_polynomial(tab, tab, k)
         dp = poly.polyder(p)
         roots = np.roots(p[tab.s + 1:][::-1])
         expected = []
@@ -340,7 +346,7 @@ def test_singularity_roots_rejects_an_overflowing_gap_polynomial(tab, k):
     # P(w)^k's coefficients overflow double precision from these k on; the
     # roots of what is left would be the origin alone, with a multiplicity
     # above the polynomial's degree (2,001 for erk2 at k = 1000)
-    assert np.isfinite(gap_polynomial(tab, k - 1)).all()
+    assert np.isfinite(gap_polynomial(tab, tab, k - 1)).all()
     for kk in (k, 1000):
         with pytest.raises(ValueError, match=f"^{tab.name} at k = {kk}: "):
             singularity_roots(tab, kk, 100.0)

@@ -425,9 +425,9 @@ def test_empty_theta_schedule_is_rejected():
                          ids=["fine", "coarse", "coarsest"])
 def test_engine_rejects_an_overflowing_dt_xi(h_t, k, levels):
     # xi = 6e307 overflows on a fine step of 4, on a coarse step of 4, and
-    # on the coarsest step of 4 only: at an infinite dt * xi the stability
-    # function reads as a pole, which the engine reports as a factor that
-    # is not finite
+    # on the coarsest step of 4 only: an infinite dt * xi from finite ones
+    # is rejected before the stability function, which would read lam(inf)
+    # there, and the engine reports it as a factor that is not finite
     hier = TimeHierarchy(16, h_t, k, levels, BWE, BWE)
     run = MgritRun(hier, ModelProblem(np.array([1.0, 6e307])), "F")
     with pytest.raises(ValueError, match=NOT_FINITE):
