@@ -412,8 +412,7 @@ class _Compiled:
     it in place of the sequence: the queries grouped into families, one
     _Batch per family with the rows of its queries, each query's family
     and index within it, and the largest k.  k*w is the largest point an
-    evaluation reads: step fractions are positive and sum to k.  Each
-    query's bound at w = inf is computed on first use (`limit`)."""
+    evaluation reads: step fractions are positive and sum to k."""
 
     def __init__(self, queries):
         self.queries = tuple(queries)
@@ -428,16 +427,6 @@ class _Compiled:
         for f, (_, rows) in enumerate(self.batches):
             self.family[rows], self.local[rows] = f, np.arange(len(rows))
         self.reach = max((x.k for x in self.queries), default=1)
-        self._limits = {}
-
-    def limit(self, sign):
-        """Every query's bound at w = sign * inf on its axis (_limit)."""
-        if sign not in self._limits:
-            out = np.empty(len(self.queries))
-            for b, rows in self.batches:
-                out[rows] = _limit(b, sign)
-            self._limits[sign] = out
-        return self._limits[sign]
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -464,7 +453,8 @@ def bound_values(q, w, owner=None):
 
     Unstable and unbounded samples come back as inf, also where an explicit
     scheme overflows far outside its stability region.  w = inf reads the
-    bound's exact limit (_limit), computed once per compiled sequence.
+    bound's exact limit (_limit), computed per family on each call that
+    asks for it; a sweep asks once, in its base call.
     A finite w whose k*w overflows, at the largest k of the queries,
     raises a ValueError naming w and k, and so does a w where a Horner sum
     overflows (`stability_eval_batch`).  PoleError still propagates since
@@ -510,7 +500,9 @@ def bound_values(q, w, owner=None):
     for sign in (1.0, -1.0) if some_inf else ():
         sel = w == sign * INFINITY
         if sel.any():
-            limit = c.limit(sign)
+            limit = np.empty(n)
+            for b, rows in c.batches:
+                limit[rows] = _limit(b, sign)
             if owner is None:
                 out[:, sel] = limit[:, None]
             else:
@@ -547,8 +539,10 @@ def _bound_grid(b, w, rows, out):
 class BoundCurve:
     """Sampled bound curve with max / argmax / convergence-threshold summary.
 
-    max_phi == INFINITY marks a genuinely unbounded curve; a finite
-    max with argmax_w == INFINITY marks a supremum approached as
+    max_phi == INFINITY marks a genuinely unbounded curve, whose argmax_w
+    is INFINITY when its limit at w = inf is unbounded too and otherwise
+    its first unbounded sample (not finite, or above 1e6); a finite max
+    with argmax_w == INFINITY marks a supremum approached as
     w -> infinity, the bound's exact limit there.  threshold is the
     largest w-hat with phi < 1 for all w < w-hat (INFINITY when the curve
     stays below 1, also at w = inf, 0.0 when it starts at or above 1, and
@@ -589,12 +583,12 @@ _CROSSING_TOL = 1e-13
 def _multisection(w_lo, w_hi, owner, n, peak, evaluate):
     """Shrink the log-w brackets [w_lo[i], w_hi[i]] of curves owner[i] < n
     by multisection: each round is one call evaluate(w, owner) over
-    _SECTIONS log-spaced interior points of every bracket of every curve
-    whose widest bracket is still above the tolerance.  A peak bracket
-    keeps the two intervals around its best sample; a crossing bracket,
-    with phi(w_lo) < 1 <= phi(w_hi), keeps the interval that ends at its
-    first sample not below 1.  Returns the final log-w brackets, shape
-    (m, 2), and per curve the probed w and values in probe order.
+    _SECTIONS log-spaced interior points of every bracket whose own
+    log-width is still above the tolerance.  A peak bracket keeps the two
+    intervals around its best sample; a crossing bracket, with
+    phi(w_lo) < 1 <= phi(w_hi), keeps the interval that ends at its first
+    sample not below 1.  Returns the final log-w brackets, shape (m, 2),
+    and per curve the probed w and values in probe order.
     """
     x = np.log(np.column_stack((w_lo, w_hi)))
     owner = np.asarray(owner, dtype=np.intp)
@@ -602,9 +596,7 @@ def _multisection(w_lo, w_hi, owner, n, peak, evaluate):
     frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
     probes = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))]
     while True:
-        widest = np.full(n, -np.inf)
-        np.maximum.at(widest, owner, x[:, 1] - x[:, 0])
-        act = np.flatnonzero(widest[owner] > tol)
+        act = np.flatnonzero(x[:, 1] - x[:, 0] > tol)
         if not act.size:
             break
         lo, hi = x[act, :1], x[act, 1:]
@@ -663,7 +655,9 @@ def _summarize(grid, phi, limit, probe_w, probe_v, w_max):
     """One curve's [samples, max_phi, argmax_w, threshold] from its base
     pass phi, its value `limit` at w = inf and its peak probes, where the
     threshold may still be the (w_lo, w_hi) bracket of its first
-    up-crossing of 1.  argmax_w is inf where the limit reaches the
+    up-crossing of 1.  An unbounded curve's argmax_w is inf where the
+    limit is unbounded, and otherwise its first sample that is not finite
+    or is above 1e6.  A bounded curve's is inf where the limit reaches the
     samples' max within 1e-6, and otherwise the best sample of the first
     run of samples within 1e-6 of the max, so equal humps report the
     first one and a plateau its first sample."""
@@ -674,12 +668,8 @@ def _summarize(grid, phi, limit, probe_w, probe_v, w_max):
     bad = np.flatnonzero(~np.isfinite(phi_all) | (phi_all > 1e6))
     limit_bad = not math.isfinite(limit) or limit > 1e6
     if bad.size or limit_bad:
-        # unbounded: where it blew up, unless it is still unbounded at the
-        # window edge or at w = inf (supremum at w -> infinity)
-        end_bad = limit_bad or not math.isfinite(phi[-1]) or phi[-1] > 1e6
         max_phi = INFINITY
-        argmax_w = (INFINITY if end_bad or not bad.size
-                    else float(w_all[bad[0]]))
+        argmax_w = INFINITY if limit_bad else float(w_all[bad[0]])
     elif limit >= (max_phi := float(np.max(phi_all))) * (1.0 - 1e-6):
         max_phi, argmax_w = max(max_phi, limit), INFINITY
     else:
@@ -701,21 +691,23 @@ def _summarize(grid, phi, limit, probe_w, probe_v, w_max):
     return [np.column_stack((w_all, phi_all)), max_phi, argmax_w, threshold]
 
 
-def _sweep_many(n, evaluate, w_min, w_max, n_base):
+def _sweep_many(evaluate, w_min, w_max, n_base):
     """The sweep engine: n curves on one log-spaced window, where
     evaluate(w, owner) gives curve owner[i]'s values at w[i] (inf allowed)
     and evaluate(w, None) every curve's values at every w, shape
-    (n, w.size); w = inf asks for each curve's value at infinity.
+    (n, w.size), or shape w.shape for one curve; w = inf asks for each
+    curve's value at infinity.
 
     One evaluate(w, None) call covers the base grid and w = inf, which
-    every curve shares.  One call per round then refines every curve's
-    peak candidates by multisection; max and argmax are decided curve by
-    curve, the value at infinity compared once with the samples; and one
-    call per round narrows every curve's threshold bracket.  Each curve
-    gets the rounds, probes and bits it gets alone.  Whatever evaluate
-    builds from its curves' definitions belongs outside it, built once per
-    sweep: sweep passes its queries compiled once (_Compiled), not once
-    per round.
+    every curve shares, and its result gives n.  One call per round then
+    refines every curve's peak candidates by multisection, each bracket
+    until its own log-width is within the tolerance; max and argmax are
+    decided curve by curve, the value at infinity compared once with the
+    samples; and one call per round narrows every curve's threshold
+    bracket.  Each curve gets the rounds, probes and bits it gets alone.
+    Whatever evaluate builds from its curves' definitions belongs outside
+    it, built once per sweep: sweep passes its queries compiled once
+    (_Compiled), not once per round.
     Returns one (samples, max_phi, argmax_w, threshold) per curve.
     """
     if not (0.0 < w_min < w_max < INFINITY):
@@ -724,7 +716,8 @@ def _sweep_many(n, evaluate, w_min, w_max, n_base):
         raise ValueError("n_base must be >= 64")
     grid = _base_grid(w_min, w_max, n_base)
     values = np.asarray(evaluate(np.append(grid, INFINITY), None),
-                        dtype=float).reshape(n, n_base + 1)
+                        dtype=float).reshape(-1, n_base + 1)
+    n = len(values)
     _, probe_w, probe_v = _multisection(*_peak_brackets(grid, values[:, :-1]),
                                         n, True, evaluate)
     results = [_summarize(grid, values[c, :-1], float(values[c, -1]),
@@ -743,7 +736,7 @@ def sweep_function(fun, w_min: float, w_max: float, n_base: int = 512):
     to values (inf allowed), once per probe round (see _sweep_many); its
     first array ends with w = inf, where `fun` gives the curve's value at
     infinity.  Returns (samples, max_phi, argmax_w, threshold)."""
-    return _sweep_many(1, lambda w, owner: fun(w), w_min, w_max, n_base)[0]
+    return _sweep_many(lambda w, owner: fun(w), w_min, w_max, n_base)[0]
 
 
 def sweep(q, w_min: float = 1e-8, w_max: float = 1e8, n_base: int = 512):
@@ -759,8 +752,7 @@ def sweep(q, w_min: float = 1e-8, w_max: float = 1e8, n_base: int = 512):
     """
     single = isinstance(q, BoundQuery)
     c = _Compiled((q,) if single else q)
-    results = _sweep_many(len(c.queries),
-                          lambda w, owner: bound_values(c, w, owner),
+    results = _sweep_many(lambda w, owner: bound_values(c, w, owner),
                           w_min, w_max, n_base)
     curves = [BoundCurve(x, *r) for x, r in zip(c.queries, results)]
     return curves[0] if single else curves

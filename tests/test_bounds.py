@@ -341,36 +341,46 @@ def test_sweep_samples_sorted_and_nonnegative():
     assert np.all(phi >= 0)
 
 
+# the default window, and one whose base grid is coarser and which ends
+# where many curves are still far from their limits
+_WINDOWS = ((1e-8, 1e8, 512), (1e-4, 1e4, 100))
+
+
 @pytest.mark.parametrize("name", REGISTRY.names())
 def test_sweep_matches_dense_reference(name):
-    # the sweep's 512 samples plus refinement must agree with a 2^16-point
-    # grid on the same window: max, unbounded flag and threshold
+    # the sweep's base samples plus refinement must agree with a
+    # 2^16-point grid on the same window and the value at w = inf, which
+    # the sweep's max takes in: max, unbounded flag and threshold
     tab = get_scheme(name)
-    w = np.geomspace(1e-8, 1e8, 2 ** 16)
-    for k in K_VALUES:
-        for relax in ("F", "FCF"):
-            q = query(tab, tab, k, relax)
-            curve = sweep(q)
-            dense = bound_values(q, w)
-            case = (name, k, relax)
-            dense_unbounded = bool(np.any(~(dense <= 1e6)))
-            if curve.unbounded:
-                assert dense_unbounded or curve.argmax_w == INFINITY, case
-            else:
-                assert not dense_unbounded, case
-                top = float(np.max(dense))
-                assert top - 1e-9 <= curve.max_phi, (case, curve.max_phi, top)
-                assert curve.max_phi <= top + max(0.005, 1e-4 * top), \
-                    (case, curve.max_phi, top)
-            over = np.flatnonzero(~(dense < 1.0))
-            if over.size == 0:
-                assert curve.threshold > w[-1], case
-            elif over[0] == 0:
-                assert curve.threshold == 0.0, case
-            else:
-                first = w[over[0]]
-                assert abs(curve.threshold - first) <= 1e-3 * first, \
-                    (case, curve.threshold, first)
+    for w_min, w_max, n_base in _WINDOWS:
+        w = np.geomspace(w_min, w_max, 2 ** 16)
+        for k in K_VALUES:
+            for relax in ("F", "FCF"):
+                q = query(tab, tab, k, relax)
+                curve = sweep(q, w_min, w_max, n_base)
+                values = bound_values(q, np.append(w, INFINITY))
+                dense, limit = values[:-1], values[-1]
+                case = (name, k, relax, w_min, w_max)
+                dense_unbounded = bool(np.any(~(dense <= 1e6)))
+                if curve.unbounded:
+                    assert dense_unbounded or curve.argmax_w == INFINITY, \
+                        case
+                else:
+                    assert not dense_unbounded, case
+                    top = max(float(np.max(dense)), limit)
+                    assert top - 1e-9 <= curve.max_phi, \
+                        (case, curve.max_phi, top)
+                    assert curve.max_phi <= top + max(0.005, 1e-4 * top), \
+                        (case, curve.max_phi, top)
+                over = np.flatnonzero(~(dense < 1.0))
+                if over.size == 0:
+                    assert curve.threshold > w[-1], case
+                elif over[0] == 0:
+                    assert curve.threshold == 0.0, case
+                else:
+                    first = w[over[0]]
+                    assert abs(curve.threshold - first) <= 1e-3 * first, \
+                        (case, curve.threshold, first)
 
 
 def _humps(w, n, height):
@@ -838,6 +848,22 @@ def test_bound_values_reads_the_limit_at_infinite_w(relax, axis):
                 or (value == 0.0 and ref <= 1e-20)), case
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "on the real axis a simple-kind denominator 1 - |mu| below _DEN_EPS "
+    "= 1e-13 reads as vanished: bwe/gauss4 FCF at k = 2 reads 1.7e-14 at "
+    "w = 1e13 but inf at 1e14 and 1e20, where its limit at w = inf is 0; "
+    "at k = 64 it reads inf from w = 1e13 on"))
+def test_fcf_bound_over_gauss4_stays_finite_past_w_1e13():
+    # |lam^k| ~ w^-k against phi_F ~ w: the bound falls towards its limit 0
+    gauss4 = get_scheme("gauss4")
+    for fine in (BWE, get_scheme("esdirk32")):
+        for k in (2, 64):
+            v = bound_values(query(fine, gauss4, k, "FCF"), [1e13, 1e14, 1e20])
+            case = (fine.name, k, v)
+            assert np.all(np.isfinite(v)), case
+            assert np.all(v[1:] <= v[0]), case
+
+
 def test_limit_of_the_0_over_0_forms():
     # on the real axis gauss4's lam(inf) = 1 = mu(inf), and midpoint's
     # lam^k(inf) = (-1)^k: where that is 1, the limit is the ratio of the
@@ -944,28 +970,28 @@ def test_bound_values_round_as_the_direct_formula(axis):
 # every multisection round, every threshold round) and a driver that runs
 # the generators in lockstep.  It is kept here as an independent route to
 # the same curves; its summary reads the value at w = inf as the engine
-# does, where it once probed 10 * w_max and applied three tail rules.
+# does, where it once probed 10 * w_max and applied three tail rules, and
+# each of its brackets stops on its own width.
 
 def _ref_multisection(w_lo, w_hi, peak):
     x = np.log(np.column_stack((w_lo, w_hi)))
     tol = _PEAK_TOL if peak else _CROSSING_TOL
     frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
-    rows = np.arange(len(x))[:, None]
-    edge = np.ones((len(x), 1), dtype=bool)
     probes_w, probes_v = [np.empty(0)], [np.empty(0)]
-    while np.max(x[:, 1] - x[:, 0]) > tol:
-        lo, hi = x[:, :1], x[:, 1:]
-        x = np.concatenate((lo, lo + (hi - lo) * frac, hi), axis=1)
-        w = np.exp(x[:, 1:-1])
+    while np.any(live := x[:, 1] - x[:, 0] > tol):
+        lo, hi = x[live, :1], x[live, 1:]
+        xs = np.concatenate((lo, lo + (hi - lo) * frac, hi), axis=1)
+        w = np.exp(xs[:, 1:-1])
         v = np.asarray((yield w.ravel()), dtype=float).reshape(w.shape)
         probes_w.append(w.ravel())
         probes_v.append(v.ravel())
         if peak:
             j = np.argmax(v, axis=1)[:, None] + (0, 2)
         else:
+            edge = np.ones((len(v), 1), dtype=bool)
             j = np.argmin(np.hstack((edge, v < 1.0, ~edge)), axis=1)
             j = j[:, None] + (-1, 0)
-        x = x[rows, j]
+        x[live] = xs[np.arange(len(xs))[:, None], j]
     return x, np.concatenate(probes_w), np.concatenate(probes_v)
 
 
@@ -1004,9 +1030,7 @@ def _ref_sweep_rounds(w_min, w_max, n_base):
     if unbounded:
         max_phi = INFINITY
         bad = np.where(~np.isfinite(phi_all) | (phi_all > 1e6))[0]
-        end_bad = (not math.isfinite(phi[-1]) or phi[-1] > 1e6
-                   or not math.isfinite(limit) or limit > 1e6)
-        argmax_w = INFINITY if (end_bad or not len(bad)) \
+        argmax_w = INFINITY if not math.isfinite(limit) or limit > 1e6 \
             else float(w_all[bad[0]])
     elif limit >= max_phi * (1.0 - 1e-6):
         max_phi = max(max_phi, limit)
@@ -1078,12 +1102,15 @@ def _by_owner(funs):
 
 def test_array_engine_matches_reference_on_lockstep_batch():
     queries = _lockstep_batch()
-    curves = sweep(queries)
-    ref = _ref_sweeps(len(queries),
-                      lambda w, owner: bound_values(queries, w, owner))
-    _assert_same_sweeps(
-        [(c.samples, c.max_phi, c.argmax_w, c.threshold) for c in curves],
-        ref, [q.describe() for q in queries])
+    for window in _WINDOWS:
+        curves = sweep(queries, *window)
+        ref = _ref_sweeps(len(queries),
+                          lambda w, owner: bound_values(queries, w, owner),
+                          *window)
+        _assert_same_sweeps(
+            [(c.samples, c.max_phi, c.argmax_w, c.threshold)
+             for c in curves],
+            ref, [(q.describe(), window) for q in queries])
 
 
 _SYNTHETIC = {
@@ -1136,7 +1163,7 @@ def test_array_engine_matches_reference_on_a_mixed_list():
                       else np.bincount(owner, minlength=len(funs)) > 0)
         return evaluate(w, owner)
 
-    got = _sweep_many(len(funs), counted, 1e-8, 1e8, 512)
+    got = _sweep_many(counted, 1e-8, 1e8, 512)
     ref = _ref_sweeps(len(funs), evaluate)
     _assert_same_sweeps(got, ref, list(funs))
     calls = dict(zip(funs, np.sum(rounds, axis=0)))

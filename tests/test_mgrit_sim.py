@@ -1271,6 +1271,55 @@ def test_probed_propagator_equals_closed_form_property(fine, coarse, k, nc,
         assert np.max(np.abs(E - T)) <= 1e-13
 
 
+# the stable schemes the matrix path runs: lower-triangular A
+_DIRK = [name for name in _STABLE
+         if not np.any(np.triu(get_scheme(name).A, 1))]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(fine=st.sampled_from(_DIRK), coarse=st.sampled_from(_DIRK),
+       M=st.integers(2, 12), k=st.integers(2, 16), nc=st.integers(2, 12),
+       log_ht=st.floats(-4.0, 0.0), relax_kind=st.sampled_from(["F", "FCF"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_diagonal_and_matrix_histories_agree_property(fine, coarse, M, k, nc,
+                                                      log_ht, relax_kind,
+                                                      seed):
+    problem = make_fd_diffusion(M)
+    _, V = np.linalg.eigh(problem.matrix)
+    hier = TimeHierarchy(nc * k, 10.0 ** log_ht, k, 2, get_scheme(fine),
+                         get_scheme(coarse))
+    u0_phys = np.random.default_rng(seed).standard_normal((nc * k + 1, M))
+    hist_mat, _ = iterate(MgritRun(hier, problem, relax_kind, path="matrix"),
+                          u0=u0_phys)
+    hist_diag, _ = iterate(MgritRun(hier, problem, relax_kind,
+                                    path="diagonal"), u0=u0_phys @ V)
+    assert len(hist_mat) == len(hist_diag)
+    for a, b in zip(hist_mat, hist_diag):
+        assert a == pytest.approx(b, rel=1e-9)
+
+
+# Nc stops at 12: with |mu(inf)| = 1 (midpoint, trapezoid, gauss4 coarse)
+# the residual grows for a while before it vanishes, about 2.5e3-fold at
+# Nc = 12 but past iterate's 1e6 divergence stop from Nc of about 27 on
+@settings(max_examples=200, deadline=None, database=None)
+@given(fine=st.sampled_from(_STABLE), coarse=st.sampled_from(_STABLE),
+       k=st.integers(2, 16), nc=st.integers(2, 12),
+       relax_kind=st.sampled_from(["F", "FCF"]),
+       log_xi=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+       seed=st.integers(0, 1000))
+def test_exactness_in_nc_or_half_nc_iterations_property(fine, coarse, k, nc,
+                                                        relax_kind, log_xi,
+                                                        seed):
+    # iterate stops early only where the residual is exactly 0
+    iters = nc if relax_kind == "F" else math.ceil(nc / 2)
+    hier = TimeHierarchy(nc * k, 1.0, k, 2, get_scheme(fine),
+                         get_scheme(coarse))
+    run = MgritRun(hier, ModelProblem(10.0 ** np.asarray(log_xi)),
+                   relax_kind, seed=seed, tol=0.0, max_iters=iters)
+    history, _ = iterate(run)
+    assert history[-1] <= 1e-10 * history[0], history
+
+
 def _sandwich(nc, relax_kind, w, k=2):
     """Lower tight bound, 2-norm of the closed-form propagator and upper
     tight bound of bwe/bwe at the modes w."""
