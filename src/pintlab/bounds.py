@@ -12,22 +12,22 @@ under FCF the tight kinds take Nc - 1 in place of Nc.
 A scalar weight theta rescales the coarse propagator (mu -> theta*mu),
 which is theta-Parareal.
 
-`bound_values` evaluates first and applies the formula second.  Its
-queries are compiled into families (`_Compiled`), a family being one (fine
-propagator's distinct steps in order, coarse tableau, axis), whose keys
-differ only by the steps' multiplicities, k and theta.  Per family it
-evaluates each step and the coarse tableau once over the family's points,
-lam^k and mu once per key, then the formula above with each query's kind,
-Nc and relaxation.  One call may serve many queries, point by point or
-every query at every point.  At w = inf it gives each query's exact limit,
-from the leading coefficients of P and Q and, for the indeterminate forms,
-from the expansion in 1/|w| (`_limit`).
-`sweep` takes one query or a list of them, compiles them once and refines
-all of them through the one array sweep engine, `_sweep_many`: one
-`bound_values` call of every query on the shared base grid and w = inf,
-one per multisection round over the peak brackets of every curve, and one
-per round over the threshold's crossing brackets, each on the compiled
-queries.  Each curve is the one its query swept alone gives.
+`bound_values` evaluates first and applies the formula second, one query
+family at a time: a family is one (fine propagator's distinct steps in
+order, coarse tableau, axis), compiled into arrays (`_Batch`), whose keys
+differ only by the steps' multiplicities, k and theta.  It evaluates each
+step and the coarse tableau once over the family's points, lam^k and mu
+once per key, then the formula above with each query's kind, Nc and
+relaxation, point by point or every query at every point.  At w = inf it
+gives each query's exact limit, from the leading coefficients of P and Q
+and, for the indeterminate forms, from the expansion in 1/|w| (`_limit`).
+`sweep` takes one query or a list of them, groups them into families
+(`_families`) and refines each family's curves through the one array
+sweep engine, `_sweep_many`: one `bound_values` call of every query of
+the family on the shared base grid and w = inf, one per multisection
+round over the peak brackets of every curve, and one per round over the
+threshold's crossing brackets, each on the family's `_Batch`.  Each curve
+is the one its query swept alone gives.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ def _int_power(v, n):
 
 
 class _Batch:
-    """A family's queries compiled into arrays, once per _Compiled: once
-    per plain bound_values call, once per sweep.
+    """A family's queries compiled into arrays (see _families): once per
+    bound_values call on a query, once per family of a sweep.
 
     A family is one (fine propagator's distinct steps in order, coarse
     tableau, axis), so its keys differ only by the steps' multiplicities,
@@ -407,40 +407,28 @@ def _expansion(b, key, d):
             h and (h[0], h[1] / (lead_qc * (lead_qc + theta * np.abs(pc[0])))))
 
 
-class _Compiled:
-    """A sequence of queries compiled once for bound_values, which takes
-    it in place of the sequence: the queries grouped into families, one
-    _Batch per family with the rows of its queries, each query's family
-    and index within it, and the largest k.  k*w is the largest point an
-    evaluation reads: step fractions are positive and sum to k."""
-
-    def __init__(self, queries):
-        self.queries = tuple(queries)
-        families = {}
-        for i, x in enumerate(self.queries):
-            families.setdefault((tuple(step for step, _ in x.fine.distinct),
-                                 x.coarse, x.axis), []).append(i)
-        self.batches = [(_Batch(family, [self.queries[i] for i in rows]), rows)
-                        for family, rows in families.items()]
-        self.family, self.local = np.empty((2, len(self.queries)),
-                                           dtype=np.intp)
-        for f, (_, rows) in enumerate(self.batches):
-            self.family[rows], self.local[rows] = f, np.arange(len(rows))
-        self.reach = max((x.k for x in self.queries), default=1)
+def _families(queries):
+    """The queries grouped into families, in order of first appearance:
+    one (_Batch, indices of its queries) pair per family."""
+    families = {}
+    for i, x in enumerate(queries):
+        families.setdefault((tuple(step for step, _ in x.fine.distinct),
+                             x.coarse, x.axis), []).append(i)
+    return [(_Batch(family, [queries[i] for i in rows]), rows)
+            for family, rows in families.items()]
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def bound_values(q, w, owner=None):
     """Vectorized bound over magnitudes w on the query's axis.
 
-    `q` is one BoundQuery, whose values come back in w's shape, or a
-    sequence of them, or a sequence compiled once (_Compiled), which a
-    caller making many calls on the same queries, such as sweep, passes
-    in its place.  A sequence with `owner` puts point i under its query
-    owner[i]; a sequence without it puts every query at every point and
-    returns shape (number of queries,) + w.shape; one query goes that way
-    too.  A query or plain sequence is compiled on each call: the queries
-    are grouped into families, and each family becomes arrays (_Batch).
+    `q` is one BoundQuery, whose values come back in w's shape, or one
+    family compiled once (a _Batch from _families), which a caller making
+    many calls on the same queries, such as sweep, passes instead.  With
+    a _Batch, `owner` puts point i under the family's query owner[i], and
+    without it every query goes at every point, shape (number of
+    queries,) + w.shape.  Many families are swept by `sweep`, family by
+    family; a list here is a TypeError.
     The evaluation comes first: lam^k and mu per key, each of the
     family's steps and its coarse tableau once over its points
     (_eigen_parts).  Then the formula is applied with each query's
@@ -453,63 +441,54 @@ def bound_values(q, w, owner=None):
 
     Unstable and unbounded samples come back as inf, also where an explicit
     scheme overflows far outside its stability region.  w = inf reads the
-    bound's exact limit (_limit), computed per family on each call that
-    asks for it; a sweep asks once, in its base call.
-    A finite w whose k*w overflows, at the largest k of the queries,
-    raises a ValueError naming w and k, and so does a w where a Horner sum
-    overflows (`stability_eval_batch`).  PoleError still propagates since
-    registry poles cannot lie on either sweep axis.
+    bound's exact limit (_limit), computed on each call that asks for it;
+    a sweep asks once, in its base call.
+    A finite w whose k*w overflows, at the family's largest k, raises a
+    ValueError naming w and k (k*w is the largest point an evaluation
+    reads: step fractions are positive and sum to k), and so does a w
+    where a Horner sum overflows (`stability_eval_batch`).  PoleError
+    still propagates since registry poles cannot lie on either sweep axis.
     Samples with w < 1e-4 are evaluated in extended precision only, on
     both axes: there |mu - lam^k| and, on the imaginary axis, 1 - |mu| are
     small differences of numbers near 1, and double-precision cancellation
     noise would swamp the signal.
     """
     single = isinstance(q, BoundQuery)
-    c = q if isinstance(q, _Compiled) else _Compiled((q,) if single else q)
+    b = _families((q,))[0][0] if single else q
+    if not isinstance(b, _Batch):
+        raise TypeError("bound_values takes one BoundQuery or one compiled "
+                        "family; sweep takes a list of queries")
     w = np.asarray(w, dtype=float)
     shape, w = w.shape, w.ravel()
     # the largest |w| first (fmax skips nan); if k times it overflows,
     # the finite w alone: w = inf reads the limit
-    if math.isinf(c.reach * np.fmax.reduce(np.abs(w), initial=0.0)):
+    reach = b.k.max()
+    if math.isinf(reach * np.fmax.reduce(np.abs(w), initial=0.0)):
         top = np.max(np.abs(w), where=np.isfinite(w), initial=0.0)
-        if math.isinf(c.reach * top):
+        if math.isinf(reach * top):
             raise ValueError(f"w = {top:g} is too large: k*w overflows "
-                             f"at k = {c.reach}")
-    n = len(c.queries)
-    if owner is not None:
-        owner = np.asarray(owner, dtype=np.intp).ravel()
-        if owner.size != w.size or np.any((owner < 0) | (owner >= n)):
-            raise ValueError(f"owner must give each point of w a query in "
-                             f"[0, {n})")
+                             f"at k = {reach}")
     # an infinite w is evaluated at 1 and then overwritten by its limit
     inf = np.isinf(w)
     some_inf = inf.any()
     at = np.where(inf, 1.0, w) if some_inf else w
     if owner is None:
-        out = np.empty((n, w.size))
-        for b, rows in c.batches:
-            _bound_grid(b, at, rows, out)
-    elif len(c.batches) == 1:
-        out = _bound_points(c.batches[0][0], at, owner)
+        out = _bound_grid(b, at)
     else:
-        family, local = c.family[owner], c.local[owner]
-        out = np.empty(w.size)
-        for f, (b, _) in enumerate(c.batches):
-            sel = np.flatnonzero(family == f)
-            out[sel] = _bound_points(b, at[sel], local[sel])
+        owner = np.asarray(owner, dtype=np.intp).ravel()
+        out = _bound_points(b, at, owner)
     for sign in (1.0, -1.0) if some_inf else ():
         sel = w == sign * INFINITY
         if sel.any():
-            limit = np.empty(n)
-            for b, rows in c.batches:
-                limit[rows] = _limit(b, sign)
+            limit = _limit(b, sign)
             if owner is None:
                 out[:, sel] = limit[:, None]
             else:
                 out[sel] = limit[owner[sel]]
     if owner is not None:
         return out.reshape(shape)
-    return out[0].reshape(shape) if single else out.reshape((n,) + shape)
+    return out[0].reshape(shape) if single else \
+        out.reshape((len(out),) + shape)
 
 
 def _bound_points(b, w, owner):
@@ -523,16 +502,19 @@ def _bound_points(b, w, owner):
     return out
 
 
-def _bound_grid(b, w, rows, out):
-    """bound_values of one family's queries at every point w, into their
-    rows of out: each key evaluated once over a block, then the formula
-    for every query."""
-    keys, queries = np.arange(b.k.size)[:, None], np.arange(len(rows))[:, None]
+def _bound_grid(b, w):
+    """bound_values of one family's queries at every point w, one row per
+    query: each key evaluated once over a block, then the formula for
+    every query."""
+    n = b.key.size
+    keys, queries = np.arange(b.k.size)[:, None], np.arange(n)[:, None]
+    out = np.empty((n, w.size))
     for start in range(0, w.size, _BLOCK):
         at = slice(start, start + _BLOCK)
         pts = w[None, at] if b.real else w[None, at] * 1j
-        out[rows, at] = _apply_formula(b, queries, *(
+        out[:, at] = _apply_formula(b, queries, *(
             part[b.key] for part in _parts(b, keys, pts)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -706,8 +688,8 @@ def _sweep_many(evaluate, w_min, w_max, n_base):
     samples; and one call per round narrows every curve's threshold
     bracket.  Each curve gets the rounds, probes and bits it gets alone.
     Whatever evaluate builds from its curves' definitions belongs outside
-    it, built once per sweep: sweep passes its queries compiled once
-    (_Compiled), not once per round.
+    it, built once per sweep: sweep passes each family compiled once
+    (_Batch), not once per round.
     Returns one (samples, max_phi, argmax_w, threshold) per curve.
     """
     if not (0.0 < w_min < w_max < INFINITY):
@@ -743,18 +725,21 @@ def sweep(q, w_min: float = 1e-8, w_max: float = 1e8, n_base: int = 512):
     """Sample the bound on [w_min, w_max] and summarize max/argmax/threshold.
 
     `q` is one BoundQuery, which gives one BoundCurve, or a sequence of
-    them, which gives a list.  The queries are compiled once (_Compiled),
-    and the array engine (_sweep_many) sweeps them together, one
-    bound_values call on the compiled queries per probe round; each curve
-    is the one its query swept alone gives.  The base round reads each
-    bound's exact value at w = inf with its samples, and max_phi and
-    argmax_w take it in (see BoundCurve).
+    them, which gives a list.  The queries are grouped into families, each
+    compiled once (_families), and the array engine (_sweep_many) sweeps
+    each family's curves together, one bound_values call on the family's
+    _Batch per probe round; each curve is the one its query swept alone
+    gives.  The base round reads each bound's exact value at w = inf with
+    its samples, and max_phi and argmax_w take it in (see BoundCurve).
     """
     single = isinstance(q, BoundQuery)
-    c = _Compiled((q,) if single else q)
-    results = _sweep_many(lambda w, owner: bound_values(c, w, owner),
-                          w_min, w_max, n_base)
-    curves = [BoundCurve(x, *r) for x, r in zip(c.queries, results)]
+    queries = (q,) if single else tuple(q)
+    curves = [None] * len(queries)
+    for b, rows in _families(queries):
+        results = _sweep_many(lambda w, owner: bound_values(b, w, owner),
+                              w_min, w_max, n_base)
+        for i, r in zip(rows, results):
+            curves[i] = BoundCurve(queries[i], *r)
     return curves[0] if single else curves
 
 

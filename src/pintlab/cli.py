@@ -73,8 +73,7 @@ def _apply_config_file(args: argparse.Namespace,
     like the flag it overrides, and unknown keys are rejected."""
     if not getattr(args, "config", None):
         return
-    actions = {a.dest: a for a in parser._actions
-               if a.dest not in ("help", "config")}
+    actions = _options(parser)
     with open(args.config) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -105,7 +104,16 @@ def _config_value(action: argparse.Action, text: str, where: str):
     return value
 
 
-def _provenance(args, keys):
+def _options(parser: argparse.ArgumentParser) -> dict:
+    """A subcommand's flags by name, --help and --config aside."""
+    return {a.dest: a for a in parser._actions
+            if a.dest not in ("help", "config")}
+
+
+def _provenance(args, omit=()):
+    """A CSV's header lines: the version, and each flag of the subcommand
+    that has a value, by name, --out and the flags in `omit` aside."""
+    keys = _options(_build_parser()[1][args.command]).keys() - {"out", *omit}
     resolved = " ".join(
         f"{k}={getattr(args, k)}" for k in sorted(keys)
         if getattr(args, k, None) is not None)
@@ -142,9 +150,7 @@ def cmd_bounds(args) -> int:
         kind = UPPER_TIGHT if axis == IMAG_AXIS else SIMPLE
     else:
         kind = _BOUND_KINDS[args.kind]
-    keys = ("fine", "coarse", "k", "relax", "kind", "nc", "axis", "theta",
-            "wmin", "wmax", "n")
-    header = _provenance(args, keys)
+    header = _provenance(args)
     # every query is checked before the first curve is written
     queries = [BoundQuery(fine, coarse, k, args.relax.upper(), nc, kind,
                           theta=args.theta, axis=axis)
@@ -244,7 +250,7 @@ def _run_table2(args, rows):
     if args.out:
         path = _outpath(args, "table2.csv")
         with open(path, "w") as fh:
-            write_csv(fh, _provenance(args, ("which", "rows")),
+            write_csv(fh, _provenance(args),
                       ("scheme", "k", "max_F", "argmax_F", "threshold_F",
                        "max_FCF", "argmax_FCF", "threshold_FCF"), csv_rows)
     return failures
@@ -272,7 +278,8 @@ def _run_table1(args):
     if args.out:
         path = _outpath(args, "table1.csv")
         with open(path, "w") as fh:
-            write_csv(fh, _provenance(args, ("which",)),
+            # --rows applies to table2 only
+            write_csv(fh, _provenance(args, ("rows",)),
                       ("column", "computed", "reference"), csv_rows)
     return failures
 
@@ -331,11 +338,7 @@ def cmd_simulate(args) -> int:
                           "it cannot be used with --spectrum")
 
     # a spectrum file replaces the generated spectrum and its settings
-    keys = ("fine", "coarse", "k", "relax", "levels", "nt", "ht", "inject_w",
-            "spectrum", "seed", "seeds", "tol", "max_iters", "theta_schedule")
-    if not args.spectrum:
-        keys += ("ximax", "nmodes")
-    header = _provenance(args, keys)
+    header = _provenance(args, ("ximax", "nmodes") if args.spectrum else ())
 
     spectrum = None
     if args.spectrum:
@@ -383,7 +386,7 @@ def cmd_singularity(args) -> int:
     if not tab.explicit_flag:
         raise ConfigError(f"{args.scheme} is implicit; the coarse-minus-"
                           "fine-power analysis applies to explicit schemes")
-    header = _provenance(args, ("scheme", "k", "wmax"))
+    header = _provenance(args)
     # every k is checked before the first report is written
     results = [(k, singularity_roots(tab, k, args.wmax))
                for k in _parse_int_list(args.k)]

@@ -30,9 +30,10 @@ test_bounds' lockstep batch (551 queries in 35 families: mixed and
 half-step fine propagators, both axes, every kind, theta = 0.5) and
 writes, per query, the summary of its curve in one `sweep` of the whole
 batch, and a checksum of the curve's samples, of its row of the
-every-query `bound_values` call on test_bounds' `_GRID`, and of its
-values in a shuffled per-point call on the same points; no CLI run makes
-such a batch.  `compare` checks B against A:
+every-query `bound_values` calls on test_bounds' `_GRID`, and of its
+values in shuffled per-point calls on the same points, one call per
+family (one call of the whole list on checkouts whose `bound_values`
+takes lists); no CLI run makes such a batch.  `compare` checks B against A:
 
 - the same cases, history lengths and `converged` flags;
 - every history value within |B - A| <= 1e-13 |A| + 1e-16 h0, where h0 is
@@ -267,19 +268,46 @@ def _csv_rows():
     return rows, codes
 
 
+def _by_family(queries):
+    """bound_values(w, owner) of `queries` as one list: every query at
+    every w, shape (len(queries), w.size), or point i under query
+    owner[i].  Where pintlab has `_families`, bound_values takes one
+    family at a time, and each family gets its queries' points; older
+    checkouts take the list itself."""
+    from pintlab import bounds
+    if not hasattr(bounds, "_families"):
+        return lambda w, owner=None: bounds.bound_values(queries, w, owner)
+    families = bounds._families(queries)
+
+    def evaluate(w, owner=None):
+        if owner is None:
+            out = np.empty((len(queries), w.size))
+            for b, rows in families:
+                out[rows] = bounds.bound_values(b, w)
+            return out
+        out, local = np.empty(w.size), np.empty(len(queries), dtype=int)
+        for b, rows in families:
+            local[rows] = np.arange(len(rows))
+            sel = np.isin(owner, rows)
+            out[sel] = bounds.bound_values(b, w[sel], local[owner[sel]])
+        return out
+    return evaluate
+
+
 def _lockstep():
     """{query: [max_phi, argmax_w, threshold, samples checksum, every-query
     checksum, per-point checksum]} over test_bounds' lockstep batch."""
-    from pintlab.bounds import bound_values, sweep
+    from pintlab.bounds import sweep
     from test_bounds import _GRID, _lockstep_batch
     queries = _lockstep_batch()
     curves = sweep(queries)
-    every = bound_values(queries, _GRID)
+    evaluate = _by_family(queries)
+    every = evaluate(_GRID)
     owner = np.repeat(np.arange(len(queries)), _GRID.size)
     order = np.random.default_rng(7).permutation(owner.size)
     per_point = np.empty(owner.size)
-    per_point[order] = bound_values(
-        queries, np.tile(_GRID, len(queries))[order], owner[order])
+    per_point[order] = evaluate(np.tile(_GRID, len(queries))[order],
+                                owner[order])
     per_point = per_point.reshape(len(queries), _GRID.size)
     return {f"{i} {q.describe()}": [c.max_phi, c.argmax_w, c.threshold,
                                      _digest(c.samples), _digest(every[i]),

@@ -551,3 +551,27 @@ def test_criterion_8_multilevel_patterns():
           f"two-level worst case; trapezoid pair degrades from 0.02 "
           f"(excited band, two-level) to {multi} (full interval, deep "
           f"hierarchy)")
+
+
+# ===========================================================================
+# The abstract's claims
+# ===========================================================================
+
+def test_claim_an_o1_change_in_k_turns_convergence_into_divergence():
+    # "an O(1) change in h_t or k takes rho ~ 0.02 to divergence": erk4
+    # over erk4 on (0, 1] at h_t = 0.3, as `simulate --fine erk4 --coarse
+    # erk4 --k 4,8 --nt 1024 --ximax 1 --ht 0.3 --seeds 3` runs it.
+    # Doubling k from 4 to 8 takes the measured rho from about 0.02 to
+    # above 1, and h_t * xi_max = 0.3 lies between the two thresholds that
+    # one sweep of both k gives
+    erk4 = get_scheme("erk4")
+    runs = [MgritRun(TimeHierarchy(1024, 0.3, k, 2, erk4, erk4),
+                     make_spd_interval(1.0, 120)) for k in (4, 8)]
+    fast, divergent = (res.rho for res in measure_rho(runs, seeds=3))
+    assert fast < 0.05 and divergent > 1.0, (fast, divergent)
+    at_4, at_8 = (curve.threshold for curve in
+                  sweep([q_of("erk4", "erk4", k) for k in (4, 8)]))
+    assert at_4 > 0.3 > at_8, (at_4, at_8)
+    print(f"\n[PASS] O(1) claim: erk4 at h_t = 0.3 measures rho = "
+          f"{fast:.4f} at k = 4 and {divergent:.4f} at k = 8; the bound's "
+          f"thresholds {at_4:.4g} > 0.3 > {at_8:.4g}")

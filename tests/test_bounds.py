@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import math
 
 import mpmath
@@ -590,16 +591,21 @@ def test_lockstep_sweep_matches_solo_sweeps():
         assert curve.threshold == solo.threshold, q.describe()
 
 
+def _assert_per_point_calls_match_one_query_calls(queries, w):
+    """Per family, one call over the points w of each of its queries gives
+    each point the value a call of its query alone gives."""
+    for b, rows in bounds._families(queries):
+        owner = np.repeat(np.arange(len(rows)), w.size)
+        batch = bound_values(b, np.tile(w, len(rows)), owner)
+        for i, row in enumerate(rows):
+            q = queries[row]
+            assert np.array_equal(batch[owner == i], bound_values(q, w)), \
+                q.describe()
+
+
 def test_lockstep_bound_values_match_one_query_calls():
-    # one call over every query's points gives each point the value a call
-    # of its query alone gives
-    queries = _lockstep_batch()
-    w = np.geomspace(1e-9, 1e9, 97)
-    owner = np.repeat(np.arange(len(queries)), w.size)
-    batch = bound_values(queries, np.tile(w, len(queries)), owner)
-    for i, q in enumerate(queries):
-        assert np.array_equal(batch[owner == i], bound_values(q, w)), \
-            q.describe()
+    _assert_per_point_calls_match_one_query_calls(
+        _lockstep_batch(), np.geomspace(1e-9, 1e9, 97))
 
 
 # the lockstep batch's points for the every-query form: across the
@@ -612,33 +618,37 @@ _GRID_INF = np.append(_GRID, np.inf)
 
 def test_every_query_form_matches_one_query_calls():
     queries = _lockstep_batch()
-    values = bound_values(queries, _GRID_INF)
-    assert values.shape == (len(queries), _GRID_INF.size)
-    for q, row in zip(queries, values):
-        assert np.array_equal(row, bound_values(q, _GRID_INF)), q.describe()
-    square = bound_values(queries[:3], _GRID_INF[:96].reshape(8, 12))
-    assert square.shape == (3, 8, 12)
-    assert np.array_equal(square.reshape(3, 96), values[:3, :96])
+    for b, rows in bounds._families(queries):
+        values = bound_values(b, _GRID_INF)
+        assert values.shape == (len(rows), _GRID_INF.size)
+        for i, row in zip(rows, values):
+            assert np.array_equal(row, bound_values(queries[i], _GRID_INF)), \
+                queries[i].describe()
+        square = bound_values(b, _GRID_INF[:96].reshape(8, 12))
+        assert square.shape == (len(rows), 8, 12)
+        assert np.array_equal(square.reshape(len(rows), 96), values[:, :96])
 
 
 def test_every_query_form_matches_a_shuffled_per_point_call():
     # the shared route (each key evaluated once over all points) against
-    # the per-point route, on the same (query, point) pairs in random order
-    queries = _lockstep_batch()
-    owner = np.repeat(np.arange(len(queries)), _GRID_INF.size)
-    order = np.random.default_rng(7).permutation(owner.size)
-    shuffled = bound_values(queries, np.tile(_GRID_INF, len(queries))[order],
-                            owner[order])
-    per_point = np.empty_like(shuffled)
-    per_point[order] = shuffled
-    assert np.array_equal(per_point.reshape(len(queries), _GRID_INF.size),
-                          bound_values(queries, _GRID_INF))
+    # the per-point route, on the same (query, point) pairs of each family
+    # in random order
+    rng = np.random.default_rng(7)
+    for b, rows in bounds._families(_lockstep_batch()):
+        owner = np.repeat(np.arange(len(rows)), _GRID_INF.size)
+        order = rng.permutation(owner.size)
+        shuffled = bound_values(b, np.tile(_GRID_INF, len(rows))[order],
+                                owner[order])
+        per_point = np.empty_like(shuffled)
+        per_point[order] = shuffled
+        assert np.array_equal(per_point.reshape(len(rows), _GRID_INF.size),
+                              bound_values(b, _GRID_INF))
 
 
 def test_every_query_form_takes_a_long_w_in_blocks(monkeypatch):
     # more points than one block: each stability evaluation sees at most
     # _BLOCK of them, and every row is its query's own call
-    queries = _lockstep_batch()[::40]
+    queries = _lockstep_batch()[::20]
     w = np.geomspace(1e-9, 1e9, 2 * bounds._BLOCK + 5)
     seen, evaluate = [], bounds.stability_eval_batch
 
@@ -646,12 +656,16 @@ def test_every_query_form_takes_a_long_w_in_blocks(monkeypatch):
         seen.append(np.shape(z)[-1])
         return evaluate(tab, z, dtype=dtype)
 
+    families = bounds._families(queries)
+    assert any(len(rows) > 1 for _, rows in families)
     monkeypatch.setattr(bounds, "stability_eval_batch", counted_evaluate)
-    values = bound_values(queries, w)
+    values = [bound_values(b, w) for b, _ in families]
     monkeypatch.undo()
     assert max(seen) <= bounds._BLOCK
-    for q, row in zip(queries, values):
-        assert np.array_equal(row, bound_values(q, w)), q.describe()
+    for (_, rows), family_values in zip(families, values):
+        for i, row in zip(rows, family_values):
+            assert np.array_equal(row, bound_values(queries[i], w)), \
+                queries[i].describe()
 
 
 def test_table2_row_base_round_evaluates_each_function_once(monkeypatch):
@@ -744,23 +758,35 @@ def test_table2_row_sweep_compiles_its_queries_once(scheme, rounds,
 
 
 def test_lockstep_sweep_compiles_each_family_once(monkeypatch):
-    built = _count_batches(monkeypatch)
+    # a sweep of many families builds one _Batch per family and runs the
+    # families one after another, each in the rounds its queries take when
+    # swept alone: one bound_values call per round, on the family's _Batch
     queries = _lockstep_batch()
+    families = [rows for _, rows in bounds._families(queries)]
+    built, calls, values = _count_batches(monkeypatch), [], bounds.bound_values
+
+    def counted_values(q, w, owner=None):
+        calls.append(q)
+        return values(q, w, owner)
+
+    monkeypatch.setattr(bounds, "bound_values", counted_values)
     sweep(queries)
-    assert len(built) == 35
-    assert sum(built) == len(queries)
+    assert len(families) == 35
+    assert built == [len(rows) for rows in families]
+    runs = [len(list(run)) for _, run in itertools.groupby(calls, id)]
+    assert len(runs) == len(families)
+    for rows, n in zip(families, runs):
+        before = len(calls)
+        sweep([queries[i] for i in rows])
+        assert len(calls) - before == n, queries[rows[0]].describe()
 
 
-def test_compiled_queries_match_the_plain_list():
-    queries = _lockstep_batch()
-    compiled = bounds._Compiled(queries)
-    assert np.array_equal(bound_values(compiled, _GRID_INF),
-                          bound_values(queries, _GRID_INF))
-    owner = np.random.default_rng(11).integers(len(queries),
-                                                size=4 * _GRID_INF.size)
-    w = np.tile(_GRID_INF, 4)
-    assert np.array_equal(bound_values(compiled, w, owner),
-                          bound_values(queries, w, owner))
+def test_bound_values_rejects_a_list():
+    # many queries are swept family by family (sweep); bound_values takes
+    # one query or one compiled family
+    q = query(BWE, BWE, 2)
+    with pytest.raises(TypeError, match="sweep takes a list"):
+        bound_values([q, q], [1.0])
 
 
 @pytest.mark.parametrize("fine", [BWE, PropagatorSpec(((BWE, 0.5),
@@ -771,13 +797,17 @@ def test_bound_values_rejects_a_w_whose_k_w_overflows(fine):
     # propagator whose step fractions differ); w = inf itself reads the
     # limit, 0 for bwe/bwe
     q = BoundQuery(fine, BWE, 64)
+    (family, _), = bounds._families([q, q])
     for call in (lambda: spectrum_max(q, [1e307]),
                  lambda: bound_values(q, [1.0, 1e307]),
-                 lambda: bound_values([q, q], [np.inf, 1e307], [0, 1]),
-                 lambda: bound_values(bounds._Compiled([q]), [1e307])):
+                 lambda: bound_values(family, [np.inf, 1e307], [0, 1]),
+                 lambda: bound_values(family, [1e307])):
         with pytest.raises(ValueError, match=r"w = 1e\+307 .* k = 64"):
             call()
     assert bound_values(q, [np.inf, 1e305])[0] == 0.0
+    # the check reads each family's own largest k: 2 * 1e307 is finite
+    (small, _), = bounds._families([query(BWE, BWE, 2)])
+    assert bound_values(small, [1e307], [0])[0] < 1e-300
     assert spectrum_max(BoundQuery(fine, BWE, 64), [1e306]) < INFINITY
 
 
@@ -837,10 +867,12 @@ def test_bound_values_reads_the_limit_at_infinite_w(relax, axis):
     cases = [(fine, coarse, k, kind, nc) for fine in REGISTRY
              for coarse in REGISTRY for k in (2, 3, 4, 64)
              for kind, nc in kinds]
-    got = bound_values([query(fine, coarse, k, relax, axis=axis,
-                              bound_kind=kind, Nc=nc)
-                        for fine, coarse, k, kind, nc in cases], [np.inf])
-    for (fine, coarse, k, kind, nc), value in zip(cases, got[:, 0]):
+    got = np.empty(len(cases))
+    for b, rows in bounds._families([
+            query(fine, coarse, k, relax, axis=axis, bound_kind=kind, Nc=nc)
+            for fine, coarse, k, kind, nc in cases]):
+        got[rows] = bound_values(b, [np.inf])[:, 0]
+    for (fine, coarse, k, kind, nc), value in zip(cases, got):
         ref = _mp_bound(_mp_lam(fine, 1e30 * unit),
                         _mp_lam(coarse, k * 1e30 * unit), k, relax, kind, nc)
         case = (fine.name, coarse.name, k, kind, nc, value, ref)
@@ -906,27 +938,19 @@ def test_limit_of_the_0_times_inf_form(k):
     assert bound_values(tight, [np.inf])[0] == 0.0
 
 
-@pytest.mark.parametrize("owner", [[0, 1, 1, 0, -1], [0, 1, 1, 0, 2],
-                                   [0, 1, 1, 0], [1]],
-                         ids=["negative", "past_end", "short", "one"])
-def test_bound_values_rejects_a_bad_owner(owner):
-    queries = [query(BWE, BWE, 2), query(BWE, BWE, 4)]
-    with pytest.raises(ValueError, match="owner"):
-        bound_values(queries, np.geomspace(0.1, 10.0, 5), owner)
-
-
 def test_batch_multiplies_each_propagators_steps_in_its_own_order():
-    # the second propagator's sdirk33 and trapezoid steps are first met at
-    # their places in the first one, before its own bwe step; three
-    # complex factors round by the order they multiply in
+    # the same steps in two orders are two families, each multiplying its
+    # steps in its own order (three complex factors round by the order
+    # they multiply in), and the same steps at other multiplicities are
+    # keys of one family, multiplied in that family's order
     w = np.geomspace(1e-9, 1e9, 4001)
-    specs = [PropagatorSpec(((first, 1.0), (SDIRK33, 1.0), (TRAP, 1.0),
-                             (TRAP, 1.0))) for first in (SDIRK22, BWE)]
+    specs = [PropagatorSpec(steps) for steps in (
+        ((SDIRK22, 1.0), (SDIRK33, 1.0), (TRAP, 1.0), (TRAP, 1.0)),
+        ((SDIRK33, 1.0), (TRAP, 1.0), (SDIRK22, 1.0), (TRAP, 1.0)),
+        ((SDIRK22, 1.0), (SDIRK33, 1.0), (SDIRK33, 1.0), (TRAP, 1.0)))]
     queries = [BoundQuery(spec, SDIRK22, 4) for spec in specs]
-    owner = np.repeat([0, 1], w.size)
-    batch = bound_values(queries, np.tile(w, 2), owner)
-    for i, q in enumerate(queries):
-        assert np.array_equal(batch[owner == i], bound_values(q, w))
+    assert [rows for _, rows in bounds._families(queries)] == [[0, 2], [1]]
+    _assert_per_point_calls_match_one_query_calls(queries, w)
 
 
 @pytest.mark.parametrize("axis", ["real_positive", "imaginary"])
@@ -1101,16 +1125,19 @@ def _by_owner(funs):
 
 
 def test_array_engine_matches_reference_on_lockstep_batch():
+    # the reference drives each family's curves in lockstep
     queries = _lockstep_batch()
+    families = bounds._families(queries)
     for window in _WINDOWS:
         curves = sweep(queries, *window)
-        ref = _ref_sweeps(len(queries),
-                          lambda w, owner: bound_values(queries, w, owner),
-                          *window)
-        _assert_same_sweeps(
-            [(c.samples, c.max_phi, c.argmax_w, c.threshold)
-             for c in curves],
-            ref, [(q.describe(), window) for q in queries])
+        for b, rows in families:
+            ref = _ref_sweeps(len(rows),
+                              lambda w, owner: bound_values(b, w, owner),
+                              *window)
+            _assert_same_sweeps(
+                [(curves[i].samples, curves[i].max_phi, curves[i].argmax_w,
+                  curves[i].threshold) for i in rows],
+                ref, [(queries[i].describe(), window) for i in rows])
 
 
 _SYNTHETIC = {

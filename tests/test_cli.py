@@ -692,6 +692,46 @@ def test_simulate_spectrum_provenance_omits_generated_spectrum(tmp_path):
     assert "nmodes=7 " in text and "ximax=50.0" in text
 
 
+_SIMULATE = ["simulate", "--fine", "bwe", "--coarse", "bwe", "--k", "2",
+             "--nt", "32", "--seeds", "2"]
+
+
+@pytest.mark.parametrize("argv, name, config", [
+    (["bounds", "--fine", "bwe", "--coarse", "sdirk22", "--k", "2,4",
+      "--n", "64"], "bounds_bwe_sdirk22_f_k2_ncinf.csv",
+     "axis=real coarse=sdirk22 fine=bwe k=2,4 n=64 nc=inf relax=f "
+     "theta=1.0 wmax=100000000.0 wmin=1e-08"),
+    (["bounds", "--fine", "bwe", "--coarse", "bwe", "--kind", "lower",
+      "--nc", "16", "--axis", "imag", "--theta", "0.5", "--wmin", "1e-4",
+      "--n", "64"], "bounds_bwe_bwe_f_k2_nc16.csv",
+     "axis=imag coarse=bwe fine=bwe k=2 kind=lower n=64 nc=16 relax=f "
+     "theta=0.5 wmax=100000000.0 wmin=0.0001"),
+    (["table", "table1"], "table1.csv", "which=table1"),
+    (["table", "table2", "--rows", "bwe"], "table2.csv",
+     "rows=bwe which=table2"),
+    (["singularity", "--scheme", "erk2", "--k", "2"], "roots_erk2_k2.csv",
+     "k=2 scheme=erk2 wmax=100.0"),
+    (_SIMULATE, "run_history.csv",
+     "coarse=bwe fine=bwe ht=1.0 k=2 levels=2 max_iters=100 nmodes=120 "
+     "nt=32 relax=f seed=0 seeds=2 tol=1e-13 ximax=1.0"),
+    (_SIMULATE + ["--spectrum", "{spectrum}"], "run_history.csv",
+     "coarse=bwe fine=bwe ht=1.0 k=2 levels=2 max_iters=100 nt=32 relax=f "
+     "seed=0 seeds=2 spectrum={spectrum} tol=1e-13"),
+], ids=["bounds", "bounds_flags", "table1", "table2", "singularity",
+        "simulate", "simulate_spectrum"])
+def test_config_line_names_every_flag(argv, name, config, tmp_path,
+                                      capsys):
+    # each CSV's provenance holds every flag of its subcommand that has a
+    # value, sorted by name, except --out and --config; a spectrum file
+    # replaces the generated spectrum's --ximax and --nmodes
+    spectrum = tmp_path / "eigs.csv"
+    spectrum.write_text("re,im\n0.5,0.0\n1.0,0.0\n")
+    argv = [a.format(spectrum=spectrum) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    lines = read(tmp_path / "out" / name).splitlines()
+    assert lines[0] == "# config: " + config.format(spectrum=spectrum)
+
+
 def test_simulate_reads_spectrum_once(tmp_path, monkeypatch):
     spec_csv = tmp_path / "eigs.csv"
     spec_csv.write_text("re,im\n0.5,0.0\n1.0,0.0\n2.0,0.0\n")
