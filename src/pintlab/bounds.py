@@ -13,14 +13,14 @@ A scalar weight theta rescales the coarse propagator (mu -> theta*mu),
 which is theta-Parareal.
 
 `bound_values` evaluates first and applies the formula second, one query
-family at a time: a family is one (fine propagator's distinct steps in
-order, coarse tableau, axis), compiled into arrays (`_Batch`), whose keys
-differ only by the steps' multiplicities, k and theta.  It evaluates each
-step and the coarse tableau once over the family's points, lam^k and mu
-once per key, then the formula above with each query's kind, Nc and
-relaxation, point by point or every query at every point.  At w = inf it
-gives each query's exact limit, from the leading coefficients of P and Q
-and, for the indeterminate forms, from the expansion in 1/|w| (`_limit`).
+family at a time: a family is one (fine tableau, coarse tableau, axis),
+compiled into arrays (`_Batch`), whose keys are its (k, theta) pairs.  It
+evaluates the fine and the coarse tableau once each over the family's
+points, lam^k and mu once per key, then the formula above with each
+query's kind, Nc and relaxation, point by point or every query at every
+point.  At w = inf it gives each query's exact limit, from the leading
+coefficients of P and Q and, for the indeterminate forms, from the
+expansion in 1/|w| (`_limit`).
 `sweep` takes one query or a list of them, groups them into families
 (`_families`) and refines each family's curves through the one array
 sweep engine, `_sweep_many`: one `bound_values` call of every query of
@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,54 +86,23 @@ _EXPANSION_ULPS = 64
 _BLOCK = 1024
 
 
-@dataclass(frozen=True)
 class PropagatorSpec:
-    """Fine propagator over one coarse interval: ordered (tableau, fraction) steps.
+    """The fine propagator over one coarse interval is k steps of one
+    tableau, and the tableau itself stands for it: `uniform(tab, k)` gives
+    `tab`, which BoundQuery and TimeHierarchy take as `fine`.  The name
+    stays for callers that build their queries through it."""
 
-    Fractions are in fine-step units and sum to the coarsening factor k.  The
-    uniform case is k identical steps of fraction 1; a mixed spec front-loads
-    differently damped schemes (e.g. two strongly damped steps followed by
-    k-2 steps of another scheme).
-    """
-
-    steps: tuple
-    # each distinct (tableau, fraction) step and its multiplicity, in order
-    # of first appearance
-    distinct: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        steps = tuple((tab, float(frac)) for tab, frac in self.steps)
-        if not steps:
-            raise ValueError("PropagatorSpec needs at least one step")
-        for tab, frac in steps:
-            if frac <= 0:
-                raise ValueError("step fractions must be positive")
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "distinct", tuple(Counter(steps).items()))
-
-    @classmethod
-    def uniform(cls, tab: ButcherTableau, k: int) -> "PropagatorSpec":
-        return cls(tuple((tab, 1.0) for _ in range(int(k))))
-
-    @property
-    def k(self) -> float:
-        return sum(frac for _, frac in self.steps)
-
-    @property
-    def is_uniform(self) -> bool:
-        first = self.steps[0]
-        return all(tab is first[0] and frac == 1.0 for tab, frac in self.steps)
+    @staticmethod
+    def uniform(tab: ButcherTableau, k: int) -> ButcherTableau:
+        return tab
 
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """One bound request: propagator pair, relaxation, kind, theta, axis.
+    """One bound request: the fine tableau, taken k times per coarse
+    interval, the coarse tableau, k, relaxation, kind, theta and axis."""
 
-    `fine` may be given as a bare tableau, which is expanded to the uniform
-    k-step propagator.
-    """
-
-    fine: PropagatorSpec
+    fine: ButcherTableau
     coarse: ButcherTableau
     k: int
     relaxation: str = RELAX_F
@@ -144,12 +112,11 @@ class BoundQuery:
     axis: str = REAL_AXIS
 
     def __post_init__(self):
+        if not isinstance(self.fine, ButcherTableau):
+            raise TypeError("fine must be a ButcherTableau, got "
+                            f"{type(self.fine).__name__}")
         if self.k < 2:
             raise ValueError("coarsening factor k must be >= 2")
-        if isinstance(self.fine, ButcherTableau):
-            object.__setattr__(self, "fine", PropagatorSpec.uniform(self.fine, self.k))
-        if abs(self.fine.k - self.k) > 1e-9:
-            raise ValueError("fine propagator fractions must sum to k")
         if self.relaxation not in RELAXATIONS:
             raise ValueError(f"unknown relaxation {self.relaxation!r}")
         if self.bound_kind not in (SIMPLE, LOWER_TIGHT, UPPER_TIGHT):
@@ -168,10 +135,9 @@ class BoundQuery:
                                  f"{self.relaxation} tight bounds")
 
     def describe(self) -> str:
-        fine = (self.fine.steps[0][0].name if self.fine.is_uniform
-                else "+".join(t.name for t, _ in self.fine.steps))
-        parts = [f"fine={fine}", f"coarse={self.coarse.name}", f"k={self.k}",
-                 f"relax={self.relaxation}", f"kind={self.bound_kind}",
+        parts = [f"fine={self.fine.name}", f"coarse={self.coarse.name}",
+                 f"k={self.k}", f"relax={self.relaxation}",
+                 f"kind={self.bound_kind}",
                  f"Nc={'inf' if self.Nc == INFINITY else self.Nc}",
                  f"axis={self.axis}"]
         if self.theta != 1.0:
@@ -193,27 +159,22 @@ class _Batch:
     """A family's queries compiled into arrays (see _families): once per
     bound_values call on a query, once per family of a sweep.
 
-    A family is one (fine propagator's distinct steps in order, coarse
-    tableau, axis), so its keys differ only by the steps' multiplicities,
-    k and theta; a key's lam^k and mu serve every query on it, such as a
+    A family is one (fine tableau, coarse tableau, axis) and a key one
+    (k, theta); a key's lam^k and mu serve every query on it, such as a
     k's F and FCF queries.  Per query (read through `owner`): `key`, the
     tight scale C * Nc^2 (C = 1 lower, 6 upper; Nc - 1 under FCF, whose
     propagator is Toeplitz on Nc - 1 C-points), and the simple and FCF
-    flags.  Per key (read through `key`): k, theta and a column of `power`,
-    whose row j holds its multiplicity of the step `steps[j]`.
+    flags.  Per key (read through `key`): k and theta.
     """
 
     def __init__(self, family, queries):
-        self.steps, self.coarse, axis = family
+        self.fine, self.coarse, axis = family
         self.real = axis == REAL_AXIS
         keys = {}
-        self.key = np.array([keys.setdefault((q.fine.distinct, q.k, q.theta),
-                                             len(keys)) for q in queries],
-                            dtype=np.intp)
-        self.power = np.array([[n for _, n in distinct]
-                               for distinct, _, _ in keys]).T
-        self.k = np.array([k for _, k, _ in keys])
-        self.theta = np.array([theta for _, _, theta in keys])
+        self.key = np.array([keys.setdefault((q.k, q.theta), len(keys))
+                             for q in queries], dtype=np.intp)
+        self.k = np.array([k for k, _ in keys])
+        self.theta = np.array([theta for _, theta in keys])
         self.scale = np.array([
             (1.0 if q.bound_kind == LOWER_TIGHT else 6.0)
             * (q.Nc - 1 if q.relaxation == RELAX_FCF else q.Nc) ** 2
@@ -228,20 +189,18 @@ def _eigen_parts(b, keys, pts, dtype):
     pts 1-D), or it is one row of points, shape (1, m), shared by every
     row (keys a column), and each part has shape (len(keys), m).
 
-    Each of the family's steps is evaluated once over pts and raised to
-    each key's multiplicity, in the family's order, so a uniform k-step
-    factor costs one evaluation, on a shared row one for all its keys.
-    The coarse tableau is evaluated at k*w.
+    The fine tableau is evaluated once over pts and raised to each key's
+    k, on a shared row once for all its keys; the coarse tableau is
+    evaluated at k*w.
     """
     pts = pts.astype(dtype, copy=False)
-    lamk = np.ones(np.broadcast_shapes(keys.shape, pts.shape), dtype=dtype)
-    for (tab, frac), power in zip(b.steps, b.power):
-        lamk = lamk * _int_power(stability_eval_batch(
-            tab, frac * pts, dtype=dtype), power[keys])
+    lamk = _int_power(stability_eval_batch(b.fine, pts, dtype=dtype),
+                      b.k[keys])
     mu = b.theta[keys] * stability_eval_batch(b.coarse, b.k[keys] * pts,
                                               dtype=dtype)
     amu = np.abs(mu)
-    return (lamk.astype(complex, copy=False),
+    # a shared row whose keys all square gives one row of lam^k
+    return (np.broadcast_to(lamk, mu.shape).astype(complex, copy=False),
             np.abs(mu - lamk).astype(float, copy=False),
             amu.astype(float, copy=False),
             (1.0 - amu).astype(float, copy=False))
@@ -295,18 +254,9 @@ def _apply_formula(b, owner, lamk, num, amu, one_minus):
 
 
 def _lead_parts(b):
-    """Per key: lam^k(inf) and theta*mu(inf), from the leading coefficients
-    of each step and of the coarse tableau (ButcherTableau.limit).  A step
-    of fraction f brings (p/q) f^(deg P - deg Q) to the power of its
-    multiplicity, and lam^k(inf) is 0 or inf where the degrees of the
-    product's numerator and denominator differ."""
-    order, ratio = np.zeros(b.k.size, dtype=int), np.ones(b.k.size)
-    for (tab, frac), power in zip(b.steps, b.power):
-        P, Q = tab.limit
-        gap = len(Q) - len(P)
-        order += power * gap
-        ratio *= (float(P[-1] / Q[-1]) * frac ** -gap) ** power
-    lamk = np.where(order > 0, 0.0, np.where(order < 0, np.inf, ratio))
+    """Per key: lam^k(inf) and theta*mu(inf), from the fine and coarse
+    tableaux' lam(inf) (ButcherTableau.lam_inf)."""
+    lamk = b.fine.lam_inf ** b.k
     mu = np.where(b.theta == 0, 0.0, b.theta * b.coarse.lam_inf)
     return lamk, mu
 
@@ -349,10 +299,10 @@ def _limit(b, sign):
     return phi
 
 
-def _in_u(coef, scale, d):
-    """R(scale * d / u) * u^deg(R) in powers of u, lowest first, for R's
+def _in_u(coef, z):
+    """R(z / u) * u^deg(R) in powers of u, lowest first, for R's
     coefficients (ButcherTableau.limit); its constant term is nonzero."""
-    powers = np.full(len(coef), np.clongdouble(scale * d))
+    powers = np.full(len(coef), np.clongdouble(z))
     powers[0] = 1
     return (coef * np.cumprod(powers))[::-1]
 
@@ -370,25 +320,18 @@ def _expansion(b, key, d):
     """The key's |lam^k|, |theta*mu - lam^k| and 1 - theta*|mu| as (order,
     coefficient) of their leading terms in u = 1/|w| along w = d/u, or
     None when theta*|mu(inf)| != 1 in extended precision, where the plain
-    limit stands.  With Q_f, P_f the products of the steps' Q and P and
-    Q_c, P_c the coarse tableau's at k*w, the three factors are
+    limit stands.  With P_f, Q_f the k-th powers of the fine tableau's P
+    and Q and P_c, Q_c the coarse tableau's at k*w, the three factors are
     |P_f|/|Q_f|, |G|/(|Q_c| |Q_f|) and H/(|Q_c| (|Q_c| + theta |P_c|)),
     where G = theta P_c Q_f - Q_c P_f and H = |Q_c|^2 - theta^2 |P_c|^2.
     Reached only where theta*mu(inf) is finite and not 0 and lam^k(inf)
     is finite, so P_c, Q_c have one degree and deg P_f <= deg Q_f.
     """
     power = functools.partial(np.polynomial.polynomial.polypow,
-                              maxpower=None)
-    parts = []
-    for index in (0, 1):  # P_f, Q_f and their absolute-value twins
-        f = fa = np.ones(1)
-        for (tab, frac), n in zip(b.steps, b.power[:, key]):
-            r = _in_u(tab.limit[index], frac, d)
-            f = np.convolve(f, power(r, int(n)))
-            fa = np.convolve(fa, power(np.abs(r), int(n)))
-        parts += [f, fa]
-    pf, pfa, qf, qfa = parts
-    pc, qc = (_in_u(coef, b.k[key], d) for coef in b.coarse.limit)
+                              pow=int(b.k[key]), maxpower=None)
+    pf, qf = (power(_in_u(coef, d)) for coef in b.fine.limit)
+    pfa, qfa = (power(np.abs(_in_u(coef, d))) for coef in b.fine.limit)
+    pc, qc = (_in_u(coef, b.k[key] * d) for coef in b.coarse.limit)
     theta = b.theta[key]
     h = _lowest((np.convolve(qc, qc.conj())
                  - theta ** 2 * np.convolve(pc, pc.conj())).real,
@@ -412,8 +355,7 @@ def _families(queries):
     one (_Batch, indices of its queries) pair per family."""
     families = {}
     for i, x in enumerate(queries):
-        families.setdefault((tuple(step for step, _ in x.fine.distinct),
-                             x.coarse, x.axis), []).append(i)
+        families.setdefault((x.fine, x.coarse, x.axis), []).append(i)
     return [(_Batch(family, [queries[i] for i in rows]), rows)
             for family, rows in families.items()]
 
@@ -429,10 +371,10 @@ def bound_values(q, w, owner=None):
     without it every query goes at every point, shape (number of
     queries,) + w.shape.  Many families are swept by `sweep`, family by
     family; a list here is a TypeError.
-    The evaluation comes first: lam^k and mu per key, each of the
-    family's steps and its coarse tableau once over its points
-    (_eigen_parts).  Then the formula is applied with each query's
-    parameters (_apply_formula).  The points go in blocks of _BLOCK.
+    The evaluation comes first: lam^k and mu per key, the fine and the
+    coarse tableau once each over its points (_eigen_parts).  Then the
+    formula is applied with each query's parameters (_apply_formula).
+    The points go in blocks of _BLOCK.
     Every query at every point, each key is evaluated once over a block,
     so a k's F and FCF queries share the evaluation, and the formula runs
     on the block for every query; the scratch memory then stays within a
@@ -444,10 +386,10 @@ def bound_values(q, w, owner=None):
     bound's exact limit (_limit), computed on each call that asks for it;
     a sweep asks once, in its base call.
     A finite w whose k*w overflows, at the family's largest k, raises a
-    ValueError naming w and k (k*w is the largest point an evaluation
-    reads: step fractions are positive and sum to k), and so does a w
-    where a Horner sum overflows (`stability_eval_batch`).  PoleError
-    still propagates since registry poles cannot lie on either sweep axis.
+    ValueError naming w and k (k*w, the coarse point, is the largest point
+    an evaluation reads), and so does a w where a Horner sum overflows
+    (`stability_eval_batch`).  PoleError still propagates since registry
+    poles cannot lie on either sweep axis.
     Samples with w < 1e-4 are evaluated in extended precision only, on
     both axes: there |mu - lam^k| and, on the imaginary axis, 1 - |mu| are
     small differences of numbers near 1, and double-precision cancellation
@@ -758,8 +700,8 @@ def max_over_k(fine: str, coarse: str, relaxation: str, k_set) -> float:
 def two_iteration_product(q1: BoundQuery, q2: BoundQuery) -> BoundCurve:
     """Worst case of two successive iterations: pointwise product of bounds,
     swept over sweep's default range of w."""
-    if (q1.fine is not q2.fine and q1.fine != q2.fine) or \
-            q1.coarse is not q2.coarse or q1.k != q2.k or q1.axis != q2.axis:
+    if q1.fine is not q2.fine or q1.coarse is not q2.coarse or \
+            q1.k != q2.k or q1.axis != q2.axis:
         raise ValueError("queries must share fine/coarse/k/axis")
     fun = lambda w: bound_values(q1, w) * bound_values(q2, w)
     samples, max_phi, argmax_w, threshold = sweep_function(fun, 1e-8, 1e8)

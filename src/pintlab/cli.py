@@ -145,8 +145,10 @@ def cmd_bounds(args) -> int:
     ncs = _parse_float_list(args.nc) or [INFINITY]
     axis = IMAG_AXIS if args.axis.startswith("imag") else REAL_AXIS
     if args.kind is None:
-        # the simple bound has no well-defined small-w limit on the
-        # imaginary axis; default to the Nc-aware upper bound there
+        # on the imaginary axis 1 - |mu| is lost to rounding at small w,
+        # under the simple kind and the tight kinds at Nc = inf alike (the
+        # bound itself stays finite); a finite --nc keeps the tight
+        # denominator away from 0, so default to the upper bound there
         kind = UPPER_TIGHT if axis == IMAG_AXIS else SIMPLE
     else:
         kind = _BOUND_KINDS[args.kind]

@@ -23,11 +23,12 @@ from zero C-points without touching the zeros: its interval products start
 from the right-hand side, its F residual is their C sweep, and its C-points
 are the correction from below.  F- and FCF-relaxation are supported.
 
-A level is nothing more than its list of k step factors, all finite (an
-engine with any other is rejected when it is made).  The theta-Parareal
-weight rescales the coarse propagator (G -> theta G), so it is folded into
-every coarse factor (theta a), once per distinct theta; the cycle itself
-applies no weight.
+A level is nothing more than its list of k step factors, one factor taken
+k times: level 0's is the fine step and every coarse level's its coarse
+step, all finite (an engine with any other is rejected when it is made).
+The theta-Parareal weight rescales the coarse propagator (G -> theta G),
+so it is folded into every coarse factor (theta a), once per distinct
+theta; the cycle itself applies no weight.
 
 Level 0 cycles in a workspace of two C-point grids and a quarter: the
 C-points c, one buffer b whose rows 1.. hold the interval products until an
@@ -63,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csv import write_csv
-from .bounds import RELAX_F, RELAX_FCF, RELAXATIONS, PropagatorSpec
+from .bounds import RELAX_F, RELAX_FCF, RELAXATIONS
 from .butcher import ButcherTableau, PoleError, stability_eval_batch
 from .model_problems import ModelProblem
 
@@ -92,18 +93,18 @@ class SolveError(RuntimeError):
 class TimeHierarchy:
     """Time-grid hierarchy: N fine steps of size h_t, coarsened by k per level.
 
-    Level 0 advances with `fine` (a tableau, or a PropagatorSpec for mixed
-    steps within each coarse interval); every level >= 1 advances with
-    `coarse` at step k^level * h_t.  `coarse` may be the EXACT_COARSE
-    sentinel (two-level only, diagonal path only), which uses the exact
-    k-fold fine factor as the coarse propagator.
+    Level 0 advances with the tableau `fine` at step h_t, k steps per
+    coarse interval; every level >= 1 advances with `coarse` at step
+    k^level * h_t.  `coarse` may be the EXACT_COARSE sentinel (two-level
+    only, diagonal path only), which uses the exact k-fold fine factor as
+    the coarse propagator.
     """
 
     N: int
     h_t: float
     k: int
     levels: int = 2
-    fine: object = None       # ButcherTableau or PropagatorSpec
+    fine: ButcherTableau = None
     coarse: object = None     # ButcherTableau or EXACT_COARSE
 
     def __post_init__(self):
@@ -118,13 +119,9 @@ class TimeHierarchy:
             raise ValueError(
                 f"N={self.N} not divisible by k**(levels-1)="
                 f"{self.k}**{self.levels - 1}={self.k ** (self.levels - 1)}")
-        if isinstance(self.fine, ButcherTableau):
-            object.__setattr__(self, "fine",
-                               PropagatorSpec.uniform(self.fine, self.k))
-        if not isinstance(self.fine, PropagatorSpec):
-            raise TypeError("fine must be a ButcherTableau or PropagatorSpec")
-        if len(self.fine.steps) != self.k:
-            raise ValueError("fine propagator must carry k steps per interval")
+        if not isinstance(self.fine, ButcherTableau):
+            raise TypeError("fine must be a ButcherTableau, got "
+                            f"{type(self.fine).__name__}")
         if self.coarse is EXACT_COARSE or self.coarse == EXACT_COARSE:
             object.__setattr__(self, "coarse", EXACT_COARSE)
             if self.levels != 2:
@@ -274,9 +271,9 @@ def _add_steps(x, a, y, buf):
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """The MGRIT cycle machinery over levels that are lists of k step
-    factors: `ops(theta)` lists them from the finest level down, and the
-    cycle takes that list from its own level down.
+    """The MGRIT cycle machinery over levels that are each one step factor
+    listed k times: `ops(theta)` lists them from the finest level down, and
+    the cycle takes that list from its own level down.
 
     Every level runs its cycle on its C-points (`cycle`); an F sweep
     (`f_sweep`) adds a coarse correction into the C-points above, or
@@ -300,16 +297,16 @@ class _Engine:
         # made here; a pole, or a sum or product that overflows, is rejected
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                fine = [_factor(tab, run.problem, frac * hier.h_t, run.path)
-                        for tab, frac in hier.fine.steps]
-                coarse = [np.prod(fine, axis=0) if hier.coarse == EXACT_COARSE
+                fine = _factor(hier.fine, run.problem, hier.h_t, run.path)
+                coarse = [np.prod([fine] * self.k, axis=0)
+                          if hier.coarse == EXACT_COARSE
                           else _factor(hier.coarse, run.problem, hier.dt(l),
                                        run.path)
                           for l in range(1, hier.levels)]
-                self._ops = {1.0: [fine] + [[a] * self.k for a in coarse]}
-                if all(np.isfinite(a).all()
+                self._ops = {1.0: [[a] * self.k for a in (fine, *coarse)]}
+                if all(np.isfinite(level[0]).all()
                        for theta in {1.0, *(run.theta_schedule or ())}
-                       for level in self.ops(theta) for a in level):
+                       for level in self.ops(theta)):
                     return
         except (PoleError, ValueError):
             pass

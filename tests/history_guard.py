@@ -26,8 +26,8 @@ imaginary axis under the upper tight bound at `--nc 16`.  And it runs
 writes.  Each runs with `--out` in a temporary
 directory, and `dump` writes each CSV file's rows: the column row, the
 data rows and the footers, without the provenance header.  Last, it takes
-test_bounds' lockstep batch (551 queries in 35 families: mixed and
-half-step fine propagators, both axes, every kind, theta = 0.5) and
+test_bounds' lockstep batch (543 queries in 31 families: every
+registry self-pair, both axes, every kind, theta = 0.5) and
 writes, per query, the summary of its curve in one `sweep` of the whole
 batch, and a checksum of the curve's samples, of its row of the
 every-query `bound_values` calls on test_bounds' `_GRID`, and of its
@@ -122,7 +122,6 @@ CSV_RUNS = {  # name: CLI arguments besides --out
 
 def _cases():
     """(name, MgritRun or ("propagator_norm", MgritRun)) for every case."""
-    from pintlab.bounds import PropagatorSpec
     from pintlab.butcher import get_scheme
     from pintlab.mgrit_sim import EXACT_COARSE, MgritRun, TimeHierarchy
     from pintlab.model_problems import (make_fd_diffusion,
@@ -162,10 +161,6 @@ def _cases():
     for relax in ("F", "FCF"):
         hier = TimeHierarchy(256, 0.5, 4, 2, s("sdirk33"), EXACT_COARSE)
         out.append((f"exact coarse {relax}", MgritRun(hier, spd, relax)))
-    mixed = PropagatorSpec(((s("sdirk22"), 1.0), (s("sdirk22"), 1.0),
-                            (s("trapezoid"), 1.0), (s("trapezoid"), 1.0)))
-    hier = TimeHierarchy(256, 0.5, 4, 2, mixed, s("sdirk22"))
-    out.append(("mixed fine FCF", MgritRun(hier, spd, "FCF")))
     for path in ("matrix", "diagonal"):
         for relax in ("F", "FCF"):
             for lv in (2, 3):

@@ -16,8 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from pintlab.bounds import (INFINITY, BoundQuery, PropagatorSpec,
-                            bound_values, max_over_k, spectrum_max, sweep)
+from pintlab.bounds import (INFINITY, BoundQuery, bound_values, max_over_k,
+                            spectrum_max, sweep)
 from pintlab.butcher import get_scheme, stability_eval_batch
 from pintlab.explicit_analysis import check_taylor_optimality
 from pintlab.golden import GT1, K_VALUES, TABLE1, TABLE2, cell_tolerance
@@ -29,8 +29,7 @@ SEEDS = 5
 
 
 def q_of(fine, coarse, k, relax="F", **kw):
-    return BoundQuery(PropagatorSpec.uniform(get_scheme(fine), k),
-                      get_scheme(coarse), k, relax, **kw)
+    return BoundQuery(get_scheme(fine), get_scheme(coarse), k, relax, **kw)
 
 
 def restricted_argmax(fine, coarse, k, relax, w_max):
@@ -575,3 +574,21 @@ def test_claim_an_o1_change_in_k_turns_convergence_into_divergence():
     print(f"\n[PASS] O(1) claim: erk4 at h_t = 0.3 measures rho = "
           f"{fast:.4f} at k = 4 and {divergent:.4f} at k = 8; the bound's "
           f"thresholds {at_4:.4g} > 0.3 > {at_8:.4g}")
+
+
+def test_claim_an_o1_change_in_h_t_turns_convergence_into_divergence():
+    # the claim's h_t half: erk4 over erk4 on (0, 1] at k = 4, as
+    # `simulate --fine erk4 --coarse erk4 --k 4 --nt 1024 --ximax 1
+    # --ht 0.3,0.65 --seeds 3` runs it.  Raising h_t from 0.3 to 0.65 takes
+    # the measured rho from about 0.02 to above 1, and the bound's k = 4
+    # threshold lies between the two h_t * xi_max
+    erk4 = get_scheme("erk4")
+    runs = [MgritRun(TimeHierarchy(1024, h_t, 4, 2, erk4, erk4),
+                     make_spd_interval(1.0, 120)) for h_t in (0.3, 0.65)]
+    fast, divergent = (res.rho for res in measure_rho(runs, seeds=3))
+    assert fast < 0.05 and divergent > 1.0, (fast, divergent)
+    at_4 = sweep(q_of("erk4", "erk4", 4)).threshold
+    assert 0.3 < at_4 < 0.65, at_4
+    print(f"\n[PASS] O(1) claim: erk4 at k = 4 measures rho = {fast:.4f} at "
+          f"h_t = 0.3 and {divergent:.4f} at h_t = 0.65; the bound's "
+          f"threshold 0.3 < {at_4:.4g} < 0.65")

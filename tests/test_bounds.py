@@ -30,14 +30,14 @@ MIDPOINT = get_scheme("midpoint")
 
 
 def query(fine, coarse, k, relax="F", **kw):
-    return BoundQuery(PropagatorSpec.uniform(fine, k), coarse, k, relax, **kw)
+    return BoundQuery(fine, coarse, k, relax, **kw)
 
 
-def lam_k(fine, w, axis="real_positive"):
-    """|lam^k| over one interval of the fine PropagatorSpec at the
+def lam_k(tab, k, w, axis="real_positive"):
+    """|lam^k| over one interval of k steps of the tableau at the
     magnitudes w, as bound_values evaluates it: a theta = 0 query's coarse
     factor is 0, so its F bound is |0 - lam^k| / (1 - 0)."""
-    q = BoundQuery(fine, BWE, round(fine.k), theta=0.0, axis=axis)
+    q = BoundQuery(tab, BWE, k, theta=0.0, axis=axis)
     return bound_values(q, np.asarray(w, dtype=float))
 
 
@@ -51,38 +51,20 @@ def test_coarse_eigenvalue_examples():
 
 
 def test_fine_interval_eigenvalue_uniform():
-    spec = PropagatorSpec.uniform(BWE, 2)
-    assert lam_k(spec, [1.0])[0] == pytest.approx(0.25)
-    spec = PropagatorSpec.uniform(get_scheme("erk2"), 2)
-    assert lam_k(spec, [0.5])[0] == pytest.approx(0.390625)
-
-
-def test_fine_interval_eigenvalue_mixed_limit():
-    # two strongly damped steps force the interval product to zero at
-    # large w even though the trailing scheme stays marginal there
-    spec = PropagatorSpec(((SDIRK22, 1.0), (SDIRK22, 1.0),
-                           (TRAP, 1.0), (TRAP, 1.0)))
-    # oracle: direct product of the four per-step factors
-    w = 1e8
-    product = 1.0 + 0.0j
-    for tab, frac in spec.steps:
-        product *= stability_eval(tab, frac * w)
-    got = lam_k(spec, [w])[0]
-    assert got == pytest.approx(abs(product))
-    assert got < 1e-6
+    assert lam_k(BWE, 2, [1.0])[0] == pytest.approx(0.25)
+    assert lam_k(get_scheme("erk2"), 2, [0.5])[0] == pytest.approx(0.390625)
 
 
 @pytest.mark.parametrize("name",
                          ["bwe", "sdirk33", "gauss4", "trapezoid", "erk4"])
 def test_fine_interval_eigenvalue_kth_power(name):
-    # a uniform spec raises one evaluation to the k-th power; compare with
-    # the 50-digit |lam(w)^k| of the same float tableau
+    # the fine factor is one evaluation raised to the k-th power; compare
+    # with the 50-digit |lam(w)^k| of the same float tableau
     tab = get_scheme(name)
     for k in (2, 64, 512):
-        spec = PropagatorSpec.uniform(tab, k)
         for w in (1e-3, 0.1, 1.0, 1e-3j, 0.1j, 1j):
             axis = "imaginary" if isinstance(w, complex) else "real_positive"
-            got = lam_k(spec, [abs(w)], axis)[0]
+            got = lam_k(tab, k, [abs(w)], axis)[0]
             with mpmath.workdps(50):
                 ref = abs(mp_stage_form(tab, w) ** k)
                 err = float(abs(got - ref) / ref)
@@ -90,12 +72,24 @@ def test_fine_interval_eigenvalue_kth_power(name):
 
 
 def test_propagator_spec_validation():
-    with pytest.raises(ValueError):
-        PropagatorSpec(())
-    with pytest.raises(ValueError):
-        PropagatorSpec(((BWE, -1.0),))
-    with pytest.raises(ValueError):
-        BoundQuery(PropagatorSpec.uniform(BWE, 3), BWE, 2)
+    # the fine propagator is the tableau, taken k times: uniform(tab, k)
+    # gives the tableau, and anything else is rejected in one line
+    assert BoundQuery(PropagatorSpec.uniform(BWE, 3), BWE, 2).fine is BWE
+    for fine in (None, "bwe", ((BWE, 1.0), (BWE, 1.0))):
+        with pytest.raises(TypeError,
+                           match=r"^fine must be a ButcherTableau, got \w+$"):
+            BoundQuery(fine, BWE, 2)
+
+
+def test_uniform_spec_query_sweeps_as_its_tableau():
+    # the query perfbench builds, through PropagatorSpec.uniform, sweeps to
+    # the curve of the query built from the tableau itself
+    for tab, k, relax in ((SDIRK33, 4, "FCF"), (TRAP, 2, "F")):
+        spec = sweep(BoundQuery(PropagatorSpec.uniform(tab, k), BWE, k, relax))
+        bare = sweep(BoundQuery(tab, BWE, k, relax))
+        assert np.array_equal(spec.samples, bare.samples)
+        assert (spec.max_phi, spec.argmax_w, spec.threshold) == \
+            (bare.max_phi, bare.argmax_w, bare.threshold)
 
 
 # --- pointwise bound -------------------------------------------------------
@@ -167,7 +161,7 @@ def test_fcf_tight_bound_is_f_bound_at_nc_minus_1_times_lam_k(kind):
         fcf = bound_values(query(fine, coarse, k, "FCF", Nc=64.0,
                                  bound_kind=kind), w)
         f = bound_values(query(fine, coarse, k, Nc=63.0, bound_kind=kind), w)
-        lamk = lam_k(PropagatorSpec.uniform(fine, k), w)
+        lamk = lam_k(fine, k, w)
         np.testing.assert_allclose(fcf, lamk * f, rtol=1e-14, atol=0)
 
 
@@ -239,7 +233,7 @@ def test_l_stable_limits():
         qf = query(ftab, BWE, 2, "F")
         assert bound_values(qf, w)[0] <= 1.0 + 1e-9, f
         qc = query(ftab, BWE, 2, "FCF")
-        lamk = lam_k(qc.fine, w)[0]
+        lamk = lam_k(ftab, 2, w)[0]
         assert bound_values(qc, w)[0] <= lamk + 1e-9, f
 
 
@@ -247,7 +241,7 @@ def test_fcf_identity():
     w = np.geomspace(1e-4, 1e4, 30)
     qf = query(SDIRK33, BWE, 4, "F")
     qc = query(SDIRK33, BWE, 4, "FCF")
-    lamk = lam_k(qc.fine, w)
+    lamk = lam_k(SDIRK33, 4, w)
     assert np.array_equal(bound_values(qc, w), lamk * bound_values(qf, w))
 
 
@@ -261,11 +255,11 @@ def test_fcf_identity_property(fine, coarse, k, axis, log_w):
     # included: inf times 0 (an unbounded sample where |lam^k| = 0, or the
     # reverse) is unbounded
     w = 10.0 ** np.asarray(log_w)
-    spec = PropagatorSpec.uniform(get_scheme(fine), k)
-    qf, qc = (BoundQuery(spec, get_scheme(coarse), k, relax, axis=axis)
+    tab = get_scheme(fine)
+    qf, qc = (BoundQuery(tab, get_scheme(coarse), k, relax, axis=axis)
               for relax in ("F", "FCF"))
     with np.errstate(over="ignore", invalid="ignore"):
-        want = lam_k(spec, w, axis) * bound_values(qf, w)
+        want = lam_k(tab, k, w, axis) * bound_values(qf, w)
     want[np.isnan(want)] = INFINITY
     got = bound_values(qc, w)
     # from w = 1e-4 on the bound runs in double, as this product does, so
@@ -552,10 +546,9 @@ def test_sweep_rejects_a_window_whose_tail_probe_overflows(k, w_min, w_max):
 
 def _lockstep_batch():
     """Every registry self-pair x K_VALUES x {F, FCF}, each on the real axis
-    and under the imaginary-axis upper bound at Nc = inf and 256, plus mixed
-    fine propagators (whose distinct steps come in different orders, one
-    with half steps), theta = 0.5, and a lower tight pair at Nc = 64, so
-    one call mixes C = 1 and C = 6."""
+    and under the imaginary-axis upper bound at Nc = inf and 256, plus
+    theta = 0.5 and a lower tight pair at Nc = 64, so one call mixes C = 1
+    and C = 6."""
     out = []
     for name in REGISTRY.names():
         tab = get_scheme(name)
@@ -565,12 +558,6 @@ def _lockstep_batch():
                 out += [query(tab, tab, k, relax, Nc=nc, axis="imaginary",
                               bound_kind="upper_tight")
                         for nc in (INFINITY, 256.0)]
-    for steps in (((SDIRK22, 1.0), (SDIRK22, 1.0), (TRAP, 1.0), (TRAP, 1.0)),
-                  ((SDIRK22, 1.0), (TRAP, 1.0), (BWE, 1.0), (SDIRK22, 1.0)),
-                  ((BWE, 1.0), (TRAP, 1.0), (SDIRK22, 1.0), (SDIRK22, 1.0)),
-                  ((BWE, 0.5), (BWE, 0.5), (SDIRK33, 1.0), (TRAP, 2.0))):
-        out += [BoundQuery(PropagatorSpec(steps), SDIRK22, 4, relax)
-                for relax in ("F", "FCF")]
     out.append(query(ESDIRK33, ESDIRK33, 4, theta=0.5))
     out += [query(SDIRK22, BWE, 4, relax, bound_kind="lower_tight", Nc=64)
             for relax in ("F", "FCF")]
@@ -771,7 +758,7 @@ def test_lockstep_sweep_compiles_each_family_once(monkeypatch):
 
     monkeypatch.setattr(bounds, "bound_values", counted_values)
     sweep(queries)
-    assert len(families) == 35
+    assert len(families) == 31
     assert built == [len(rows) for rows in families]
     runs = [len(list(run)) for _, run in itertools.groupby(calls, id)]
     assert len(runs) == len(families)
@@ -789,13 +776,10 @@ def test_bound_values_rejects_a_list():
         bound_values([q, q], [1.0])
 
 
-@pytest.mark.parametrize("fine", [BWE, PropagatorSpec(((BWE, 0.5),
-                                                       (BWE, 63.5)))],
-                         ids=["uniform", "fractions"])
+@pytest.mark.parametrize("fine", [BWE], ids=["uniform"])
 def test_bound_values_rejects_a_w_whose_k_w_overflows(fine):
-    # k * 1e307 overflows at k = 64 (and so does the coarse point of a
-    # propagator whose step fractions differ); w = inf itself reads the
-    # limit, 0 for bwe/bwe
+    # k * 1e307, the coarse point, overflows at k = 64; w = inf itself
+    # reads the limit, 0 for bwe/bwe
     q = BoundQuery(fine, BWE, 64)
     (family, _), = bounds._families([q, q])
     for call in (lambda: spectrum_max(q, [1e307]),
@@ -919,46 +903,28 @@ def test_limit_of_the_0_over_0_forms():
 
 @pytest.mark.parametrize("k", [2, 4, 16])
 def test_limit_of_the_0_times_inf_form(k):
-    # one bwe step among gauss4 steps: |lam^k| ~ 1/w while phi_F ~ k w / 12
-    # over a gauss4 coarse factor, so under FCF the limit is k / 12; with
-    # bwe steps only |lam^k| ~ w^-k wins and the limit is 0
+    # bwe fine steps over a gauss4 coarse factor: phi_F ~ k w / 12 while
+    # |lam^k| ~ w^-k, so under FCF the bound goes like (k / 12) w^(1 - k)
+    # and its limit is 0
     gauss4 = get_scheme("gauss4")
-    spec = PropagatorSpec(((BWE, 1.0),) + ((gauss4, 1.0),) * (k - 1))
-    limit = bound_values(BoundQuery(spec, gauss4, k, "FCF"), [np.inf])[0]
-    assert limit == pytest.approx(k / 12, rel=1e-12)
+    assert bound_values(query(BWE, gauss4, k, "FCF"), [np.inf])[0] == 0.0
     with mpmath.workdps(50):
         w = mpmath.mpf(10) ** 30
-        lamk = mp_stage_form(BWE, w) * mp_stage_form(gauss4, w) ** (k - 1)
+        lamk = mp_stage_form(BWE, w) ** k
         mu = mp_stage_form(gauss4, k * w)
         ref = abs(lamk) * abs(mu - lamk) / (1 - abs(mu))
-    assert limit == pytest.approx(float(ref), rel=1e-12)
-    assert bound_values(query(BWE, gauss4, k, "FCF"), [np.inf])[0] == 0.0
+        assert float(ref * w ** (k - 1)) == pytest.approx(k / 12, rel=1e-12)
     # a finite Nc keeps the denominator from 0: no indeterminate form
-    tight = BoundQuery(spec, gauss4, k, "FCF", Nc=64, bound_kind="upper_tight")
+    tight = query(BWE, gauss4, k, "FCF", Nc=64, bound_kind="upper_tight")
     assert bound_values(tight, [np.inf])[0] == 0.0
-
-
-def test_batch_multiplies_each_propagators_steps_in_its_own_order():
-    # the same steps in two orders are two families, each multiplying its
-    # steps in its own order (three complex factors round by the order
-    # they multiply in), and the same steps at other multiplicities are
-    # keys of one family, multiplied in that family's order
-    w = np.geomspace(1e-9, 1e9, 4001)
-    specs = [PropagatorSpec(steps) for steps in (
-        ((SDIRK22, 1.0), (SDIRK33, 1.0), (TRAP, 1.0), (TRAP, 1.0)),
-        ((SDIRK33, 1.0), (TRAP, 1.0), (SDIRK22, 1.0), (TRAP, 1.0)),
-        ((SDIRK22, 1.0), (SDIRK33, 1.0), (SDIRK33, 1.0), (TRAP, 1.0)))]
-    queries = [BoundQuery(spec, SDIRK22, 4) for spec in specs]
-    assert [rows for _, rows in bounds._families(queries)] == [[0, 2], [1]]
-    _assert_per_point_calls_match_one_query_calls(queries, w)
 
 
 @pytest.mark.parametrize("axis", ["real_positive", "imaginary"])
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def test_bound_values_round_as_the_direct_formula(axis):
-    # one query's simple bound, written out: lam^k as the product over the
-    # interval's steps, from 1, of one stability evaluation to the power k
-    # (a Python int, so k = 2 takes numpy's square), mu at k*w, extended
+    # one query's simple bound, written out: lam^k as one stability
+    # evaluation to the power k (a Python int, so k = 2 takes numpy's
+    # square), mu at k*w, extended
     # precision below w = 1e-4, a vanished denominator read as 0/0 = 0
     # on the real axis and as inf on the imaginary one, and nan (an explicit
     # scheme's overflow) read as inf
@@ -971,8 +937,7 @@ def test_bound_values_round_as_the_direct_formula(axis):
                 for sel, dtype in ((w >= 1e-4, complex),
                                    (w < 1e-4, np.clongdouble)):
                     z = pts[sel].astype(dtype)
-                    lamk = np.ones_like(z) * stability_eval_batch(
-                        tab, z, dtype=dtype) ** k
+                    lamk = stability_eval_batch(tab, z, dtype=dtype) ** k
                     mu = stability_eval_batch(tab, k * z, dtype=dtype)
                     num = np.abs(mu - lamk).astype(float)
                     den = (1.0 - np.abs(mu)).astype(float)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pintlab import butcher
-from pintlab.bounds import BoundQuery, PropagatorSpec, bound_values
+from pintlab.bounds import BoundQuery, bound_values
 from pintlab.butcher import (REGISTRY, ButcherTableau, OrderMismatch,
                              PoleError, classify_stability, get_scheme,
                              make_trbdf2, scheme_names, stability_eval,
@@ -174,7 +174,7 @@ def test_stiffly_accurate_numerator_degree():
 def test_esdirk33_bound_nondecreasing_at_large_w(k, relax):
     # the golden Table 2 argmax = inf for esdirk33 rests on this
     tab = get_scheme("esdirk33")
-    q = BoundQuery(PropagatorSpec.uniform(tab, k), tab, k, relax)
+    q = BoundQuery(tab, tab, k, relax)
     phi = bound_values(q, np.geomspace(1e6, 1e9, 200))
     assert np.all(np.diff(phi) >= 0.0)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pintlab import bounds, cli
-from pintlab.bounds import BoundQuery, PropagatorSpec, bound_values, sweep
+from pintlab.bounds import BoundQuery, bound_values, sweep
 from pintlab.butcher import get_scheme, stability_eval_batch
 from pintlab.cli import main
 
@@ -178,7 +178,7 @@ def _gauss4_dense_cap(k):
     gap = (stability_eval_batch(bwe, k * w)
            - stability_eval_batch(tab, w) ** k).real
     z = np.nonzero(np.sign(gap[1:]) != np.sign(gap[:-1]))[0][0] + 1
-    q = BoundQuery(PropagatorSpec.uniform(tab, k), bwe, k, "F")
+    q = BoundQuery(tab, bwe, k, "F")
     return float(np.max(bound_values(q, w[:z])))
 
 

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pintlab import mgrit_sim
-from pintlab.bounds import (BoundQuery, PropagatorSpec, bound_values,
-                            spectrum_max)
+from pintlab.bounds import BoundQuery, bound_values, spectrum_max
 from pintlab.butcher import (CONDITIONALLY_STABLE, REGISTRY, get_scheme,
                              stability_eval_batch)
 from pintlab.mgrit_sim import (EXACT_COARSE, MgritRun, RhoResult, SolveError,
@@ -228,12 +227,10 @@ def test_dense_error_propagator_within_tight_sandwich():
         run = MgritRun(hier, problem, relax_kind)
         nrm = error_propagation_norm(run)
         w = problem.eigenvalues.real
-        lo = spectrum_max(
-            BoundQuery(PropagatorSpec.uniform(BWE, 4), BWE, 4, relax_kind,
-                       Nc=float(nc), bound_kind="lower_tight"), w)
-        hi = spectrum_max(
-            BoundQuery(PropagatorSpec.uniform(BWE, 4), BWE, 4, relax_kind,
-                       Nc=float(nc), bound_kind="upper_tight"), w)
+        lo = spectrum_max(BoundQuery(BWE, BWE, 4, relax_kind, Nc=float(nc),
+                                     bound_kind="lower_tight"), w)
+        hi = spectrum_max(BoundQuery(BWE, BWE, 4, relax_kind, Nc=float(nc),
+                                     bound_kind="upper_tight"), w)
         assert lo <= nrm <= hi, (relax_kind, lo, nrm, hi)
 
 
@@ -263,11 +260,9 @@ def test_measured_rho_within_bound_containment():
     run = MgritRun(hier, problem, "F")
     res, = measure_rho([run], seeds=5)
     w = np.abs(problem.eigenvalues)
-    lo = spectrum_max(BoundQuery(PropagatorSpec.uniform(BWE, k), BWE, k, "F",
-                                 Nc=float(N // k),
+    lo = spectrum_max(BoundQuery(BWE, BWE, k, "F", Nc=float(N // k),
                                  bound_kind="lower_tight"), w)
-    hi = spectrum_max(BoundQuery(PropagatorSpec.uniform(BWE, k), BWE, k, "F",
-                                 Nc=float(N // k),
+    hi = spectrum_max(BoundQuery(BWE, BWE, k, "F", Nc=float(N // k),
                                  bound_kind="upper_tight"), w)
     assert lo - 0.02 <= res.rho <= hi + 0.02
     assert res.converged
@@ -443,6 +438,11 @@ def test_hierarchy_validation():
         TimeHierarchy(16, 1.0, 4, 3, BWE, EXACT_COARSE)
     with pytest.raises(ValueError):
         TimeHierarchy(16, 1.0, 1, 2, BWE, BWE)
+    # the fine propagator is one tableau, taken k times per interval
+    for fine in (None, "bwe", ((BWE, 1.0),) * 4):
+        with pytest.raises(TypeError,
+                           match=r"^fine must be a ButcherTableau, got \w+$"):
+            TimeHierarchy(16, 1.0, 4, 2, fine, BWE)
     with pytest.raises(ValueError):
         MgritRun(TimeHierarchy(16, 1.0, 4, 2, BWE, BWE), spd(1.0, 4),
                  "FCF", theta_schedule=(1.0, 0.0))
@@ -457,41 +457,6 @@ def test_run_csv_format():
     assert "# rho = 0.125" in text
     assert "# converged = true" in text
     assert "# iters = 2" in text
-
-
-def test_mixed_fine_propagator_steps():
-    # two strongly damped steps followed by two marginal ones: each F-point
-    # value is the product of the per-step factors applied in order
-    from pintlab.butcher import stability_eval
-    spec = PropagatorSpec(((SDIRK22, 1.0), (SDIRK22, 1.0),
-                           (TRAP, 1.0), (TRAP, 1.0)))
-    problem = ModelProblem([2.0])
-    hier = TimeHierarchy(8, 1.0, 4, 2, spec, SDIRK22)
-    run = MgritRun(hier, problem, "F")
-    c = np.zeros((3, 1), complex)
-    c[1] = 1.0
-    eng = _Engine(run)
-    out = eng.f_sweep(c, eng.ops(1.0)[0])
-    f1 = stability_eval(SDIRK22, 2.0)
-    f3 = stability_eval(TRAP, 2.0)
-    assert out[5, 0] == pytest.approx(f1)
-    assert out[6, 0] == pytest.approx(f1 * f1)
-    assert out[7, 0] == pytest.approx(f1 * f1 * f3)
-
-
-def test_mixed_fine_propagator_rescues_large_modes():
-    # front-loading damped steps keeps the interval factor small at large
-    # h_t*xi, matching the bound computed for the same mixed propagator
-    from pintlab.bounds import spectrum_max as smax
-    spec = PropagatorSpec(((SDIRK22, 1.0), (SDIRK22, 1.0),
-                           (TRAP, 1.0), (TRAP, 1.0)))
-    problem = make_spd_interval(40.0, 40)
-    hier = TimeHierarchy(128, 1.0, 4, 2, spec, SDIRK22)
-    res, = measure_rho([MgritRun(hier, problem, "FCF")], seeds=2)
-    q = BoundQuery(spec, SDIRK22, 4, "FCF")
-    bound = smax(q, problem.eigenvalues.real)
-    assert res.converged
-    assert res.rho <= bound + 0.02
 
 
 def test_mgrit_run_rejects_fc_relaxation():
@@ -598,18 +563,6 @@ def test_iterate_is_bit_identical_to_full_cycles_matrix(relax_kind, levels):
 def test_iterate_is_bit_identical_to_full_cycles_k(relax_kind, levels, k):
     hier = TimeHierarchy(k ** 4, 0.5, k, levels, SDIRK33, BWE)
     _assert_iterate_bit_identical(MgritRun(hier, spd(3.0, 20), relax_kind,
-                                           max_iters=30))
-
-
-@pytest.mark.parametrize("relax_kind", ["F", "FCF"])
-@pytest.mark.parametrize("levels", [2, 3])
-def test_iterate_is_bit_identical_to_full_cycles_mixed_fine(relax_kind,
-                                                            levels):
-    # four different factors per interval: their order matters
-    spec = PropagatorSpec(((SDIRK22, 1.0), (SDIRK22, 1.0),
-                           (TRAP, 1.0), (TRAP, 1.0)))
-    hier = TimeHierarchy(128, 1.0, 4, levels, spec, SDIRK22)
-    _assert_iterate_bit_identical(MgritRun(hier, spd(6.0, 20), relax_kind,
                                            max_iters=30))
 
 
@@ -1323,8 +1276,7 @@ def test_exactness_in_nc_or_half_nc_iterations_property(fine, coarse, k, nc,
 def _sandwich(nc, relax_kind, w, k=2):
     """Lower tight bound, 2-norm of the closed-form propagator and upper
     tight bound of bwe/bwe at the modes w."""
-    spec = PropagatorSpec.uniform(BWE, k)
-    lo, hi = (bound_values(BoundQuery(spec, BWE, k, relax_kind, Nc=float(nc),
+    lo, hi = (bound_values(BoundQuery(BWE, BWE, k, relax_kind, Nc=float(nc),
                                       bound_kind=kind), w)
               for kind in ("lower_tight", "upper_tight"))
     lam = stability_eval_batch(BWE, w)
